@@ -40,19 +40,6 @@ class LatencyPipe
 
     std::size_t inFlight() const { return pipe_.size(); }
 
-    /**
-     * Cycle the oldest in-flight payload completes, or kNeverCycle
-     * when empty. Entries complete in FIFO order, so nothing in the
-     * pipe becomes ready earlier (next-event lower bound, DESIGN.md
-     * §9). The per-cycle port counter does not matter here: it only
-     * limits accepts, and accepts need a caller with queued input.
-     */
-    Cycle
-    nextReadyAt() const
-    {
-        return pipe_.empty() ? kNeverCycle : pipe_.front().readyAt;
-    }
-
     void serialize(StateWriter &w) const;
     void deserialize(StateReader &r);
 

@@ -62,8 +62,8 @@ class MshrTable
 
     /**
      * Account @p n allocate() attempts that were elided because the
-     * caller proved they would return Full (event-driven retry paths
-     * advance the rejection counter in closed form so the stats match
+     * caller proved they would return Full (the event-gated retry pass
+     * advances the rejection counter in closed form so the stats match
      * a per-cycle re-probe bit for bit).
      */
     void addRejections(std::uint64_t n) { rejections_ += n; }

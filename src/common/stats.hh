@@ -182,9 +182,6 @@ class IntervalSampler
      *  to skip computing the sampled value on off cycles. */
     bool due(Cycle now) const { return now >= next_; }
 
-    /** First cycle at which due() becomes true (next-event bound). */
-    Cycle nextDue() const { return next_; }
-
     const RunningStat &stat() const { return stat_; }
     void reset() { stat_.reset(); next_ = 0; }
 

@@ -75,34 +75,6 @@ class ShaderCore
     /** Warps currently able to issue (latency-hiding headroom). */
     std::uint32_t readyWarps() const { return readyCount_; }
 
-    /**
-     * True when the next issue(now) call will issue an instruction.
-     * Every Ready warp is reachable (it is either the greedy warp or
-     * queued), so readyCount_ > 0 is exact, not a heuristic. An idle
-     * core has no self-wakeup: it becomes issuable only through
-     * accessDone() (a memory event) or assign(), so its next-event
-     * bound is "never" and the GPU's memory hierarchy supplies the
-     * wakeup cycle (DESIGN.md §9).
-     */
-    bool
-    canIssueNow() const
-    {
-        return program_ != nullptr && !draining_ && readyCount_ > 0;
-    }
-
-    /**
-     * Account @p cycles skipped issue() calls on a core for which
-     * canIssueNow() is false: the legacy loop would have burned one
-     * stall cycle per tick when draining or when all warps wait on
-     * memory, and nothing else in issue() mutates on those paths.
-     */
-    void
-    skipIdleCycles(Cycle cycles)
-    {
-        if (draining_ || (program_ != nullptr && readyCount_ == 0))
-            stallCycles_ += cycles;
-    }
-
     std::uint32_t numWarps() const
     {
         return static_cast<std::uint32_t>(warps_.size());

@@ -349,50 +349,6 @@ DramChannel::tick(Cycle now, RequestPool &pool)
     }
 }
 
-Cycle
-DramChannel::nextEventCycle(Cycle now) const
-{
-    // Completions waiting for the caller to drain: work this cycle.
-    if (!completed_.empty())
-        return now;
-
-    Cycle next =
-        inService_.empty() ? kNeverCycle : inService_.top().at;
-
-    // A pending silver-turn rotation reads the quota controller's
-    // per-cycle Equation 1 accumulators; deferring it across a skip
-    // would rotate with different weights. Pin it to the cycle tick()
-    // would perform it (the first cycle the bus is free).
-    if (mode_ == DramSchedMode::MaskQueues && silverCredits_ == 0 &&
-        silver_.empty()) {
-        if (busFreeAt_ <= now)
-            return now;
-        next = std::min(next, busFreeAt_);
-    }
-
-    if (queuedRequests() == 0)
-        return next;
-
-    // tick() returns before scheduling until the bus frees up.
-    if (busFreeAt_ > now)
-        return std::min(next, busFreeAt_);
-
-    // Bus free: the scheduler acts on the first cycle any queued
-    // entry's bank is ready (including all guard/starvation paths).
-    Cycle wake = frFcfsNextWake(golden_, banks_, now);
-    if (wake <= now)
-        return now;
-    next = std::min(next, wake);
-    wake = silver_.nextWake(banks_, now);
-    if (wake <= now)
-        return now;
-    next = std::min(next, wake);
-    wake = normal_.nextWake(banks_, now);
-    if (wake <= now)
-        return now;
-    return std::min(next, wake);
-}
-
 void
 DramChannel::resetStats()
 {
@@ -451,20 +407,6 @@ Dram::tick(Cycle now, RequestPool &pool)
             done.pop_front();
         }
     }
-}
-
-Cycle
-Dram::nextEventCycle(Cycle now) const
-{
-    if (!completed_.empty())
-        return now;
-    Cycle next = kNeverCycle;
-    for (const DramChannel &channel : channels_) {
-        next = std::min(next, channel.nextEventCycle(now));
-        if (next <= now)
-            return now;
-    }
-    return next;
 }
 
 void

@@ -163,17 +163,6 @@ class DramChannel
     void tick(Cycle now, RequestPool &pool);
 
     /**
-     * Earliest cycle >= @p now at which tick() does anything: retires
-     * a completion, services a request, or rotates the silver turn.
-     * Returns @p now itself whenever any queued request's bank is
-     * already ready while the bus is free — that pins the conservative
-     * cases (bandwidth-guard deferrals, starvation-cap bookkeeping in
-     * the FR-FCFS pick) to per-cycle stepping, since every such path
-     * requires a ready bank. kNeverCycle when nothing is pending.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
      * Epoch boundary (Section 5.2/5.4): force the silver turn to
      * rotate so an idle quota holder cannot pin the Silver Queue.
      */
@@ -316,14 +305,6 @@ class Dram
     void tick(Cycle now, RequestPool &pool);
     void onEpoch();
 
-    /**
-     * Earliest cycle >= @p now at which tick() does anything on any
-     * channel; kNeverCycle when the subsystem is idle. Valid as a
-     * skip bound because tick() advances every channel whenever any
-     * is busy — exactly the condition under which the GPU calls it.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
     /** Record that @p req found its channel queue full (stats). */
     void noteReject(const MemRequest &req);
 
@@ -387,15 +368,6 @@ int frFcfsPick(std::vector<DramQueueEntry> &queue,
                const std::vector<DramBank> &banks, Cycle now,
                std::uint32_t starvation_cap,
                std::uint64_t *cap_escalations = nullptr);
-
-/**
- * Earliest cycle >= @p now at which some entry of @p queue has a ready
- * bank (the precondition for frFcfsPick to return, mutate bypass
- * counts, or for the golden FIFO to consider an entry). Returns @p now
- * when a bank is already ready, kNeverCycle for an empty queue.
- */
-Cycle frFcfsNextWake(const std::vector<DramQueueEntry> &queue,
-                     const std::vector<DramBank> &banks, Cycle now);
 
 } // namespace mask
 

@@ -20,18 +20,6 @@ SilverQuotaController::sample(AppId app, std::uint32_t concurrent_walks,
                     static_cast<double>(warps_stalled);
 }
 
-void
-SilverQuotaController::sampleN(AppId app,
-                               std::uint32_t concurrent_walks,
-                               std::uint32_t warps_stalled,
-                               Cycle cycles)
-{
-    assert(app < numApps_);
-    weight_[app] += static_cast<double>(concurrent_walks) *
-                    static_cast<double>(warps_stalled) *
-                    static_cast<double>(cycles);
-}
-
 double
 SilverQuotaController::pressure(AppId app) const
 {

@@ -9,11 +9,9 @@
  * Nothing in a row depends on the host (no wall-clock, no pointers),
  * so same-seed runs produce byte-identical files.
  *
- * Cycle-skip compatibility: due points are exposed via nextDue() so
- * the main loop's skipTo() can closed-form-advance accumulators to
- * each due point inside a skipped window and sample there; rearm()
- * re-arms after a snapshot restore (smallest multiple >= now, so the
- * save/resume pair emits every boundary row exactly once).
+ * The main loop samples at the end of every cycle where due() holds;
+ * rearm() re-arms after a snapshot restore (smallest multiple >= now,
+ * so the save/resume pair emits every boundary row exactly once).
  */
 
 #ifndef MASK_OBS_TIMESERIES_HH

@@ -20,7 +20,9 @@ namespace {
 
 // v2: added the checkpoint-overhead fields (ckptWriteSeconds,
 // ckptBytes, ckptWrites) to the GpuStats tail.
-constexpr const char *kBlobVersion = "v2";
+// v3: dropped the cycle-skip statistics (skippedCycles, skipWindows,
+// skipWindowLog2); the main loop no longer fast-forwards.
+constexpr const char *kBlobVersion = "v3";
 
 struct Encoder
 {
@@ -213,9 +215,6 @@ encodeStats(Encoder &enc, const GpuStats &s)
     // simulation.
     enc.d(0.0);
     enc.u(s.requests);
-    enc.u(s.skippedCycles);
-    enc.u(s.skipWindows);
-    enc.vec(s.skipWindowLog2, [&](std::uint64_t v) { enc.u(v); });
     // Checkpoint overhead is host-side like wallSeconds: the measured
     // values vary run to run (and are zero whenever checkpointing is
     // off), so the blob carries zeros to stay a pure function of the
@@ -275,9 +274,6 @@ decodeStats(Decoder &dec, GpuStats &s)
     s.poolCapacity = dec.u();
     s.wallSeconds = dec.d();
     s.requests = dec.u();
-    s.skippedCycles = dec.u();
-    s.skipWindows = dec.u();
-    dec.vec(s.skipWindowLog2, [&]() { return dec.u(); });
     s.ckptWriteSeconds = dec.d();
     s.ckptBytes = dec.u();
     s.ckptWrites = dec.u();

@@ -11,7 +11,7 @@
  * uninterrupted run. Doubles are therefore encoded as C99 hex floats
  * ("%a"), which round-trip exactly; integers as decimal.
  *
- * The encoding is a versioned, space-separated token stream ("v2
+ * The encoding is a versioned, space-separated token stream ("v3
  * ..."). It must cover every field of PairResult/GpuStats — when a
  * stat is added to GpuStats, extend encode/decode here and bump the
  * version, or journal-resumed benches will silently print zeros for
@@ -20,7 +20,7 @@
  * Journal format (one JSON object per line, append-only):
  *
  *   {"key":"<job key>","status":"Ok","attempts":1,"error":"",
- *    "result":"v2 ..."}
+ *    "result":"v3 ..."}
  *
  * plus optional "repro" (harvested crash-repro path) and "worker"
  * (distributed-sweep worker id, DESIGN.md §15) fields when non-empty.

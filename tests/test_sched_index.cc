@@ -7,7 +7,7 @@
  * the retained reference rescans:
  *  - BankedRequestQueue::pick vs pickReference under randomized
  *    traffic, including tiny starvation caps (escalation bookkeeping
- *    is part of the contract) and nextWake/hasRowHit cross-checks;
+ *    is part of the contract) and hasRowHit cross-checks;
  *  - DataRetryQueue vs a flat reference model under randomized
  *    park/remove churn;
  *  - a whole-GPU run with MASK_SCHED_REFERENCE=1 (reference picks)
@@ -79,13 +79,6 @@ driveTwinQueues(std::uint32_t num_banks, std::uint32_t cap,
                       indexed.hasRowHitReference(b, banks))
                 << "bank " << b << " at step " << step;
         }
-        Cycle manual = kNeverCycle;
-        reference.forEachAge([&](const DramQueueEntry &e) {
-            const Cycle ready = banks[e.bank].readyAt;
-            manual = std::min(manual, ready <= now ? now : ready);
-        });
-        ASSERT_EQ(indexed.nextWake(banks, now), manual)
-            << "at step " << step;
 
         const std::uint32_t ni =
             indexed.pick(banks, now, cap, &cap_indexed, nullptr);

@@ -12,6 +12,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -383,6 +385,70 @@ TEST(Sweep, JournalResumeResimulatesOnlyFailedJobs)
     EXPECT_EQ(resumed.outcome(1).status, SweepStatus::Ok);
     EXPECT_EQ(resumed.result(0).sharedIpc[0], 2.0);
     EXPECT_EQ(resumed.result(1).sharedIpc[0], 3.0);
+    std::remove(journal.c_str());
+}
+
+TEST(Sweep, JournalEntryWithPreviousBlobVersionIsResimulated)
+{
+    const std::string journal = tempPath("journal_v2");
+    std::remove(journal.c_str());
+    const GpuConfig arch = archByName("maxwell");
+    const SweepJob job{arch, DesignPoint::SharedTlb, {"HISTO"},
+                       SweepMode::SharedOnly};
+
+    SweepPolicy policy;
+    policy.journalPath = journal;
+
+    SweepRunner first(shortOptions(), 1);
+    first.setPolicy(policy);
+    first.submit(job);
+    first.run();
+    ASSERT_EQ(first.failedJobs(), 0u);
+    const std::string blob = encodePairResult(first.result(0));
+
+    // Rewrite the Ok entry's blob in the v2 layout an older build
+    // wrote: the same tokens plus skippedCycles, skipWindows and the
+    // 16-bucket skipWindowLog2 vector ahead of the three checkpoint
+    // fields that end the blob.
+    std::vector<std::string> tokens;
+    {
+        std::istringstream in(blob);
+        for (std::string t; in >> t;)
+            tokens.push_back(t);
+    }
+    ASSERT_EQ(tokens.front(), "v3");
+    ASSERT_GT(tokens.size(), 3u);
+    tokens.front() = "v2";
+    std::vector<std::string> skip_fields = {"0", "0", "16"};
+    skip_fields.resize(skip_fields.size() + 16, "0");
+    tokens.insert(tokens.end() - 3, skip_fields.begin(),
+                  skip_fields.end());
+    std::string old_blob;
+    for (const std::string &t : tokens)
+        old_blob += (old_blob.empty() ? "" : " ") + t;
+
+    std::string text;
+    {
+        std::ifstream in(journal);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        text = buf.str();
+    }
+    const std::size_t at = text.find(blob);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, blob.size(), old_blob);
+    std::ofstream(journal, std::ios::trunc) << text;
+
+    // The stale entry cannot be decoded, so the resume re-simulates
+    // the job and reproduces the fresh result bit for bit.
+    SweepRunner resumed(shortOptions(), 1);
+    resumed.setPolicy(policy);
+    resumed.submit(job);
+    resumed.run();
+    EXPECT_EQ(resumed.journalHits(), 0u);
+    EXPECT_EQ(resumed.outcome(0).status, SweepStatus::Ok);
+    EXPECT_FALSE(resumed.outcome(0).fromJournal);
+    EXPECT_EQ(encodePairResult(resumed.result(0)), blob);
     std::remove(journal.c_str());
 }
 

@@ -142,10 +142,6 @@ randomResult(Rng &rng)
     s.poolPeakLive = static_cast<std::size_t>(rng());
     s.poolCapacity = static_cast<std::size_t>(rng());
     s.requests = rng();
-    s.skippedCycles = rng();
-    s.skipWindows = rng();
-    for (std::size_t i = 0, n = smallSize(rng); i < n; ++i)
-        s.skipWindowLog2.push_back(rng());
     // wallSeconds and the ckpt* overhead fields stay zero: they are
     // host-side accounting the codec deliberately encodes as zeros so
     // the blob is a pure function of the simulation.
@@ -211,7 +207,7 @@ TEST(SweepIoFuzz, DeepTruncationIsRejected)
     EXPECT_THROW(decodePairResult(blob.substr(0, blob.size() / 3)),
                  std::runtime_error);
     EXPECT_THROW(decodePairResult(std::string()), std::runtime_error);
-    EXPECT_THROW(decodePairResult("v2"), std::runtime_error);
+    EXPECT_THROW(decodePairResult("v3"), std::runtime_error);
 }
 
 TEST(SweepIoFuzz, EveryTruncationFailsOrDecodesDifferently)
@@ -264,7 +260,7 @@ TEST(SweepIoFuzz, ForeignVersionIsRejected)
 {
     Rng rng(45);
     std::string blob = encodePairResult(randomResult(rng));
-    ASSERT_EQ(blob.compare(0, 2, "v2"), 0);
+    ASSERT_EQ(blob.compare(0, 2, "v3"), 0);
     blob[1] = '9';
     try {
         (void)decodePairResult(blob);

@@ -471,7 +471,6 @@ struct GpuConfig
     PartitionConfig partition;         // warmup-affecting
     HardenConfig harden;               // warmup-affecting
     std::vector<std::uint32_t> coreShares; // warmup-affecting
-    bool cycleSkip; // neutral: bit-identical either way by contract
     std::uint64_t seed; // warmup-affecting
 };
 
@@ -515,13 +514,10 @@ TEST(SweepWarm, WarmupFingerprintSensitivity)
     const GpuConfig base = smallConfig(false);
     const std::uint64_t wfp = warmupFingerprint(base);
 
-    // Excluded fields: behaviour-neutral by contract.
+    // Excluded field: a free-form label.
     GpuConfig renamed = base;
     renamed.name = "some-other-label";
     EXPECT_EQ(warmupFingerprint(renamed), wfp);
-    GpuConfig no_skip = base;
-    no_skip.cycleSkip = !base.cycleSkip;
-    EXPECT_EQ(warmupFingerprint(no_skip), wfp);
 
     // Warmup-affecting fields must perturb the fingerprint.
     GpuConfig seeded = base;
