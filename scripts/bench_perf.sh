@@ -158,13 +158,20 @@ for err in "$DIST_TMP/w1.err" "$DIST_TMP/w2.err"; do
 done
 echo "2 workers ${DIST_WALL}s  leases claimed $DIST_CLAIMED  stolen $DIST_STOLEN  duplicates $DIST_DUP  identical=$DIST_IDENTICAL"
 
+# Revision the numbers belong to; "-dirty" marks uncommitted changes
+# on top of it, so an entry never claims a commit it did not measure.
+GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [ "$GIT_REV" != unknown ] && ! git diff --quiet HEAD -- 2>/dev/null; then
+    GIT_REV="${GIT_REV}-dirty"
+fi
+
 # One run entry, built as before...
 RUN_JSON="$(mktemp)"
 trap 'rm -f "$RUN_JSON"; rm -rf "$DIST_TMP"' EXIT
 {
     echo "{"
     echo "  \"date\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
-    echo "  \"git_rev\": \"$(git rev-parse --short HEAD 2>/dev/null || echo unknown)\","
+    echo "  \"git_rev\": \"$GIT_REV\","
     echo "  \"host\": {"
     echo "    \"nproc\": $JOBS,"
     echo "    \"cpu_model\": \"$CPU_MODEL\""

@@ -1,9 +1,7 @@
 #include "common/state_codec.hh"
 
-#include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
+#include <bit>
+#include <cstring>
 #include <mutex>
 #include <unordered_set>
 
@@ -39,59 +37,65 @@ SnapshotError::SnapshotError(const std::string &reason,
 // StateWriter
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** Longest LEB128 encoding of a 64-bit value. */
+constexpr std::size_t kMaxVarintBytes = 10;
+
 void
-StateWriter::sep()
+putVarint(std::string &out, std::uint64_t v)
 {
-    if (!out_.empty())
-        out_.push_back(' ');
+    char buf[kMaxVarintBytes];
+    std::size_t n = 0;
+    while (v >= 0x80) {
+        buf[n++] = static_cast<char>((v & 0x7f) | 0x80);
+        v >>= 7;
+    }
+    buf[n++] = static_cast<char>(v);
+    out.append(buf, n);
 }
+
+} // namespace
 
 void
 StateWriter::tag(const char *name)
 {
-    sep();
+    const std::size_t len = std::strlen(name);
+    if (len > 0xff)
+        throw std::length_error("snapshot tag name over 255 bytes");
     out_.push_back('/');
-    out_.append(name);
+    out_.push_back(static_cast<char>(len));
+    out_.append(name, len);
 }
 
 void
 StateWriter::u(std::uint64_t v)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    sep();
-    out_.append(buf);
+    putVarint(out_, v);
 }
 
 void
 StateWriter::i(std::int64_t v)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-    sep();
-    out_.append(buf);
+    // Zigzag: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
+    putVarint(out_, (static_cast<std::uint64_t>(v) << 1) ^
+                        static_cast<std::uint64_t>(v >> 63));
 }
 
 void
 StateWriter::d(double v)
 {
-    // C99 hex float: exact round trip through strtod (the sweep_io
-    // codec discipline; see DESIGN.md §10/§11).
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    sep();
-    out_.append(buf);
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    char buf[8];
+    for (int k = 0; k < 8; ++k)
+        buf[k] = static_cast<char>(bits >> (8 * k));
+    out_.append(buf, sizeof(buf));
 }
 
 void
 StateWriter::s(std::string_view v)
 {
-    sep();
-    out_.push_back('s');
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%zu", v.size());
-    out_.append(buf);
-    out_.push_back(':');
+    putVarint(out_, v.size());
     out_.append(v);
 }
 
@@ -110,66 +114,66 @@ StateReader::fail(const std::string &why) const
     throw SnapshotError(why, lastTag_, cycle_);
 }
 
-std::string_view
-StateReader::token()
+const char *
+StateReader::consume(std::size_t n)
 {
-    if (pos_ >= data_.size())
+    if (n > remaining())
         fail("payload truncated");
-    const std::size_t start = pos_;
-    while (pos_ < data_.size() && data_[pos_] != ' ')
-        ++pos_;
-    const std::string_view tok = data_.substr(start, pos_ - start);
-    if (pos_ < data_.size())
-        ++pos_; // consume the separator
-    if (tok.empty())
-        fail("empty token (corrupted separator)");
-    return tok;
+    const char *p = data_.data() + pos_;
+    pos_ += n;
+    return p;
 }
 
 void
 StateReader::tag(const char *name)
 {
-    const std::string_view tok = token();
-    if (tok.size() < 2 || tok[0] != '/' || tok.substr(1) != name) {
-        fail("expected field marker '/" + std::string(name) +
-             "', found '" + std::string(tok) + "'");
+    const std::string_view want(name);
+    const char *head = consume(2);
+    const auto len = static_cast<unsigned char>(head[1]);
+    if (head[0] != '/' || len != want.size() || len > remaining() ||
+        std::string_view(data_.data() + pos_, len) != want) {
+        std::string found = "no marker";
+        if (head[0] == '/' && len <= remaining())
+            found = "'/" + std::string(data_.substr(pos_, len)) + "'";
+        fail("expected field marker '/" + std::string(want) +
+             "', found " + found);
     }
-    lastTag_ = name;
+    pos_ += len;
+    lastTag_ = want;
 }
 
 std::uint64_t
 StateReader::u()
 {
-    const std::string_view tok = token();
-    // strtoull needs NUL termination; tokens are short.
-    char buf[32];
-    if (tok.size() >= sizeof(buf))
-        fail("oversized integer token");
-    tok.copy(buf, tok.size());
-    buf[tok.size()] = '\0';
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(buf, &end, 10);
-    if (end != buf + tok.size() || errno == ERANGE || buf[0] == '-')
-        fail("malformed unsigned integer '" + std::string(tok) + "'");
-    return v;
+    const auto *p =
+        reinterpret_cast<const unsigned char *>(data_.data()) + pos_;
+    const std::size_t avail = remaining();
+    std::uint64_t v = 0;
+    for (std::size_t k = 0;; ++k) {
+        if (k == avail)
+            fail("payload truncated");
+        const std::uint64_t byte = p[k];
+        if (k == kMaxVarintBytes - 1) {
+            // Tenth byte: only bit 63 is left to fill.
+            if ((byte & 0x80) != 0)
+                fail("varint longer than " +
+                     std::to_string(kMaxVarintBytes) + " bytes");
+            if (byte > 1)
+                fail("varint overflows 64 bits");
+        }
+        v |= (byte & 0x7f) << (7 * k);
+        if ((byte & 0x80) == 0) {
+            pos_ += k + 1;
+            return v;
+        }
+    }
 }
 
 std::int64_t
 StateReader::i()
 {
-    const std::string_view tok = token();
-    char buf[32];
-    if (tok.size() >= sizeof(buf))
-        fail("oversized integer token");
-    tok.copy(buf, tok.size());
-    buf[tok.size()] = '\0';
-    char *end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(buf, &end, 10);
-    if (end != buf + tok.size() || errno == ERANGE)
-        fail("malformed integer '" + std::string(tok) + "'");
-    return v;
+    const std::uint64_t z = u();
+    return static_cast<std::int64_t>((z >> 1) ^ (0 - (z & 1)));
 }
 
 bool
@@ -184,54 +188,25 @@ StateReader::b()
 double
 StateReader::d()
 {
-    const std::string_view tok = token();
-    char buf[64];
-    if (tok.size() >= sizeof(buf))
-        fail("oversized float token");
-    tok.copy(buf, tok.size());
-    buf[tok.size()] = '\0';
-    char *end = nullptr;
-    const double v = std::strtod(buf, &end);
-    if (end != buf + tok.size())
-        fail("malformed hex float '" + std::string(tok) + "'");
-    return v;
+    const char *p = consume(8);
+    std::uint64_t bits = 0;
+    for (int k = 0; k < 8; ++k)
+        bits |= static_cast<std::uint64_t>(
+                    static_cast<unsigned char>(p[k]))
+                << (8 * k);
+    return std::bit_cast<double>(bits);
 }
 
 std::string
 StateReader::s()
 {
-    if (pos_ >= data_.size())
-        fail("payload truncated");
-    if (data_[pos_] != 's')
-        fail("expected string token");
-    ++pos_;
-    // Parse "<len>:" then take len raw bytes.
-    std::uint64_t len = 0;
-    bool any = false;
-    while (pos_ < data_.size() && data_[pos_] >= '0' &&
-           data_[pos_] <= '9') {
-        const std::uint64_t digit =
-            static_cast<std::uint64_t>(data_[pos_] - '0');
-        if (len > (remaining() / 10) + 1)
-            fail("string length overflows payload");
-        len = len * 10 + digit;
-        ++pos_;
-        any = true;
-    }
-    if (!any || pos_ >= data_.size() || data_[pos_] != ':')
-        fail("malformed string length prefix");
-    ++pos_;
+    const std::uint64_t len = u();
     if (len > remaining())
-        fail("string length " + std::to_string(len) +
-             " exceeds remaining payload");
-    std::string out(data_.substr(pos_, static_cast<std::size_t>(len)));
-    pos_ += static_cast<std::size_t>(len);
-    if (pos_ < data_.size()) {
-        if (data_[pos_] != ' ')
-            fail("missing separator after string");
-        ++pos_;
-    }
-    return out;
+        fail("payload truncated (string length " + std::to_string(len) +
+             " exceeds remaining " + std::to_string(remaining()) +
+             " bytes)");
+    return std::string(consume(static_cast<std::size_t>(len)),
+                       static_cast<std::size_t>(len));
 }
 
 std::uint64_t
@@ -241,9 +216,9 @@ StateReader::count(std::uint64_t max_items)
     if (n > max_items)
         fail("element count " + std::to_string(n) +
              " exceeds bound " + std::to_string(max_items));
-    // Each element encodes to at least two bytes (token + separator);
-    // reject corrupted counts before any allocation happens.
-    if (n > 0 && (n - 1) > remaining() / 2)
+    // Each element encodes to at least one byte; reject corrupted
+    // counts before any allocation happens.
+    if (n > remaining())
         fail("element count " + std::to_string(n) +
              " exceeds remaining payload");
     return n;

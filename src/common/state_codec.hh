@@ -1,22 +1,33 @@
 /**
  * @file
- * Token-stream codec for full simulator-state snapshots.
+ * Binary codec for full simulator-state snapshots.
  *
  * Every component exposes a `serialize(StateWriter&)` /
  * `deserialize(StateReader&)` pair built on these two classes — the
  * common StateCodec interface of the checkpoint/restore subsystem.
- * The encoding follows the sweep-journal codec discipline
- * (sim/sweep_io.{hh,cc}): integers in decimal, doubles as C99 hex
- * floats ("%a", re-read exactly by strtod), tokens separated by single
- * spaces — so a restored run is bit-exact, not merely close.
+ * The payload is a flat byte stream:
  *
- * On top of that, snapshots add structure markers: every component
- * writes `tag("name")` before its fields and the reader verifies each
- * marker in order. A truncated or bit-flipped payload therefore fails
- * fast with a SnapshotError naming the field where decoding desynced,
- * instead of silently misassigning state — and never with UB: all
- * reads are bounds-checked and all counts validated before allocation
- * (the corruption tests run under ASan/UBSan).
+ *   u    unsigned LEB128 varint (7 bits per byte, low group first)
+ *   i    zigzag-mapped varint, so small negatives stay short
+ *   b    varint that must be 0 or 1
+ *   d    the IEEE-754 bit pattern as 8 little-endian bytes — exact for
+ *        every double (NaN payloads, -0.0, denormals), independent of
+ *        host byte order
+ *   s    varint length followed by the raw bytes
+ *   tag  '/', a one-byte name length, then the name
+ *
+ * Varints rather than fixed-width words because most fields are small
+ * counters and indices: a fixed 8 bytes per field would be larger
+ * than the decimal text this encoding replaced.
+ *
+ * Every component writes `tag("name")` before its fields and the
+ * reader verifies each marker in order. A truncated or corrupted
+ * payload therefore fails fast with a SnapshotError naming the field
+ * where decoding desynced, instead of silently misassigning state —
+ * and never with UB: all reads are bounds-checked, varints longer
+ * than 10 bytes or wider than 64 bits are rejected, and all counts
+ * are validated before allocation (the corruption and fuzz tests run
+ * under ASan/UBSan).
  */
 
 #ifndef MASK_COMMON_STATE_CODEC_HH
@@ -57,7 +68,7 @@ class SnapshotError : public std::runtime_error
     std::uint64_t cycle_;
 };
 
-/** Serializes state into a flat token stream. */
+/** Serializes state into a flat binary stream. */
 class StateWriter
 {
   public:
@@ -69,26 +80,26 @@ class StateWriter
      */
     void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
-    /** Structural marker verified by StateReader::tag. */
+    /** Structural marker verified by StateReader::tag; @p name is
+     *  at most 255 bytes. */
     void tag(const char *name);
 
     void u(std::uint64_t v);
     void i(std::int64_t v);
     void b(bool v) { u(v ? 1 : 0); }
-    /** Exact double via C99 hex-float formatting. */
+    /** Exact double: its bit pattern, little-endian. */
     void d(double v);
-    /** Length-prefixed raw bytes (may contain spaces/newlines). */
+    /** Length-prefixed raw bytes. */
     void s(std::string_view v);
 
     const std::string &str() const { return out_; }
     std::string take() { return std::move(out_); }
 
   private:
-    void sep();
     std::string out_;
 };
 
-/** Bounds-checked reader for a StateWriter token stream. */
+/** Bounds-checked reader for a StateWriter stream. */
 class StateReader
 {
   public:
@@ -96,7 +107,7 @@ class StateReader
     explicit StateReader(std::string_view payload,
                          std::uint64_t cycle = SnapshotError::kNoCycle);
 
-    /** Verify the next token is the marker written by tag(). */
+    /** Verify the next bytes are the marker written by tag(). */
     void tag(const char *name);
 
     std::uint64_t u();
@@ -107,7 +118,7 @@ class StateReader
 
     /**
      * Read an element count and validate it against @p max_items and
-     * the bytes remaining (each element costs >= 2 bytes), so a
+     * the bytes remaining (each element costs >= 1 byte), so a
      * corrupted count is rejected before any allocation.
      */
     std::uint64_t count(std::uint64_t max_items);
@@ -121,7 +132,8 @@ class StateReader
     [[noreturn]] void fail(const std::string &why) const;
 
   private:
-    std::string_view token();
+    /** Consume @p n bytes, failing "payload truncated" if short. */
+    const char *consume(std::size_t n);
 
     std::string_view data_;
     std::size_t pos_ = 0;

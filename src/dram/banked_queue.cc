@@ -289,6 +289,9 @@ BankedRequestQueue::deserialize(StateReader &r,
     for (std::uint64_t i = 0; i < n; ++i) {
         DramQueueEntry e;
         e.deserialize(r);
+        if (e.bank >= banks_.size())
+            r.fail("DRAM queue bank index " + std::to_string(e.bank) +
+                   " out of range");
         push(e, banks);
     }
 }

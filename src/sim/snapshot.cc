@@ -7,8 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include <fcntl.h>
@@ -232,19 +230,36 @@ validateSnapshotImage(std::string_view data,
 
 namespace {
 
+/** Whole file in one sized read (snapshots run to megabytes). */
 std::string
 readFileOrThrow(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
         throw SnapshotError("cannot read snapshot file: " + path,
                             "file", SnapshotError::kNoCycle);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (!in)
+    struct stat st = {};
+    if (::fstat(fd, &st) != 0) {
+        ::close(fd);
+        throw SnapshotError("cannot stat snapshot file: " + path,
+                            "file", SnapshotError::kNoCycle);
+    }
+    std::string data(static_cast<std::size_t>(st.st_size), '\0');
+    std::size_t done = 0;
+    while (done < data.size()) {
+        const ::ssize_t n =
+            ::read(fd, data.data() + done, data.size() - done);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        done += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    if (done != data.size())
         throw SnapshotError("I/O error reading snapshot file: " + path,
                             "file", SnapshotError::kNoCycle);
-    return buf.str();
+    return data;
 }
 
 } // namespace
@@ -340,13 +355,15 @@ runWithCheckpoints(const std::function<std::unique_ptr<Gpu>()> &make_gpu,
 
     // Resume from the newest valid checkpoint: periodic snapshots and
     // the fatal-signal emergency flush are both candidates, newest
-    // cycle first. A candidate that fails header validation is skipped
-    // outright; one that fails mid-restore poisons the half-written
-    // Gpu, so the instance is rebuilt before the next attempt (or the
-    // cycle-0 fallback).
+    // cycle first. Each candidate is read and header-validated once;
+    // one that fails validation is skipped outright, and one that
+    // fails mid-restore poisons the half-written Gpu, so the instance
+    // is rebuilt before the next attempt (or the cycle-0 fallback).
     struct Candidate
     {
         std::string file;
+        std::string image;
+        std::size_t payloadLen = 0; //!< payload is the image's tail
         std::uint64_t cycle = 0;
     };
     std::vector<Candidate> candidates;
@@ -354,8 +371,12 @@ runWithCheckpoints(const std::function<std::unique_ptr<Gpu>()> &make_gpu,
         if (!fileExists(file))
             continue;
         try {
-            candidates.push_back(
-                {file, snapshotFileCycle(file, config_fingerprint)});
+            Candidate cand{file, readFileOrThrow(file)};
+            cand.payloadLen =
+                validateSnapshotImage(cand.image, config_fingerprint,
+                                      &cand.cycle)
+                    .size();
+            candidates.push_back(std::move(cand));
         } catch (const SnapshotError &err) {
             std::fprintf(stderr,
                          "mask: ignoring invalid checkpoint %s: %s\n",
@@ -368,7 +389,11 @@ runWithCheckpoints(const std::function<std::unique_ptr<Gpu>()> &make_gpu,
               });
     for (const Candidate &cand : candidates) {
         try {
-            loadSnapshotFile(cand.file, config_fingerprint, *gpu);
+            StateReader reader(
+                std::string_view(cand.image)
+                    .substr(cand.image.size() - cand.payloadLen),
+                cand.cycle);
+            gpu->deserialize(reader);
             std::fprintf(stderr,
                          "mask: resumed from checkpoint %s at cycle "
                          "%llu\n",

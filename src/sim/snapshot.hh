@@ -2,15 +2,18 @@
  * @file
  * Deterministic checkpoint/restore of full GPU state (DESIGN.md §11).
  *
- * A snapshot file is one header line plus the raw StateWriter payload:
+ * A snapshot file is one text header line followed by the binary
+ * StateWriter payload (varints, raw little-endian doubles, tagged
+ * sections; see common/state_codec.hh):
  *
  *   MASKSNAP <version> <configFingerprint> <cycle> <payloadLen> <fnv1a>
  *   <payload bytes>
  *
- * The loader is strict: the magic, format version, configuration
- * fingerprint, payload length, and FNV-1a checksum must all match
- * before a single payload token is decoded, and the payload itself is
- * decoded by the bounds-checked StateReader — so a truncated,
+ * The header stays text so `head -1` identifies a snapshot. The loader
+ * is strict: the magic, format version, configuration fingerprint,
+ * payload length, and FNV-1a checksum must all match before a single
+ * payload byte is decoded, and the payload itself is decoded by the
+ * bounds-checked StateReader — so a truncated,
  * bit-flipped, stale-version, or wrong-config snapshot is rejected
  * with a structured SnapshotError (never UB; the corruption tests run
  * under ASan/UBSan).
@@ -49,8 +52,9 @@ class Gpu;
 struct GpuStats;
 
 /** Snapshot file format version (bump on any payload layout change).
- *  2: the "skip" section (cycle-skip loop state) was removed. */
-constexpr std::uint64_t kSnapshotVersion = 2;
+ *  2: the "skip" section (cycle-skip loop state) was removed.
+ *  3: binary payload (varints, raw doubles) replaced text tokens. */
+constexpr std::uint64_t kSnapshotVersion = 3;
 
 /** FNV-1a 64-bit hash (payload checksums). */
 std::uint64_t fnv1a64(std::string_view data);

@@ -17,14 +17,20 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
+
+#include <dirent.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "common/config.hh"
 #include "sim/gpu.hh"
 #include "sim/runner.hh"
 #include "sim/snapshot.hh"
+#include "sim/sweep.hh"
 #include "sim/sweep_io.hh"
 #include "workload/suite.hh"
 
@@ -359,9 +365,12 @@ TEST_F(SnapshotCorruption, SingleBitFlipInPayload)
 
 TEST_F(SnapshotCorruption, StaleFormatVersion)
 {
-    ASSERT_EQ(image_.compare(0, 10, "MASKSNAP 2"), 0);
-    std::string bad = image_;
-    bad[9] = '9';
+    const std::string head =
+        "MASKSNAP " + std::to_string(kSnapshotVersion) + " ";
+    ASSERT_EQ(image_.compare(0, head.size(), head), 0);
+    const std::string bad = "MASKSNAP " +
+                            std::to_string(kSnapshotVersion + 1) + " " +
+                            image_.substr(head.size());
     const SnapshotError err = expectRejected(bad);
     EXPECT_NE(err.reason().find("version"), std::string::npos)
         << err.reason();
@@ -394,7 +403,8 @@ TEST_F(SnapshotCorruption, ValidChecksumOverTruncatedPayload)
     ASSERT_NE(nl, std::string::npos);
     const std::string payload =
         image_.substr(nl + 1, (image_.size() - nl - 1) / 2);
-    std::string bad = "MASKSNAP 2 " + std::to_string(fp_) + " 2500 " +
+    std::string bad = "MASKSNAP " + std::to_string(kSnapshotVersion) +
+                      " " + std::to_string(fp_) + " 2500 " +
                       std::to_string(payload.size()) + " " +
                       std::to_string(fnv1a64(payload)) + "\n" + payload;
     const SnapshotError err = expectRejected(bad);
@@ -519,6 +529,114 @@ TEST(RunWithCheckpoints, ResumesFromKeptCheckpoint)
 
     std::remove(path.c_str());
     std::remove((path + ".sig").c_str());
+}
+
+// ---------------------------------------------------------------------
+// Previous-format images: rejected on every read path, never misread
+// ---------------------------------------------------------------------
+
+/**
+ * A version-2 image as the text-token codec wrote it. Magic,
+ * fingerprint, length and checksum are all valid, so only the version
+ * check stands between it and the binary decoder.
+ */
+std::string
+textFormatImage(std::uint64_t fingerprint, std::uint64_t cycle)
+{
+    const std::string payload = "/gpu " + std::to_string(cycle) +
+                                " 0 0x1.8p+1 s3:abc /dram 4 1";
+    return "MASKSNAP 2 " + std::to_string(fingerprint) + " " +
+           std::to_string(cycle) + " " + std::to_string(payload.size()) +
+           " " + std::to_string(fnv1a64(payload)) + "\n" + payload;
+}
+
+void
+writeFile(const std::string &path, const std::string &data)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(data.data(), static_cast<std::streamsize>(data.size()));
+    ASSERT_TRUE(static_cast<bool>(out)) << path;
+}
+
+/** One warm-eligible MASK job; returns its encodePairResult blob. */
+std::string
+runWarmJob(const WarmPolicy &warm, WarmStateCache::Stats *stats_out)
+{
+    RunOptions options;
+    options.warmup = 2000;
+    options.measure = 2000;
+    SweepRunner sweep(options, 1);
+    sweep.setWarmPolicy(warm);
+    const WorkloadPair &pair = workloadPairs().front();
+    const std::size_t id = sweep.submit(
+        SweepJob{smallConfig(), DesignPoint::Mask,
+                 {pair.first, pair.second}, SweepMode::SharedOnly});
+    sweep.run();
+    if (stats_out != nullptr)
+        *stats_out = sweep.warmStats();
+    return encodePairResult(sweep.result(id));
+}
+
+TEST(SnapshotFormat, PreviousVersionImageFallsBackToColdRun)
+{
+    // As a checkpoint candidate: skipped with a "version" reason, and
+    // the run starts over from cycle 0.
+    const GpuConfig cfg = configFor(DesignPoint::Mask, false);
+    const std::uint64_t fp = configFingerprint(cfg);
+    const auto make = [&cfg]() { return makeGpu(cfg); };
+    const std::string cold = statsBlob(runWithCheckpoints(
+        make, CheckpointPolicy{}, fp, std::string(), kWarmup, kMeasure));
+
+    CheckpointPolicy on;
+    on.intervalCycles = 1024;
+    on.dir = ::testing::TempDir();
+    const std::string path = tmpPath("mask_v2_candidate.snap");
+    writeFile(path, textFormatImage(fp, kWarmup + 1024));
+    ::testing::internal::CaptureStderr();
+    const std::string resumed = statsBlob(
+        runWithCheckpoints(make, on, fp, path, kWarmup, kMeasure));
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(resumed, cold);
+    EXPECT_NE(log.find("format version 2"), std::string::npos) << log;
+    EXPECT_EQ(log.find("resumed from"), std::string::npos) << log;
+    std::remove(path.c_str());
+
+    // As a <key>.snap warm file: rejected on restore with a "version"
+    // reason, invalidated, and the job re-simulated cold.
+    const std::string cold_warm = runWarmJob(WarmPolicy{}, nullptr);
+    WarmPolicy warm;
+    warm.enabled = true;
+    warm.dir = tmpPath("mask_v2_warm");
+    ::mkdir(warm.dir.c_str(), 0777);
+    runWarmJob(warm, nullptr); // publishes <dir>/<key>.snap
+    std::string snap;
+    if (DIR *d = ::opendir(warm.dir.c_str()); d != nullptr) {
+        while (const dirent *entry = ::readdir(d)) {
+            const std::string name = entry->d_name;
+            if (name.size() > 5 &&
+                name.compare(name.size() - 5, 5, ".snap") == 0)
+                snap = warm.dir + "/" + name;
+        }
+        ::closedir(d);
+    }
+    ASSERT_FALSE(snap.empty()) << "warm run published no snapshot";
+    std::istringstream header(readFile(snap));
+    std::string magic;
+    std::uint64_t version = 0, warm_fp = 0, cycle = 0;
+    header >> magic >> version >> warm_fp >> cycle;
+    ASSERT_EQ(version, kSnapshotVersion);
+    writeFile(snap, textFormatImage(warm_fp, cycle));
+
+    ::testing::internal::CaptureStderr();
+    WarmStateCache::Stats stats;
+    const std::string warmed = runWarmJob(warm, &stats);
+    const std::string warm_log = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(warmed, cold_warm);
+    EXPECT_EQ(stats.fallbacks, 1u);
+    EXPECT_NE(warm_log.find("format version 2"), std::string::npos)
+        << warm_log;
+    std::remove(snap.c_str());
+    ::rmdir(warm.dir.c_str());
 }
 
 // ---------------------------------------------------------------------
