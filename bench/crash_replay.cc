@@ -11,7 +11,7 @@
  * through its measured window into a snapshot file, --snapshot-resume
  * restores that file in a FRESH process and finishes the window, and
  * --snapshot-run does the same run uninterrupted. Resume and run print
- * the exact result blob (hex-float encoded), so bit-exact recovery is
+ * the exact result blob (encodePairResult), so bit-exact recovery is
  * checked with a plain string compare.
  *
  * Usage:

@@ -102,7 +102,9 @@ runCheckpointed(Evaluator &eval, const GpuConfig &arch,
  * off leg simulates the (deliberately warmup-heavy) prefix four
  * times, the on leg once — wall-clock ratio and the warm counters go
  * to BENCH_throughput.json; the legs' results are byte-compared so a
- * speedup can never come at the cost of determinism.
+ * speedup can never come at the cost of determinism. The cache-off
+ * leg's work counters, summed over the grid, feed the same
+ * host-independent gate as the other cases (check_sched_work.sh).
  */
 void
 runWarmSweep(const GpuConfig &arch,
@@ -121,6 +123,7 @@ runWarmSweep(const GpuConfig &arch,
     };
 
     WarmStateCache::Stats warm_stats;
+    GpuStats work;
     auto leg = [&](bool warm_on, std::vector<std::string> &blobs) {
         SweepRunner sweep(grid, bench::benchJobs());
         WarmPolicy policy;
@@ -142,8 +145,18 @@ runWarmSweep(const GpuConfig &arch,
         sweep.run();
         const double seconds =
             std::chrono::duration<double>(Clock::now() - t0).count();
-        for (const std::size_t id : ids)
+        for (const std::size_t id : ids) {
+            const GpuStats &s = sweep.result(id).stats;
             blobs.push_back(encodePairResult(sweep.result(id)));
+            if (warm_on)
+                continue;
+            work.cycles += s.cycles;
+            work.requests += s.requests;
+            work.dramSchedPicks += s.dramSchedPicks;
+            work.dramSchedBanksScanned += s.dramSchedBanksScanned;
+            work.dataRetryProbes += s.dataRetryProbes;
+            work.tlbRetryProbes += s.tlbRetryProbes;
+        }
         if (warm_on)
             warm_stats = sweep.warmStats();
         return seconds;
@@ -165,14 +178,23 @@ runWarmSweep(const GpuConfig &arch,
         " \"warmup_cycles\": %llu, \"warm_off_seconds\": %.4f,"
         " \"warm_on_seconds\": %.4f, \"warm_speedup\": %.3f,"
         " \"warm_hits\": %llu, \"warm_misses\": %llu,"
-        " \"warmup_cycles_saved\": %llu, \"warm_identical\": %s}\n",
+        " \"warmup_cycles_saved\": %llu, \"warm_identical\": %s,"
+        " \"cycles\": %llu, \"requests\": %llu, \"sched_picks\": %llu,"
+        " \"sched_banks_scanned\": %llu, \"data_retry_probes\": %llu,"
+        " \"tlb_retry_probes\": %llu}\n",
         names.size(), measures.size(),
         static_cast<unsigned long long>(grid.warmup), off_seconds,
         on_seconds, safeDiv(off_seconds, on_seconds),
         static_cast<unsigned long long>(warm_stats.hits),
         static_cast<unsigned long long>(warm_stats.misses),
         static_cast<unsigned long long>(warm_stats.warmupCyclesSaved),
-        identical ? "true" : "false");
+        identical ? "true" : "false",
+        static_cast<unsigned long long>(work.cycles),
+        static_cast<unsigned long long>(work.requests),
+        static_cast<unsigned long long>(work.dramSchedPicks),
+        static_cast<unsigned long long>(work.dramSchedBanksScanned),
+        static_cast<unsigned long long>(work.dataRetryProbes),
+        static_cast<unsigned long long>(work.tlbRetryProbes));
 }
 
 int

@@ -48,7 +48,7 @@ echo "deterministic: parallel (jobs=4) byte-identical to serial"
 # bench mid-sweep (an injected hard crash), resume it from the JSONL
 # journal, and require the resumed stdout byte-identical to an
 # uninterrupted run. Loaded-from-journal results are decoded from the
-# exact hex-float encoding, so even one flipped bit would show here.
+# exact StateCodec result blob, so even one flipped bit would show here.
 echo "== run 5 (killed mid-sweep, resumed from journal) =="
 journal="$(mktemp)"
 repro="$(mktemp)"

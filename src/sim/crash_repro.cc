@@ -9,6 +9,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "sim/file_io.hh"
 #include "sim/snapshot.hh"
 
 namespace mask {
@@ -61,12 +62,7 @@ formatRepro(const CrashRepro &repro)
 void
 writeRepro(const std::string &path, const CrashRepro &repro)
 {
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot write repro file: " + path);
-    out << formatRepro(repro);
-    if (!out)
-        throw std::runtime_error("short write to repro file: " + path);
+    writeFileAtomic(path, formatRepro(repro));
 }
 
 CrashRepro
@@ -218,18 +214,6 @@ signalTail(int sig)
     }
 }
 
-void
-writeAllFd(int fd, const char *data, std::size_t len)
-{
-    std::size_t done = 0;
-    while (done < len) {
-        const ::ssize_t n = ::write(fd, data + done, len - done);
-        if (n <= 0)
-            return; // nothing safe left to do in a signal handler
-        done += static_cast<std::size_t>(n);
-    }
-}
-
 extern "C" void
 fatalSignalHandler(int sig)
 {
@@ -238,10 +222,9 @@ fatalSignalHandler(int sig)
         const int fd = ::open(armed.path.c_str(),
                               O_WRONLY | O_CREAT | O_TRUNC, 0644);
         if (fd >= 0) {
-            writeAllFd(fd, armed.content.data(),
-                       armed.content.size());
+            writeAll(fd, armed.content.data(), armed.content.size());
             const char *tail = signalTail(sig);
-            writeAllFd(fd, tail, __builtin_strlen(tail));
+            writeAll(fd, tail, __builtin_strlen(tail));
             ::close(fd);
         }
     }

@@ -134,6 +134,15 @@ struct GpuStats
 
     /** Weighted fraction of peak DRAM bandwidth used, by type. */
     double dramBusUtil(ReqType type, std::uint32_t channels) const;
+
+    /**
+     * The simulated fields only: the host-side ones (wallSeconds,
+     * ckpt*, skippedCycles, the work counters, the stage profile)
+     * vary run to run or are never persisted, so they are not written
+     * and deserialize leaves them zero.
+     */
+    void serialize(StateWriter &w) const;
+    void deserialize(StateReader &r);
 };
 
 /** The GPU. */

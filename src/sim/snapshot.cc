@@ -3,41 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "sim/gpu.hh"
 
 namespace mask {
 
-std::uint64_t
-fnv1a64(std::string_view data)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const char c : data) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
 namespace {
 
 constexpr const char *kMagic = "MASKSNAP";
-
-bool
-fileExists(const std::string &path)
-{
-    struct stat st = {};
-    return ::stat(path.c_str(), &st) == 0;
-}
 
 /** Parse one full base-10 token; returns false on any stray byte. */
 bool
@@ -68,47 +47,6 @@ nextToken(std::string_view line, std::size_t &pos)
     while (pos < line.size() && line[pos] != ' ')
         ++pos;
     return line.substr(start, pos - start);
-}
-
-/**
- * Write @p content to @p path via tmp + rename (atomic publish). The
- * tmp file is written with one buffered write() on a raw fd — the
- * image was already rendered into a single contiguous buffer, so
- * there is nothing for stream buffering to batch.
- */
-void
-writeFileAtomic(const std::string &path, const std::string &content)
-{
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(tmp.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        throw std::runtime_error("cannot write snapshot file: " + tmp +
-                                 ": " + std::strerror(errno));
-    std::size_t done = 0;
-    while (done < content.size()) {
-        const ::ssize_t n = ::write(fd, content.data() + done,
-                                    content.size() - done);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0) {
-            ::close(fd);
-            std::remove(tmp.c_str());
-            throw std::runtime_error(
-                "short write to snapshot file: " + tmp);
-        }
-        done += static_cast<std::size_t>(n);
-    }
-    if (::close(fd) != 0) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("cannot write snapshot file: " + tmp +
-                                 ": " + std::strerror(errno));
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("cannot publish snapshot file: " +
-                                 path + ": " + std::strerror(errno));
-    }
 }
 
 /**
@@ -230,35 +168,13 @@ validateSnapshotImage(std::string_view data,
 
 namespace {
 
-/** Whole file in one sized read (snapshots run to megabytes). */
 std::string
 readFileOrThrow(const std::string &path)
 {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        throw SnapshotError("cannot read snapshot file: " + path,
-                            "file", SnapshotError::kNoCycle);
-    struct stat st = {};
-    if (::fstat(fd, &st) != 0) {
-        ::close(fd);
-        throw SnapshotError("cannot stat snapshot file: " + path,
-                            "file", SnapshotError::kNoCycle);
-    }
-    std::string data(static_cast<std::size_t>(st.st_size), '\0');
-    std::size_t done = 0;
-    while (done < data.size()) {
-        const ::ssize_t n =
-            ::read(fd, data.data() + done, data.size() - done);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break;
-        done += static_cast<std::size_t>(n);
-    }
-    ::close(fd);
-    if (done != data.size())
-        throw SnapshotError("I/O error reading snapshot file: " + path,
-                            "file", SnapshotError::kNoCycle);
+    std::string data;
+    if (!readFile(path, data))
+        throw SnapshotError("cannot read snapshot file: " + path, "file",
+                            SnapshotError::kNoCycle);
     return data;
 }
 
@@ -368,10 +284,10 @@ runWithCheckpoints(const std::function<std::unique_ptr<Gpu>()> &make_gpu,
     };
     std::vector<Candidate> candidates;
     for (const std::string &file : {path, sig_path}) {
-        if (!fileExists(file))
+        Candidate cand{file, {}};
+        if (!readFile(file, cand.image))
             continue;
         try {
-            Candidate cand{file, readFileOrThrow(file)};
             cand.payloadLen =
                 validateSnapshotImage(cand.image, config_fingerprint,
                                       &cand.cycle)
@@ -463,18 +379,6 @@ struct EmergencySink
 
 thread_local EmergencySink tl_emergency;
 
-void
-writeAllFd(int fd, const char *data, std::size_t len)
-{
-    std::size_t done = 0;
-    while (done < len) {
-        const ::ssize_t n = ::write(fd, data + done, len - done);
-        if (n <= 0)
-            return;
-        done += static_cast<std::size_t>(n);
-    }
-}
-
 } // namespace
 
 ScopedEmergencySnapshot::ScopedEmergencySnapshot(const std::string &path)
@@ -531,7 +435,7 @@ flushEmergencySnapshotFromSignal() noexcept
                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
         return;
-    writeAllFd(fd, image.data(), image.size());
+    writeAll(fd, image.data(), image.size());
     ::close(fd);
 }
 

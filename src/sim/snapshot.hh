@@ -45,6 +45,7 @@
 
 #include "common/state_codec.hh"
 #include "common/types.hh"
+#include "sim/file_io.hh"
 
 namespace mask {
 
@@ -55,9 +56,6 @@ struct GpuStats;
  *  2: the "skip" section (cycle-skip loop state) was removed.
  *  3: binary payload (varints, raw doubles) replaced text tokens. */
 constexpr std::uint64_t kSnapshotVersion = 3;
-
-/** FNV-1a 64-bit hash (payload checksums). */
-std::uint64_t fnv1a64(std::string_view data);
 
 /** Render the complete snapshot file image for @p gpu. */
 std::string renderSnapshot(std::uint64_t config_fingerprint,

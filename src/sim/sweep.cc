@@ -19,6 +19,7 @@
 #include "common/check.hh"
 #include "sim/cancel.hh"
 #include "sim/crash_repro.hh"
+#include "sim/file_io.hh"
 #include "sim/snapshot.hh"
 #include "sim/sweep_io.hh"
 
@@ -111,22 +112,6 @@ bool
 fileExists(const std::string &path)
 {
     return ::access(path.c_str(), R_OK) == 0;
-}
-
-void
-writeAllFd(int fd, const std::string &data)
-{
-    std::size_t done = 0;
-    while (done < data.size()) {
-        const ::ssize_t n =
-            ::write(fd, data.data() + done, data.size() - done);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR)
-                continue;
-            return; // reader gone; parent will see a short payload
-        }
-        done += static_cast<std::size_t>(n);
-    }
 }
 
 } // namespace
@@ -225,55 +210,6 @@ warmPolicyFromEnv()
     return policy;
 }
 
-namespace {
-
-/** Read @p path fully into @p out; false when it does not exist. */
-bool
-readWarmFile(const std::string &path, std::string &out)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return false;
-    out.clear();
-    char buf[1 << 16];
-    for (;;) {
-        const ::ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n > 0) {
-            out.append(buf, static_cast<std::size_t>(n));
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        ::close(fd);
-        // A read error mid-file degrades to a miss: the caller
-        // re-produces the image and overwrites the file.
-        return n == 0;
-    }
-}
-
-/** Atomic tmp + rename publish (cross-process readers never see a
- *  half-written warm snapshot; the pid suffix keeps concurrent
- *  producers of the same key from clobbering each other's tmp). */
-void
-writeWarmFile(const std::string &path, const std::string &content)
-{
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    const int fd =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        throw std::runtime_error("cannot write warm snapshot: " + tmp);
-    writeAllFd(fd, content);
-    if (::close(fd) != 0 ||
-        std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("cannot publish warm snapshot: " +
-                                 path);
-    }
-}
-
-} // namespace
-
 WarmStateCache::WarmStateCache(WarmPolicy policy)
     : policy_(std::move(policy))
 {
@@ -316,7 +252,7 @@ WarmStateCache::getOrWarm(const std::string &key, Cycle warmup_cycles,
         // previous journal-interrupted sweep) is as good as a memory
         // hit — the consumer validates header + checksum either way.
         if (!policy_.dir.empty())
-            from_file = readWarmFile(filePath(key), image);
+            from_file = readFile(filePath(key), image);
         if (!from_file)
             image = produce();
     } catch (...) {
@@ -327,7 +263,7 @@ WarmStateCache::getOrWarm(const std::string &key, Cycle warmup_cycles,
     }
     if (!from_file && !policy_.dir.empty()) {
         try {
-            writeWarmFile(filePath(key), image);
+            writeFileAtomic(filePath(key), image);
         } catch (const std::exception &err) {
             // Disk trouble costs cross-process reuse, nothing else.
             std::fprintf(stderr, "[sweep] %s\n", err.what());
@@ -1033,7 +969,9 @@ SweepRunner::runIsolated(const std::vector<std::size_t> &todo,
                 payload = "err unknown exception";
                 code = 3;
             }
-            writeAllFd(fds[1], payload);
+            // A short write (reader gone) shows up in the parent as a
+            // truncated payload.
+            writeAll(fds[1], payload.data(), payload.size());
             ::close(fds[1]);
             std::_Exit(code);
         }

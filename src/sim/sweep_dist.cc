@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include "common/rate_limit.hh"
+#include "sim/file_io.hh"
 #include "sim/sweep_io.hh"
 
 namespace mask {
@@ -66,37 +67,30 @@ makeDir(const std::string &path)
                                  path + ": " + std::strerror(errno));
 }
 
-std::uint64_t
-fnv1a64(const std::string &data)
+/**
+ * The fixed-size lease image: the record, space-padded to
+ * kDistLeaseFileSize bytes with a final '\n', so an in-place heartbeat
+ * rewrite fully overwrites the previous image and a reader never sees
+ * a stale suffix of an older, longer record. Allocation-free: the
+ * heartbeat thread calls it, and keeping that thread out of malloc
+ * keeps fork-per-job isolation safe (no heap lock can be mid-flight
+ * in the child's frozen image).
+ */
+void
+formatLease(char (&buf)[kDistLeaseFileSize], const char *worker,
+            std::uint64_t pid, const char *host,
+            std::uint64_t deadline_ms, unsigned steals)
 {
-    std::uint64_t hash = 1469598103934665603ull;
-    for (const char c : data) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
-bool
-readWholeFile(const std::string &path, std::string &out)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        return false;
-    out.clear();
-    char buf[1 << 14];
-    for (;;) {
-        const ::ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n > 0) {
-            out.append(buf, static_cast<std::size_t>(n));
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        break;
-    }
-    ::close(fd);
-    return true;
+    const int n = std::snprintf(
+        buf, sizeof(buf),
+        "MASKLEASE v1 worker=%s pid=%" PRIu64 " host=%s"
+        " deadline_ms=%" PRIu64 " steals=%u",
+        worker, pid, host, deadline_ms, steals);
+    const std::size_t len =
+        std::min(n > 0 ? static_cast<std::size_t>(n) : 0,
+                 sizeof(buf) - 1);
+    std::memset(buf + len, ' ', sizeof(buf) - len);
+    buf[sizeof(buf) - 1] = '\n';
 }
 
 /** Parse "<token>=<u64>" after @p token in @p content. */
@@ -188,24 +182,10 @@ distPolicyFromEnv()
 std::string
 encodeLease(const DistLease &lease)
 {
-    char buf[kDistLeaseFileSize + 1];
-    const int n = std::snprintf(
-        buf, sizeof(buf),
-        "MASKLEASE v1 worker=%s pid=%" PRIu64 " host=%s"
-        " deadline_ms=%" PRIu64 " steals=%u",
-        lease.worker.c_str(), lease.pid, lease.host.c_str(),
-        lease.deadlineMs, lease.steals);
-    std::string out(buf,
-                    n > 0 ? std::min<std::size_t>(
-                                static_cast<std::size_t>(n),
-                                kDistLeaseFileSize - 1)
-                          : 0);
-    // Pad to the fixed file size so an in-place heartbeat rewrite
-    // fully overwrites the previous image — a reader can never see a
-    // stale suffix of an older, longer record.
-    out.resize(kDistLeaseFileSize - 1, ' ');
-    out += '\n';
-    return out;
+    char buf[kDistLeaseFileSize];
+    formatLease(buf, lease.worker.c_str(), lease.pid, lease.host.c_str(),
+                lease.deadlineMs, lease.steals);
+    return std::string(buf, sizeof(buf));
 }
 
 bool
@@ -297,22 +277,11 @@ DistCoordinator::leasePath(const std::string &lease_name) const
 void
 DistCoordinator::writeLeaseLocked(Held &held, std::uint64_t now_ms)
 {
-    // Allocation-free (fixed buffers only): this also runs on the
-    // heartbeat thread, and keeping that thread out of malloc keeps
-    // fork-per-job isolation safe (no heap lock can be mid-flight in
-    // the child's frozen image).
+    // Allocation-free: this also runs on the heartbeat thread.
     char buf[kDistLeaseFileSize];
-    const int n = std::snprintf(
-        buf, sizeof(buf),
-        "MASKLEASE v1 worker=%s pid=%" PRIu64 " host=%s"
-        " deadline_ms=%" PRIu64 " steals=%u",
-        policy_.worker.c_str(), static_cast<std::uint64_t>(::getpid()),
-        hostBuf_, now_ms + policy_.stealAfterMs, held.steals);
-    std::size_t len = n > 0 ? static_cast<std::size_t>(n) : 0;
-    if (len >= sizeof(buf))
-        len = sizeof(buf) - 1;
-    std::memset(buf + len, ' ', sizeof(buf) - len);
-    buf[sizeof(buf) - 1] = '\n';
+    formatLease(buf, policy_.worker.c_str(),
+                static_cast<std::uint64_t>(::getpid()), hostBuf_,
+                now_ms + policy_.stealAfterMs, held.steals);
     ::ssize_t wrote;
     do {
         wrote = ::pwrite(held.fd, buf, sizeof(buf), 0);
@@ -393,7 +362,7 @@ DistCoordinator::tryClaim(const std::string &job_key,
     std::string content;
     DistLease lease;
     bool parsed = false;
-    if (readWholeFile(path, content))
+    if (readFile(path, content))
         parsed = decodeLease(content, lease);
     const std::uint64_t now = distEpochMs();
     bool stale;
@@ -515,27 +484,9 @@ DistCoordinator::refreshShards()
     // which refresh discovered them.
     for (auto &source : sources_) {
         ShardSource &src = source.second;
-        const int fd = ::open(src.path.c_str(), O_RDONLY | O_CLOEXEC);
-        if (fd < 0)
-            continue;
-        if (::lseek(fd, static_cast<::off_t>(src.offset),
-                    SEEK_SET) < 0) {
-            ::close(fd);
-            continue;
-        }
         std::string data;
-        char buf[1 << 14];
-        for (;;) {
-            const ::ssize_t n = ::read(fd, buf, sizeof(buf));
-            if (n > 0) {
-                data.append(buf, static_cast<std::size_t>(n));
-                continue;
-            }
-            if (n < 0 && errno == EINTR)
-                continue;
-            break;
-        }
-        ::close(fd);
+        if (!readFile(src.path, data, src.offset))
+            continue;
 
         // Consume complete lines only. A partial tail is usually a
         // write in flight — it stays pending and is re-read once its
@@ -563,23 +514,12 @@ DistCoordinator::consumeShardLine(const std::string &shard,
     if (line.empty())
         return;
     Entry entry;
-    std::string key, attempts;
-    if (!jsonField(line, "key", key) ||
-        !jsonField(line, "status", entry.status)) {
+    if (!parseJournalLine(line, entry)) {
         ++stats_.tornLines; // complete but unparsable: corruption
         return;
     }
-    jsonField(line, "error", entry.error);
-    jsonField(line, "repro", entry.repro);
-    jsonField(line, "worker", entry.worker);
-    if (jsonField(line, "attempts", attempts))
-        entry.attempts = static_cast<unsigned>(
-            std::strtoul(attempts.c_str(), nullptr, 10));
+    const std::string key = entry.key;
     const bool is_ok = entry.status == "Ok";
-    if (is_ok && !jsonField(line, "result", entry.blob)) {
-        ++stats_.tornLines;
-        return;
-    }
 
     auto ok_it = hasOk_.find(key);
     if (is_ok) {

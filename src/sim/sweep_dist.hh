@@ -51,6 +51,8 @@
 #include <thread>
 #include <vector>
 
+#include "sim/sweep_io.hh"
+
 namespace mask {
 
 /** Distributed-sweep policy (env-driven by default; settable for
@@ -175,15 +177,7 @@ class DistCoordinator
     void release(const std::string &job_key);
 
     /** One deterministically-merged shard entry. */
-    struct Entry
-    {
-        std::string status; //!< "Ok" / "Failed" / ... / "Abandoned"
-        std::string blob;   //!< encodePairResult payload (Ok only)
-        std::string error;
-        std::string repro;  //!< harvested crash-repro path, if any
-        std::string worker; //!< shard that recorded it
-        unsigned attempts = 1;
-    };
+    using Entry = JournalEntry;
 
     /** Incrementally tail every shard in <dir>/shards (complete
      *  lines only; a growing file's partial tail is left pending). */

@@ -1,282 +1,105 @@
 #include "sim/sweep_io.hh"
 
+#include <algorithm>
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 #include <fcntl.h>
 #include <unistd.h>
+
+#include "sim/file_io.hh"
 
 namespace mask {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Token-stream encoder/decoder (exact round-trip)
-// ---------------------------------------------------------------------
+// v3 was a text token stream with C99 hex floats; v4 is the StateCodec
+// payload in base64 (no byte of it needs JSON escaping).
+constexpr std::string_view kBlobPrefix = "v4 ";
 
-// v2: added the checkpoint-overhead fields (ckptWriteSeconds,
-// ckptBytes, ckptWrites) to the GpuStats tail.
-// v3: dropped the cycle-skip statistics (skippedCycles, skipWindows,
-// skipWindowLog2); the main loop no longer fast-forwards.
-constexpr const char *kBlobVersion = "v3";
+constexpr char kBase64[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
-struct Encoder
-{
-    std::string out;
-
-    void
-    u(std::uint64_t v)
-    {
-        char buf[24];
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-        out += ' ';
-        out += buf;
-    }
-
-    void
-    d(double v)
-    {
-        // %a hex floats re-read bit-exactly through strtod.
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%a", v);
-        out += ' ';
-        out += buf;
-    }
-
-    void
-    hm(const HitMiss &v)
-    {
-        u(v.hits);
-        u(v.misses);
-    }
-
-    void
-    rs(const RunningStat &v)
-    {
-        u(v.count);
-        d(v.sum);
-        d(v.minVal);
-        d(v.maxVal);
-    }
-
-    template <typename Vec, typename Fn>
-    void
-    vec(const Vec &v, Fn &&item)
-    {
-        u(v.size());
-        for (const auto &x : v)
-            item(x);
-    }
-};
-
-struct Decoder
-{
-    const char *p;
-    const char *end;
-
-    explicit Decoder(const std::string &blob)
-        : p(blob.c_str()), end(blob.c_str() + blob.size())
-    {}
-
-    [[noreturn]] void
-    fail(const char *what) const
-    {
-        throw std::runtime_error(
-            std::string("sweep result blob: ") + what);
-    }
-
-    std::uint64_t
-    u()
-    {
-        char *next = nullptr;
-        errno = 0;
-        const unsigned long long v = std::strtoull(p, &next, 10);
-        if (next == p || errno != 0)
-            fail("bad integer token");
-        p = next;
-        return v;
-    }
-
-    double
-    d()
-    {
-        char *next = nullptr;
-        errno = 0;
-        const double v = std::strtod(p, &next);
-        if (next == p)
-            fail("bad float token");
-        p = next;
-        return v;
-    }
-
-    HitMiss
-    hm()
-    {
-        HitMiss v;
-        v.hits = u();
-        v.misses = u();
-        return v;
-    }
-
-    RunningStat
-    rs()
-    {
-        RunningStat v;
-        v.count = u();
-        v.sum = d();
-        v.minVal = d();
-        v.maxVal = d();
-        return v;
-    }
-
-    template <typename Vec, typename Fn>
-    void
-    vec(Vec &v, Fn &&item)
-    {
-        const std::uint64_t n = u();
-        // Every element costs at least two bytes (" 0"); a count the
-        // remaining stream cannot possibly hold is corruption, and
-        // must fail cleanly here rather than as a giant reserve().
-        if (n > static_cast<std::uint64_t>(end - p) / 2)
-            fail("implausible vector length");
-        v.clear();
-        v.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            v.push_back(item());
-    }
-
-    void
-    finish() const
-    {
-        const char *q = p;
-        while (q != end && (*q == ' ' || *q == '\n'))
-            ++q;
-        if (q != end)
-            fail("trailing tokens");
-    }
-};
-
+/** RFC 4648 base64 with '=' padding. */
 void
-encodeStats(Encoder &enc, const GpuStats &s)
+appendBase64(std::string &out, std::string_view in)
 {
-    enc.u(s.cycles);
-    enc.vec(s.instructions, [&](std::uint64_t v) { enc.u(v); });
-    enc.vec(s.ipc, [&](double v) { enc.d(v); });
-    enc.hm(s.l1Tlb);
-    enc.hm(s.l2Tlb);
-    enc.vec(s.l2TlbPerApp, [&](const HitMiss &v) { enc.hm(v); });
-    enc.hm(s.bypassCache);
-    enc.hm(s.pwCache);
-    enc.hm(s.l1d);
-    for (const HitMiss &v : s.l2Cache)
-        enc.hm(v);
-    for (const HitMiss &v : s.l2CachePerLevel)
-        enc.hm(v);
+    out.reserve(out.size() + (in.size() + 2) / 3 * 4);
+    for (std::size_t i = 0; i < in.size(); i += 3) {
+        const std::size_t n = std::min<std::size_t>(3, in.size() - i);
+        std::uint32_t v = 0;
+        for (std::size_t k = 0; k < 3; ++k)
+            v = v << 8 |
+                (k < n ? static_cast<unsigned char>(in[i + k]) : 0u);
+        for (std::size_t k = 0; k < 4; ++k)
+            out += k <= n ? kBase64[(v >> (18 - 6 * k)) & 63] : '=';
+    }
+}
 
-    for (const std::uint64_t v : s.dram.busBusy)
-        enc.u(v);
-    for (const std::uint64_t v : s.dram.serviced)
-        enc.u(v);
-    for (const RunningStat &v : s.dram.latency)
-        enc.rs(v);
-    enc.u(s.dram.rowHits);
-    enc.u(s.dram.rowMisses);
-    enc.u(s.dram.rowConflicts);
-    enc.u(s.dram.enqueueRejects);
-    enc.u(s.dram.capEscalations);
+int
+sextet(char c)
+{
+    if (c >= 'A' && c <= 'Z')
+        return c - 'A';
+    if (c >= 'a' && c <= 'z')
+        return c - 'a' + 26;
+    if (c >= '0' && c <= '9')
+        return c - '0' + 52;
+    if (c == '+')
+        return 62;
+    return c == '/' ? 63 : -1;
+}
 
-    enc.u(s.walks);
-    enc.rs(s.walkLatency);
-    enc.rs(s.tlbMissLatency);
-    enc.rs(s.concurrentWalks);
-    enc.vec(s.concurrentWalksPerApp,
-            [&](const RunningStat &v) { enc.rs(v); });
-    enc.rs(s.warpsPerMiss);
-    enc.vec(s.warpsPerMissPerApp,
-            [&](const RunningStat &v) { enc.rs(v); });
-    enc.rs(s.readyWarpsPerCore);
-
-    enc.vec(s.tokens, [&](std::uint32_t v) { enc.u(v); });
-    enc.u(s.l2Bypasses);
-    enc.u(s.warpStallCycles);
-    enc.u(s.watchdogSweeps);
-    enc.u(s.watchdogMaxAgeSeen);
-    enc.u(s.faultsInjected);
-    enc.u(s.poolPeakLive);
-    enc.u(s.poolCapacity);
-    // wallSeconds is host-side accounting, explicitly outside the
-    // bit-identical guarantee (gpu.hh) — encoding the measured value
-    // would make isolated/journaled blobs differ run to run, so the
-    // field travels as zero and keeps the blob a pure function of the
-    // simulation.
-    enc.d(0.0);
-    enc.u(s.requests);
-    // Checkpoint overhead is host-side like wallSeconds: the measured
-    // values vary run to run (and are zero whenever checkpointing is
-    // off), so the blob carries zeros to stay a pure function of the
-    // simulation.
-    enc.d(0.0);
-    enc.u(0);
-    enc.u(0);
+/**
+ * Strict inverse of appendBase64: false on a non-alphabet byte, a
+ * length that is not a multiple of 4, padding anywhere but the end of
+ * the last quantum, or non-zero bits under the padding (so every
+ * payload has exactly one accepted spelling).
+ */
+bool
+decodeBase64(std::string_view in, std::string &out)
+{
+    if (in.size() % 4 != 0)
+        return false;
+    out.clear();
+    out.reserve(in.size() / 4 * 3);
+    for (std::size_t i = 0; i < in.size(); i += 4) {
+        const bool last = i + 4 == in.size();
+        std::uint32_t v = 0;
+        unsigned pad = 0;
+        for (std::size_t k = 0; k < 4; ++k) {
+            const char c = in[i + k];
+            int d = sextet(c);
+            if (c == '=' && last && k >= 2) {
+                ++pad;
+                d = 0;
+            } else if (d < 0 || pad > 0) {
+                return false;
+            }
+            v = v << 6 | static_cast<std::uint32_t>(d);
+        }
+        if ((v & ((1u << (8 * pad)) - 1)) != 0)
+            return false;
+        for (unsigned k = 0; k < 3 - pad; ++k)
+            out += static_cast<char>(v >> (16 - 8 * k));
+    }
+    return true;
 }
 
 void
-decodeStats(Decoder &dec, GpuStats &s)
+putDouble(StateWriter &w, double v)
 {
-    s.cycles = dec.u();
-    dec.vec(s.instructions, [&]() { return dec.u(); });
-    dec.vec(s.ipc, [&]() { return dec.d(); });
-    s.l1Tlb = dec.hm();
-    s.l2Tlb = dec.hm();
-    dec.vec(s.l2TlbPerApp, [&]() { return dec.hm(); });
-    s.bypassCache = dec.hm();
-    s.pwCache = dec.hm();
-    s.l1d = dec.hm();
-    for (HitMiss &v : s.l2Cache)
-        v = dec.hm();
-    for (HitMiss &v : s.l2CachePerLevel)
-        v = dec.hm();
+    w.d(v);
+}
 
-    for (std::uint64_t &v : s.dram.busBusy)
-        v = dec.u();
-    for (std::uint64_t &v : s.dram.serviced)
-        v = dec.u();
-    for (RunningStat &v : s.dram.latency)
-        v = dec.rs();
-    s.dram.rowHits = dec.u();
-    s.dram.rowMisses = dec.u();
-    s.dram.rowConflicts = dec.u();
-    s.dram.enqueueRejects = dec.u();
-    s.dram.capEscalations = dec.u();
-
-    s.walks = dec.u();
-    s.walkLatency = dec.rs();
-    s.tlbMissLatency = dec.rs();
-    s.concurrentWalks = dec.rs();
-    dec.vec(s.concurrentWalksPerApp, [&]() { return dec.rs(); });
-    s.warpsPerMiss = dec.rs();
-    dec.vec(s.warpsPerMissPerApp, [&]() { return dec.rs(); });
-    s.readyWarpsPerCore = dec.rs();
-
-    dec.vec(s.tokens, [&]() {
-        return static_cast<std::uint32_t>(dec.u());
-    });
-    s.l2Bypasses = dec.u();
-    s.warpStallCycles = dec.u();
-    s.watchdogSweeps = dec.u();
-    s.watchdogMaxAgeSeen = dec.u();
-    s.faultsInjected = dec.u();
-    s.poolPeakLive = dec.u();
-    s.poolCapacity = dec.u();
-    s.wallSeconds = dec.d();
-    s.requests = dec.u();
-    s.ckptWriteSeconds = dec.d();
-    s.ckptBytes = dec.u();
-    s.ckptWrites = dec.u();
+void
+getDouble(StateReader &r, double &v)
+{
+    v = r.d();
 }
 
 } // namespace
@@ -284,34 +107,40 @@ decodeStats(Decoder &dec, GpuStats &s)
 std::string
 encodePairResult(const PairResult &result)
 {
-    Encoder enc;
-    enc.out = kBlobVersion;
-    enc.vec(result.sharedIpc, [&](double v) { enc.d(v); });
-    enc.vec(result.aloneIpc, [&](double v) { enc.d(v); });
-    enc.d(result.weightedSpeedup);
-    enc.d(result.ipcThroughput);
-    enc.d(result.unfairness);
-    encodeStats(enc, result.stats);
-    return enc.out;
+    StateWriter w;
+    w.tag("pair");
+    putSeq(w, result.sharedIpc, putDouble);
+    putSeq(w, result.aloneIpc, putDouble);
+    w.d(result.weightedSpeedup);
+    w.d(result.ipcThroughput);
+    w.d(result.unfairness);
+    result.stats.serialize(w);
+    std::string out(kBlobPrefix);
+    appendBase64(out, w.str());
+    return out;
 }
 
 PairResult
 decodePairResult(const std::string &blob)
 {
-    Decoder dec(blob);
-    const std::size_t ver_len = std::strlen(kBlobVersion);
-    if (blob.compare(0, ver_len, kBlobVersion) != 0)
-        dec.fail("unknown version");
-    dec.p += ver_len;
-
+    if (blob.compare(0, kBlobPrefix.size(), kBlobPrefix) != 0)
+        throw std::runtime_error(
+            "sweep result blob: unknown version (this build reads " +
+            std::string(kBlobPrefix.substr(0, 2)) + ")");
+    std::string payload;
+    if (!decodeBase64(std::string_view(blob).substr(kBlobPrefix.size()),
+                      payload))
+        throw std::runtime_error("sweep result blob: malformed base64");
+    StateReader r(payload);
     PairResult result;
-    dec.vec(result.sharedIpc, [&]() { return dec.d(); });
-    dec.vec(result.aloneIpc, [&]() { return dec.d(); });
-    result.weightedSpeedup = dec.d();
-    result.ipcThroughput = dec.d();
-    result.unfairness = dec.d();
-    decodeStats(dec, result.stats);
-    dec.finish();
+    r.tag("pair");
+    getSeq(r, result.sharedIpc, getDouble);
+    getSeq(r, result.aloneIpc, getDouble);
+    result.weightedSpeedup = r.d();
+    result.ipcThroughput = r.d();
+    result.unfairness = r.d();
+    result.stats.deserialize(r);
+    r.finish();
     return result;
 }
 
@@ -368,24 +197,28 @@ jsonField(const std::string &line, const std::string &field,
     return false; // no closing quote (truncated line)
 }
 
+bool
+parseJournalLine(const std::string &line, JournalEntry &entry)
+{
+    entry = JournalEntry{};
+    if (!jsonField(line, "key", entry.key) ||
+        !jsonField(line, "status", entry.status))
+        return false;
+    jsonField(line, "error", entry.error);
+    jsonField(line, "repro", entry.repro);
+    jsonField(line, "worker", entry.worker);
+    std::string attempts;
+    if (jsonField(line, "attempts", attempts))
+        entry.attempts = static_cast<unsigned>(
+            std::strtoul(attempts.c_str(), nullptr, 10));
+    return entry.status != "Ok" || jsonField(line, "result", entry.blob);
+}
+
 SweepJournal::SweepJournal(std::string path) : path_(std::move(path))
 {
-    const int fd = ::open(path_.c_str(), O_RDONLY);
-    if (fd < 0)
-        return; // fresh journal
     std::string data;
-    char buf[1 << 16];
-    for (;;) {
-        const ::ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n > 0) {
-            data.append(buf, static_cast<std::size_t>(n));
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        break;
-    }
-    ::close(fd);
+    if (!readFile(path_, data))
+        return; // fresh journal
 
     // Parse complete ('\n'-terminated) lines only. Whatever trails
     // the final newline is a torn record from a writer killed
@@ -400,25 +233,11 @@ SweepJournal::SweepJournal(std::string path) : path_(std::move(path))
         pos = nl + 1;
         if (line.empty())
             continue;
-        std::string key, status, result;
-        if (!jsonField(line, "key", key) ||
-            !jsonField(line, "status", status)) {
+        JournalEntry entry;
+        if (!parseJournalLine(line, entry))
             ++malformed_;
-            continue;
-        }
-        if (status != "Ok")
-            continue;
-        if (!jsonField(line, "result", result)) {
-            ++malformed_;
-            continue;
-        }
-        std::string attempts;
-        OkEntry entry;
-        entry.blob = result;
-        if (jsonField(line, "attempts", attempts))
-            entry.attempts = static_cast<unsigned>(
-                std::strtoul(attempts.c_str(), nullptr, 10));
-        ok_[key] = std::move(entry); // latest entry per key wins
+        else if (entry.status == "Ok")
+            ok_[entry.key] = std::move(entry); // latest per key wins
     }
     if (pos < data.size()) {
         tornTail_ = 1;
@@ -518,10 +337,9 @@ SweepJournal::record(const std::string &key, const char *status,
         throw std::runtime_error("short write to sweep journal: " +
                                  path_);
     if (std::strcmp(status, "Ok") == 0) {
-        OkEntry entry;
+        JournalEntry &entry = ok_[key];
         entry.attempts = attempts;
         entry.blob = std::move(blob);
-        ok_[key] = std::move(entry);
     }
 }
 

@@ -8,19 +8,25 @@
  * isolation mode pipes results from a forked child back to the
  * parent, and the JSONL journal replays completed jobs into a resumed
  * sweep whose bench output must stay byte-identical to an
- * uninterrupted run. Doubles are therefore encoded as C99 hex floats
- * ("%a"), which round-trip exactly; integers as decimal.
+ * uninterrupted run.
  *
- * The encoding is a versioned, space-separated token stream ("v3
- * ..."). It must cover every field of PairResult/GpuStats — when a
- * stat is added to GpuStats, extend encode/decode here and bump the
- * version, or journal-resumed benches will silently print zeros for
- * the new stat.
+ * A result blob is "v4 " followed by the RFC 4648 base64 of a
+ * StateCodec payload (common/state_codec.hh): a "pair" section, then
+ * GpuStats::serialize. Doubles travel as their raw bit patterns, so
+ * every value (-0.0, denormals, NaN payloads) round-trips exactly.
+ * Decoding is strict: a foreign version prefix, a non-alphabet byte
+ * or bad padding, and any tag, bounds, count or trailing-byte
+ * mismatch caught by StateReader all throw. Host-side GpuStats fields
+ * are not written, so a blob is a pure function of the simulation.
+ * A simulated stat added to GpuStats goes into its
+ * serialize/deserialize together with a prefix bump, so older
+ * journal entries fail to decode and are re-simulated rather than
+ * misread.
  *
  * Journal format (one JSON object per line, append-only):
  *
- *   {"key":"<job key>","status":"Ok","attempts":1,"error":"",
- *    "result":"v3 ..."}
+ *   {"key":"<job key>","status":"Ok","attempts":"1","error":"",
+ *    "result":"v4 ..."}
  *
  * plus optional "repro" (harvested crash-repro path) and "worker"
  * (distributed-sweep worker id, DESIGN.md §15) fields when non-empty.
@@ -54,7 +60,7 @@
 
 namespace mask {
 
-/** Encode @p result as a single-line token stream (exact). */
+/** Encode @p result as a single-line "v4 <base64>" blob (exact). */
 std::string encodePairResult(const PairResult &result);
 
 /** Inverse of encodePairResult (throws std::runtime_error). */
@@ -70,6 +76,25 @@ std::string jsonEscape(const std::string &raw);
  */
 bool jsonField(const std::string &line, const std::string &field,
                std::string &out);
+
+/** One journal record. */
+struct JournalEntry
+{
+    std::string key;
+    std::string status; //!< "Ok" / "Failed" / ... / "Abandoned"
+    std::string blob;   //!< encodePairResult payload (Ok only)
+    std::string error;
+    std::string repro;  //!< harvested crash-repro path, if any
+    std::string worker; //!< distributed worker that recorded it
+    unsigned attempts = 1;
+};
+
+/**
+ * Parse one complete, non-empty journal line into @p entry. Returns
+ * false when the line is malformed: no key or status, or an "Ok"
+ * record without a result.
+ */
+bool parseJournalLine(const std::string &line, JournalEntry &entry);
 
 /**
  * Append-only JSONL journal of per-job sweep outcomes, keyed by job
@@ -126,19 +151,13 @@ class SweepJournal
     const std::string &path() const { return path_; }
 
   private:
-    struct OkEntry
-    {
-        unsigned attempts = 1;
-        std::string blob;
-    };
-
     std::string path_;
     std::string worker_;
     std::size_t tornTail_ = 0;
     std::size_t malformed_ = 0;
     mutable std::mutex mutex_;
     int fd_ = -1; //!< lazily-opened O_APPEND descriptor
-    std::map<std::string, OkEntry> ok_;
+    std::map<std::string, JournalEntry> ok_;
 };
 
 } // namespace mask

@@ -24,6 +24,7 @@
 
 #include <dirent.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/config.hh"
@@ -780,6 +781,120 @@ TEST(EmergencySnapshot, ScopesNest)
 
     std::remove(outer_path.c_str());
     std::remove(inner_path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// File layer (sim/file_io.hh)
+// ---------------------------------------------------------------------
+
+/** Names in @p dir other than "." and "..", sorted. */
+std::vector<std::string>
+dirEntries(const std::string &dir)
+{
+    std::vector<std::string> names;
+    if (DIR *d = ::opendir(dir.c_str()); d != nullptr) {
+        while (const dirent *entry = ::readdir(d)) {
+            const std::string name = entry->d_name;
+            if (name != "." && name != "..")
+                names.push_back(name);
+        }
+        ::closedir(d);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+TEST(SnapshotFile, ConcurrentSaversOfOnePathNeverClobber)
+{
+    // Two processes checkpointing the same job into one shared
+    // directory publish the same path. Each must always publish a
+    // complete image of its own; neither may see its tmp file
+    // truncated or renamed away by the other.
+    const GpuConfig cfg = configFor(DesignPoint::Mask, false);
+    const std::uint64_t fp = configFingerprint(cfg);
+    auto gpu = makeGpu(cfg);
+    gpu->run(500);
+    const std::string dir = tmpPath("mask_concurrent_ckpt");
+    ::mkdir(dir.c_str(), 0755);
+    const std::string path = dir + "/job.snap";
+    const auto save_many = [&] {
+        for (int i = 0; i < 200; ++i)
+            saveSnapshotFile(path, fp, *gpu);
+    };
+
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        int code = 0;
+        try {
+            save_many();
+        } catch (...) {
+            code = 1;
+        }
+        std::_Exit(code);
+    }
+    std::string parent_error;
+    try {
+        save_many();
+    } catch (const std::exception &err) {
+        parent_error = err.what();
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    EXPECT_EQ(parent_error, "");
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "child saver threw";
+
+    auto fresh = makeGpu(cfg);
+    loadSnapshotFile(path, fp, *fresh);
+    EXPECT_EQ(fresh->now(), 500u);
+    EXPECT_EQ(dirEntries(dir), std::vector<std::string>{"job.snap"});
+    std::remove(path.c_str());
+    ::rmdir(dir.c_str());
+}
+
+TEST(FileLayer, ReadFileMissingAndFromOffset)
+{
+    std::string out = "stale";
+    EXPECT_FALSE(mask::readFile(tmpPath("mask_no_such_file"), out));
+    EXPECT_EQ(out, "");
+
+    const std::string path = tmpPath("mask_read_offset.txt");
+    writeFileAtomic(path, "0123456789");
+    ASSERT_TRUE(mask::readFile(path, out));
+    EXPECT_EQ(out, "0123456789");
+    ASSERT_TRUE(mask::readFile(path, out, 4));
+    EXPECT_EQ(out, "456789");
+    ASSERT_TRUE(mask::readFile(path, out, 10));
+    EXPECT_EQ(out, "");
+    ASSERT_TRUE(mask::readFile(path, out, 99));
+    EXPECT_EQ(out, "");
+    std::remove(path.c_str());
+}
+
+TEST(FileLayer, WriteFileAtomicLeavesNoTmpBehind)
+{
+    const std::string dir = tmpPath("mask_atomic_dir");
+    ::mkdir(dir.c_str(), 0755);
+    const std::string path = dir + "/file";
+    writeFileAtomic(path, "a first, longer image");
+    writeFileAtomic(path, "second");
+    std::string out;
+    ASSERT_TRUE(mask::readFile(path, out));
+    EXPECT_EQ(out, "second");
+    EXPECT_EQ(dirEntries(dir), std::vector<std::string>{"file"});
+
+    // A publish that cannot happen throws and leaves nothing behind:
+    // no tmp file can be created, or the rename onto a directory
+    // fails after the tmp file was written.
+    EXPECT_THROW(writeFileAtomic(dir + "/missing/file", "x"),
+                 std::runtime_error);
+    EXPECT_EQ(dirEntries(dir), std::vector<std::string>{"file"});
+    EXPECT_THROW(writeFileAtomic(dir, "x"), std::runtime_error);
+    for (const std::string &name : dirEntries(::testing::TempDir()))
+        EXPECT_NE(name.rfind("mask_atomic_dir.tmp", 0), 0u) << name;
+    std::remove(path.c_str());
+    ::rmdir(dir.c_str());
 }
 
 } // namespace

@@ -81,6 +81,81 @@ syntheticResult(double ipc)
     return result;
 }
 
+/**
+ * @p r in the v3 blob layout older builds wrote: a "v3" token, then
+ * every field as a space-separated decimal integer or C99 hex float.
+ */
+std::string
+v3Blob(const PairResult &r)
+{
+    std::ostringstream out;
+    out << "v3" << std::hexfloat;
+    const auto u = [&](std::uint64_t v) { out << ' ' << v; };
+    const auto d = [&](double v) { out << ' ' << v; };
+    const auto hm = [&](const HitMiss &v) {
+        u(v.hits);
+        u(v.misses);
+    };
+    const auto rs = [&](const RunningStat &v) {
+        u(v.count);
+        d(v.sum);
+        d(v.minVal);
+        d(v.maxVal);
+    };
+    const auto vec = [&](const auto &v, const auto &item) {
+        u(v.size());
+        for (const auto &x : v)
+            item(x);
+    };
+    const GpuStats &s = r.stats;
+    vec(r.sharedIpc, d);
+    vec(r.aloneIpc, d);
+    for (const double v : {r.weightedSpeedup, r.ipcThroughput,
+                           r.unfairness})
+        d(v);
+    u(s.cycles);
+    vec(s.instructions, u);
+    vec(s.ipc, d);
+    hm(s.l1Tlb);
+    hm(s.l2Tlb);
+    vec(s.l2TlbPerApp, hm);
+    for (const HitMiss &v : {s.bypassCache, s.pwCache, s.l1d})
+        hm(v);
+    for (const HitMiss &v : s.l2Cache)
+        hm(v);
+    for (const HitMiss &v : s.l2CachePerLevel)
+        hm(v);
+    for (const std::uint64_t v : s.dram.busBusy)
+        u(v);
+    for (const std::uint64_t v : s.dram.serviced)
+        u(v);
+    for (const RunningStat &v : s.dram.latency)
+        rs(v);
+    for (const std::uint64_t v :
+         {s.dram.rowHits, s.dram.rowMisses, s.dram.rowConflicts,
+          s.dram.enqueueRejects, s.dram.capEscalations, s.walks})
+        u(v);
+    for (const RunningStat &v :
+         {s.walkLatency, s.tlbMissLatency, s.concurrentWalks})
+        rs(v);
+    vec(s.concurrentWalksPerApp, rs);
+    rs(s.warpsPerMiss);
+    vec(s.warpsPerMissPerApp, rs);
+    rs(s.readyWarpsPerCore);
+    vec(s.tokens, u);
+    for (const std::uint64_t v :
+         {s.l2Bypasses, s.warpStallCycles, s.watchdogSweeps,
+          s.watchdogMaxAgeSeen, s.faultsInjected,
+          std::uint64_t{s.poolPeakLive}, std::uint64_t{s.poolCapacity}})
+        u(v);
+    d(0.0); // wallSeconds travelled as zero
+    u(s.requests);
+    d(0.0); // so did the checkpoint overhead
+    u(0);
+    u(0);
+    return out.str();
+}
+
 } // namespace
 
 TEST(Sweep, ParallelResultsIdenticalToSerial)
@@ -390,7 +465,7 @@ TEST(Sweep, JournalResumeResimulatesOnlyFailedJobs)
 
 TEST(Sweep, JournalEntryWithPreviousBlobVersionIsResimulated)
 {
-    const std::string journal = tempPath("journal_v2");
+    const std::string journal = tempPath("journal_v3");
     std::remove(journal.c_str());
     const GpuConfig arch = archByName("maxwell");
     const SweepJob job{arch, DesignPoint::SharedTlb, {"HISTO"},
@@ -406,26 +481,11 @@ TEST(Sweep, JournalEntryWithPreviousBlobVersionIsResimulated)
     ASSERT_EQ(first.failedJobs(), 0u);
     const std::string blob = encodePairResult(first.result(0));
 
-    // Rewrite the Ok entry's blob in the v2 layout an older build
-    // wrote: the same tokens plus skippedCycles, skipWindows and the
-    // 16-bucket skipWindowLog2 vector ahead of the three checkpoint
-    // fields that end the blob.
-    std::vector<std::string> tokens;
-    {
-        std::istringstream in(blob);
-        for (std::string t; in >> t;)
-            tokens.push_back(t);
-    }
-    ASSERT_EQ(tokens.front(), "v3");
-    ASSERT_GT(tokens.size(), 3u);
-    tokens.front() = "v2";
-    std::vector<std::string> skip_fields = {"0", "0", "16"};
-    skip_fields.resize(skip_fields.size() + 16, "0");
-    tokens.insert(tokens.end() - 3, skip_fields.begin(),
-                  skip_fields.end());
-    std::string old_blob;
-    for (const std::string &t : tokens)
-        old_blob += (old_blob.empty() ? "" : " ") + t;
+    // Rewrite the Ok entry's blob in the v3 text layout an older build
+    // wrote (hex-float tokens instead of the base64 StateCodec
+    // payload).
+    const std::string old_blob = v3Blob(first.result(0));
+    ASSERT_EQ(old_blob.compare(0, 3, "v3 "), 0);
 
     std::string text;
     {

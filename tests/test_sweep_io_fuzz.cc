@@ -3,11 +3,12 @@
  * Randomized round-trip fuzzing of the exact sweep-result codec
  * (sweep_io). The journal and the fork-isolation pipe both rely on
  * encodePairResult/decodePairResult reproducing every bit of a
- * PairResult; here random results — including denormal, negative-zero
- * and huge doubles — must survive the trip exactly, and corrupted
- * blobs (truncations, flipped characters, foreign versions) must be
- * rejected with a clear error, never a crash. Deterministically
- * seeded so failures reproduce.
+ * PairResult; here random results — including denormal, negative-zero,
+ * huge and NaN-payload doubles — must survive the trip exactly, and
+ * corrupted blobs (truncations, flipped base64 characters, bad
+ * padding, foreign versions) must be rejected with a clear error or
+ * decode visibly differently, never crash. Deterministically seeded
+ * so failures reproduce.
  */
 
 #include <gtest/gtest.h>
@@ -27,24 +28,24 @@ namespace {
 
 using Rng = std::mt19937_64;
 
-/**
- * Random finite double drawn from the full bit space (signs,
- * denormals, negative zero, extreme exponents) — any finite pattern
- * must round-trip through the %a hex-float encoding bit-exactly.
- */
 double
-randomDouble(Rng &rng)
+fromBits(std::uint64_t bits)
 {
-    std::uint64_t bits = rng();
-    // Clear an all-ones exponent: NaN payloads are not preserved by
-    // printf("%a") and infinities never occur in real stats.
-    constexpr std::uint64_t kExpMask = 0x7ff0000000000000ull;
-    if ((bits & kExpMask) == kExpMask)
-        bits &= ~(1ull << 62);
     double v = 0.0;
     static_assert(sizeof(v) == sizeof(bits));
     std::memcpy(&v, &bits, sizeof(v));
     return v;
+}
+
+/**
+ * Random double drawn from the full bit space (signs, denormals,
+ * negative zero, extreme exponents, infinities, NaN payloads) — the
+ * codec carries raw bit patterns, so every one must round-trip.
+ */
+double
+randomDouble(Rng &rng)
+{
+    return fromBits(rng());
 }
 
 bool
@@ -142,9 +143,9 @@ randomResult(Rng &rng)
     s.poolPeakLive = static_cast<std::size_t>(rng());
     s.poolCapacity = static_cast<std::size_t>(rng());
     s.requests = rng();
-    // wallSeconds and the ckpt* overhead fields stay zero: they are
-    // host-side accounting the codec deliberately encodes as zeros so
-    // the blob is a pure function of the simulation.
+    // The host-side fields (wallSeconds, ckpt*, work counters, stage
+    // profile) stay zero: the codec does not carry them, so a decoded
+    // result has them zero too.
     return r;
 }
 
@@ -190,6 +191,11 @@ TEST(SweepIoFuzz, ExtremeDoublesRoundTrip)
         -std::numeric_limits<double>::max(),
         std::numeric_limits<double>::epsilon(),
         1.0 / 3.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        fromBits(0x7ff0000000000001ull), // signalling NaN, payload 1
+        fromBits(0xfff8dead0000beefull), // negative quiet NaN payload
     };
     const PairResult back = decodePairResult(encodePairResult(r));
     ASSERT_EQ(back.sharedIpc.size(), r.sharedIpc.size());
@@ -202,65 +208,105 @@ TEST(SweepIoFuzz, DeepTruncationIsRejected)
 {
     Rng rng(42);
     const std::string blob = encodePairResult(randomResult(rng));
-    // A cut deep inside the stream always leaves a vector count
-    // without its elements or a missing tail — a clear decode error.
     EXPECT_THROW(decodePairResult(blob.substr(0, blob.size() / 3)),
                  std::runtime_error);
     EXPECT_THROW(decodePairResult(std::string()), std::runtime_error);
-    EXPECT_THROW(decodePairResult("v3"), std::runtime_error);
+    EXPECT_THROW(decodePairResult("v4"), std::runtime_error);
+    EXPECT_THROW(decodePairResult("v4 "), std::runtime_error);
 }
 
 TEST(SweepIoFuzz, EveryTruncationFailsOrDecodesDifferently)
 {
     Rng rng(43);
     const std::string blob = encodePairResult(randomResult(rng));
-    // No prefix may silently decode to the original result: either
-    // the decoder throws, or the decode visibly differs (a cut inside
-    // the final token can still parse, but never back to the full
-    // blob). Every iteration must be crash-free — this test also runs
-    // under ASan/UBSan.
+    ASSERT_EQ(blob.compare(0, 3, "v4 "), 0);
+    // A prefix either breaks the base64 framing or decodes to a
+    // payload the bounds-checked reader runs off the end of. Every
+    // iteration must be crash-free — this test also runs under
+    // ASan/UBSan.
     for (std::size_t len = 0; len < blob.size(); ++len) {
-        bool threw = false;
-        std::string reencoded;
-        try {
-            reencoded = encodePairResult(
-                decodePairResult(blob.substr(0, len)));
-        } catch (const std::runtime_error &) {
-            threw = true;
-        }
-        EXPECT_TRUE(threw || reencoded != blob) << "prefix " << len;
+        EXPECT_THROW(decodePairResult(blob.substr(0, len)),
+                     std::runtime_error)
+            << "prefix " << len;
     }
 }
 
 TEST(SweepIoFuzz, RandomCharCorruptionNeverCrashes)
 {
+    static constexpr char kAlphabet[] =
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+        "0123456789+/";
     Rng rng(44);
     const std::string blob = encodePairResult(randomResult(rng));
     int rejected = 0;
     for (int iter = 0; iter < 500; ++iter) {
+        // Swap one base64 character for another alphabet character:
+        // the framing stays valid, so only the payload decoder (tags,
+        // counts, bounds, trailing bytes) or a changed value can tell.
         std::string bad = blob;
-        const std::size_t pos = rng() % bad.size();
-        char c = static_cast<char>(rng() % 0x60 + 0x20);
+        const std::size_t pos = 3 + rng() % (bad.size() - 3);
+        if (bad[pos] == '=')
+            continue;
+        char c = kAlphabet[rng() % 64];
         if (c == bad[pos])
-            c = '#';
+            c = c == 'A' ? 'B' : 'A';
         bad[pos] = c;
         try {
-            (void)decodePairResult(bad);
+            const std::string back =
+                encodePairResult(decodePairResult(bad));
+            EXPECT_NE(back, blob) << "corruption at " << pos;
         } catch (const std::runtime_error &) {
-            ++rejected; // structured rejection is the expected path
+            ++rejected; // structured rejection
         }
     }
-    // Most single-character corruptions land in a token and break
-    // parsing; a few flip digits silently (the snapshot layer's
-    // checksum exists for those). Either way: no crash, no UB.
     EXPECT_GT(rejected, 0);
+}
+
+TEST(SweepIoFuzz, MalformedBase64IsRejected)
+{
+    static constexpr char kAlphabet[] =
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+        "0123456789+/";
+    Rng rng(46);
+    const std::string blob = encodePairResult(randomResult(rng));
+    // Any byte outside the alphabet, anywhere in the body.
+    for (int iter = 0; iter < 200; ++iter) {
+        std::string bad = blob;
+        const std::size_t pos = 3 + rng() % (bad.size() - 3);
+        bad[pos] = " \n\"#-_.*"[rng() % 8];
+        EXPECT_THROW(decodePairResult(bad), std::runtime_error)
+            << "byte at " << pos;
+    }
+
+    // Each extra sharedIpc element adds 8 payload bytes, so three
+    // consecutive sizes cover every payload length mod 3, padded ones
+    // included. Set a bit under the padding: the payload bytes are
+    // unchanged, but the spelling is not canonical and must be
+    // refused. Dropping the padding must be refused too.
+    PairResult r;
+    int padded = 0;
+    for (int n = 0; n < 3; ++n, r.sharedIpc.push_back(1.0)) {
+        const std::string ok = encodePairResult(r);
+        ASSERT_NO_THROW(decodePairResult(ok));
+        const std::size_t pad = ok.size() - 1 - ok.find_last_not_of('=');
+        if (pad == 0)
+            continue;
+        ++padded;
+        std::string bad = ok;
+        char &last = bad[bad.size() - pad - 1];
+        last = kAlphabet[std::strchr(kAlphabet, last) - kAlphabet + 1];
+        EXPECT_THROW(decodePairResult(bad), std::runtime_error) << bad;
+        EXPECT_THROW(decodePairResult(ok.substr(0, ok.size() - pad)),
+                     std::runtime_error);
+    }
+    EXPECT_EQ(padded, 2);
 }
 
 TEST(SweepIoFuzz, ForeignVersionIsRejected)
 {
     Rng rng(45);
     std::string blob = encodePairResult(randomResult(rng));
-    ASSERT_EQ(blob.compare(0, 2, "v3"), 0);
+    ASSERT_EQ(blob.compare(0, 3, "v4 "), 0);
     blob[1] = '9';
     try {
         (void)decodePairResult(blob);
@@ -270,6 +316,34 @@ TEST(SweepIoFuzz, ForeignVersionIsRejected)
                   std::string::npos)
             << err.what();
     }
+    EXPECT_THROW(decodePairResult("v3 0 0 0x0p+0"), std::runtime_error);
+}
+
+TEST(SweepIoFuzz, HostSideFieldsDoNotReachTheBlob)
+{
+    Rng rng(47);
+    const PairResult r = randomResult(rng);
+    PairResult host = r;
+    GpuStats &s = host.stats;
+    s.wallSeconds = 1.5;
+    s.ckptWriteSeconds = 0.25;
+    s.ckptBytes = 4096;
+    s.ckptWrites = 3;
+    s.skippedCycles = 7;
+    s.dramSchedPicks = 11;
+    s.dramSchedBanksScanned = 13;
+    s.dataRetryProbes = 17;
+    s.tlbRetryProbes = 19;
+    s.stageSeconds = {0.1, 0.2};
+    s.stageCalls = {1, 2};
+    const std::string blob = encodePairResult(r);
+    EXPECT_EQ(encodePairResult(host), blob);
+    // ...and a decoded result carries them as zero.
+    const GpuStats back = decodePairResult(blob).stats;
+    EXPECT_EQ(back.wallSeconds, 0.0);
+    EXPECT_EQ(back.ckptWrites, 0u);
+    EXPECT_EQ(back.dramSchedPicks, 0u);
+    EXPECT_TRUE(back.stageSeconds.empty());
 }
 
 } // namespace
