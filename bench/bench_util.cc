@@ -1,6 +1,6 @@
 #include "bench_util.hh"
 
-#include <cstdlib>
+#include "common/env.hh"
 
 namespace mask {
 namespace bench {
@@ -11,17 +11,13 @@ benchOptions()
     RunOptions options;
     options.warmup = 24000;
     options.measure = 80000;
-    if (const char *fast = std::getenv("MASK_BENCH_FAST");
-        fast != nullptr && fast[0] == '1') {
+    if (envFlag("MASK_BENCH_FAST")) {
         options.warmup = 6000;
         options.measure = 20000;
     }
-    if (const char *cycles = std::getenv("MASK_BENCH_CYCLES")) {
-        const long long n = std::atoll(cycles);
-        if (n > 0) {
-            options.measure = static_cast<Cycle>(n);
-            options.warmup = std::max<Cycle>(4000, options.measure / 4);
-        }
+    if (const Cycle n = envU64("MASK_BENCH_CYCLES", 0)) {
+        options.measure = n;
+        options.warmup = std::max<Cycle>(4000, n / 4);
     }
     return options;
 }
@@ -30,11 +26,9 @@ std::vector<WorkloadPair>
 benchPairs()
 {
     std::vector<WorkloadPair> pairs = workloadPairs();
-    if (const char *cap = std::getenv("MASK_BENCH_PAIRS")) {
-        const long long n = std::atoll(cap);
-        if (n > 0 && static_cast<std::size_t>(n) < pairs.size())
-            pairs.resize(static_cast<std::size_t>(n));
-    }
+    if (const std::uint64_t n = envU64("MASK_BENCH_PAIRS", 0);
+        n > 0 && n < pairs.size())
+        pairs.resize(static_cast<std::size_t>(n));
     return pairs;
 }
 

@@ -7,6 +7,7 @@
  */
 
 #include "bench_util.hh"
+#include "common/env.hh"
 #include "sim/time_mux.hh"
 
 using namespace mask;
@@ -30,8 +31,7 @@ run()
     options.workPerProcess = 2500000;
     options.switchBaseCost = 500;
     options.switchPerProcessCost = 1500;
-    if (const char *fast = std::getenv("MASK_BENCH_FAST");
-        fast != nullptr && fast[0] == '1') {
+    if (envFlag("MASK_BENCH_FAST")) {
         options.workPerProcess = 400000;
         options.quantum = 8000;
     }

@@ -14,6 +14,7 @@
 #include <cstdlib>
 
 #include "bench_util.hh"
+#include "common/env.hh"
 #include "metrics/metrics.hh"
 #include "sim/gpu.hh"
 #include "sim/sweep_io.hh"
@@ -86,10 +87,8 @@ runCheckpointed(Evaluator &eval, const GpuConfig &arch,
     const RunOptions options = bench::benchOptions();
     const std::string interval =
         std::to_string(std::max<Cycle>(1, options.measure / 8));
-    const char *tmp = std::getenv("TMPDIR");
     ::setenv("MASK_CKPT_INTERVAL_CYCLES", interval.c_str(), 1);
-    ::setenv("MASK_CKPT_DIR", tmp != nullptr ? tmp : "/tmp", 1);
-    ::unsetenv("MASK_CKPT_KEEP");
+    ::setenv("MASK_CKPT_DIR", envString("TMPDIR", "/tmp").c_str(), 1);
     const GpuStats stats = eval.runShared(arch, point, benches);
     ::unsetenv("MASK_CKPT_INTERVAL_CYCLES");
     ::unsetenv("MASK_CKPT_DIR");

@@ -13,12 +13,15 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hh"
 #include "metrics/metrics.hh"
 #include "sim/presets.hh"
 #include "sim/runner.hh"
 
+namespace {
+
 int
-main()
+run()
 {
     using namespace mask;
 
@@ -27,7 +30,7 @@ main()
     // batch job (streaming).
     const std::vector<std::string> tenants = {"LPS", "MUM", "HISTO"};
     const GpuConfig arch = archByName("maxwell");
-    Evaluator eval(defaultRunOptions());
+    Evaluator eval(bench::benchOptions());
 
     std::printf("Tenants: LPS (inference-like), MUM (analytics-like),"
                 " HISTO (batch streaming)\n\n");
@@ -52,4 +55,12 @@ main()
                 "slowdown (QoS) below the static-partitioning "
                 "product baseline.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return mask::bench::guardedMain(run);
 }

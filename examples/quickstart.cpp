@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "common/check.hh"
+#include "bench_util.hh"
 #include "common/stats.hh"
 #include "sim/presets.hh"
 #include "sim/runner.hh"
@@ -25,7 +25,7 @@ run()
     using namespace mask;
 
     const GpuConfig arch = archByName("maxwell");
-    Evaluator eval(defaultRunOptions());
+    Evaluator eval(bench::benchOptions());
     const std::vector<std::string> pair = {"3DS", "HISTO"};
 
     std::printf("Workload: 3DS_HISTO on %s (%u cores)\n",
@@ -52,12 +52,8 @@ run()
 int
 main()
 {
-    // A tripped hard invariant surfaces as one diagnostic block (and
-    // a crash-repro file written by the runner) instead of an abort.
-    try {
-        return run();
-    } catch (const mask::SimInvariantError &err) {
-        std::fputs(err.diagnostic().c_str(), stderr);
-        return 2;
-    }
+    // A tripped hard invariant or a malformed knob surfaces as one
+    // diagnostic on stderr (plus a crash-repro file written by the
+    // runner) instead of an abort.
+    return mask::bench::guardedMain(run);
 }

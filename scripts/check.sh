@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full verification: build and test the normal configuration, then the
-# ASan+UBSan configuration (-DMASK_SANITIZE=ON). Run from the repo root.
+# Full verification: check the knob inventory, build and test the
+# normal configuration, then the ASan+UBSan configuration
+# (-DMASK_SANITIZE=ON). Run from the repo root.
 #
 #   scripts/check.sh              # both configs
 #   MASK_CHECK_FAST=1 scripts/check.sh   # skip the sanitizer config
@@ -11,6 +12,9 @@ GEN_ARGS=()
 if command -v ninja >/dev/null 2>&1; then
     GEN_ARGS=(-G Ninja)
 fi
+
+echo "== knob inventory =="
+scripts/check_knobs.sh
 
 echo "== normal build =="
 cmake -B build -S . "${GEN_ARGS[@]}" >/dev/null

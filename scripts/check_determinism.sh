@@ -265,7 +265,7 @@ rm -rf "$dist_dir"
 
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     MASK_SWEEP_DIST_DIR="$dist_dir" MASK_SWEEP_DIST_WORKER=w1 \
-    MASK_SWEEP_DIST_HEARTBEAT_MS=100 MASK_SWEEP_DIST_STEAL_AFTER_MS=1000 \
+    MASK_SWEEP_DIST_HEARTBEAT_MS=100 \
     "$BIN" >/dev/null 2>&1 &
 w1_pid=$!
 # Kill worker 1 as soon as it holds a lease: the SIGKILL lands mid-job
@@ -284,7 +284,7 @@ fi
 
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     MASK_SWEEP_DIST_DIR="$dist_dir" MASK_SWEEP_DIST_WORKER=w2 \
-    MASK_SWEEP_DIST_HEARTBEAT_MS=100 MASK_SWEEP_DIST_STEAL_AFTER_MS=1000 \
+    MASK_SWEEP_DIST_HEARTBEAT_MS=100 \
     "$BIN" >"$out_b" 2>"$dist_err"
 
 if ! diff -u "$out_a" "$out_b"; then

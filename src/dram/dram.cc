@@ -1,9 +1,9 @@
 #include "dram/dram.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/check.hh"
+#include "common/env.hh"
 
 namespace mask {
 
@@ -16,14 +16,6 @@ log2u(std::uint32_t x)
     while ((1u << bits) < x)
         ++bits;
     return bits;
-}
-
-/** MASK_SCHED_REFERENCE=1 re-enables the original rescan picks. */
-bool
-schedReferenceByEnv()
-{
-    const char *env = std::getenv("MASK_SCHED_REFERENCE");
-    return env != nullptr && env[0] == '1';
 }
 
 } // namespace
@@ -99,7 +91,7 @@ DramChannel::DramChannel(const DramConfig &cfg,
       maskCfg_(mask_cfg),
       mode_(mode),
       numApps_(num_apps == 0 ? 1 : num_apps),
-      reference_(schedReferenceByEnv()),
+      reference_(envFlag("MASK_SCHED_REFERENCE")),
       banks_(cfg.banksPerChannel),
       silver_(cfg.banksPerChannel),
       normal_(cfg.banksPerChannel)

@@ -3,8 +3,8 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+
+#include "common/env.hh"
 
 namespace mask {
 namespace obs {
@@ -100,47 +100,33 @@ SeriesRegistry::schemaJson(const std::string &stream,
 
 namespace {
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || v[0] == '\0')
-        return fallback;
-    const long long n = std::atoll(v);
-    return n > 0 ? static_cast<std::uint64_t>(n) : fallback;
-}
-
 /** Category spec ("tlb,walk,...") -> bitmask; see trace.hh for the
- *  bit assignments. Unset or empty selects everything; unknown names
- *  are ignored so a typo degrades to fewer categories, not a crash. */
+ *  bit assignments. Empty selects everything; unknown names are
+ *  ignored so a typo degrades to fewer categories, not a crash. */
 std::uint32_t
-parseCatsSpec(const char *spec)
+parseCatsSpec(std::string_view spec)
 {
-    if (spec == nullptr || spec[0] == '\0')
+    if (spec.empty())
         return 0xffffffffu;
     static const struct
     {
-        const char *name;
+        std::string_view name;
         std::uint32_t bit;
     } kCats[] = {
         {"tlb", 1u << 0},  {"walk", 1u << 1},      {"dram", 1u << 2},
         {"quota", 1u << 3}, {"shootdown", 1u << 4},
     };
     std::uint32_t mask = 0;
-    const char *p = spec;
-    while (*p != '\0') {
-        const char *comma = std::strchr(p, ',');
-        const std::size_t len =
-            comma != nullptr ? static_cast<std::size_t>(comma - p)
-                             : std::strlen(p);
+    for (;;) {
+        const std::size_t comma = spec.find(',');
+        const std::string_view name = spec.substr(0, comma);
         for (const auto &c : kCats) {
-            if (std::strlen(c.name) == len &&
-                std::strncmp(c.name, p, len) == 0)
+            if (c.name == name)
                 mask |= c.bit;
         }
-        if (comma == nullptr)
+        if (comma == std::string_view::npos)
             break;
-        p = comma + 1;
+        spec.remove_prefix(comma + 1);
     }
     return mask;
 }
@@ -153,19 +139,13 @@ ObsOptions
 obsOptionsFromEnv()
 {
     ObsOptions o;
-    if (const char *p = std::getenv("MASK_TIMESERIES"))
-        o.timeseriesPath = p;
-    o.timeseriesInterval =
-        envU64("MASK_TIMESERIES_INTERVAL", o.timeseriesInterval);
-    o.timeseriesRingRows = static_cast<std::size_t>(
-        envU64("MASK_TIMESERIES_RING", o.timeseriesRingRows));
-    if (const char *p = std::getenv("MASK_TRACE"))
-        o.tracePath = p;
-    o.traceCats = parseCatsSpec(std::getenv("MASK_TRACE_CATS"));
-    o.traceRingEvents = static_cast<std::size_t>(
-        envU64("MASK_TRACE_RING", o.traceRingEvents));
-    if (const char *p = std::getenv("MASK_PROFILE_STAGES_OUT"))
-        o.stageProfilePath = p;
+    o.timeseriesPath = envString("MASK_TIMESERIES");
+    // 0 keeps the default: an interval of 0 would never sample.
+    if (const std::uint64_t n = envU64("MASK_TIMESERIES_INTERVAL", 0))
+        o.timeseriesInterval = n;
+    o.tracePath = envString("MASK_TRACE");
+    o.traceCats = parseCatsSpec(envString("MASK_TRACE_CATS"));
+    o.stageProfilePath = envString("MASK_PROFILE_STAGES_OUT");
     return o;
 }
 

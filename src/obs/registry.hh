@@ -6,10 +6,12 @@
  * Every exported time series carries name/unit/app/kind metadata, and
  * the whole column set is emitted as a schema header line at the top
  * of each JSONL stream, so downstream tools (scripts/obs_report.py)
- * never hard-code column positions. The registry also owns the
- * env-knob resolution (MASK_TIMESERIES*, MASK_TRACE*) and the
- * thread-local override the sweep runner installs to give every job
- * its own output paths (MASK_SWEEP_OBS_DIR).
+ * never hard-code column positions. The registry also resolves the
+ * obs knobs (MASK_TIMESERIES, MASK_TIMESERIES_INTERVAL, MASK_TRACE,
+ * MASK_TRACE_CATS, MASK_PROFILE_STAGES_OUT) through common/env.hh,
+ * and owns the thread-local override the sweep runner installs to
+ * give every job its own output paths (MASK_SWEEP_OBS_DIR). The
+ * in-memory rings are fixed: kTimeseriesRingRows and kTraceRingEvents.
  *
  * The entire obs layer is observation-only: nothing in it feeds back
  * into the simulated machine, nothing is serialized into snapshots,
@@ -80,11 +82,9 @@ struct ObsOptions
 {
     std::string timeseriesPath;           //!< MASK_TIMESERIES ("" = off)
     std::uint64_t timeseriesInterval = 10000; //!< MASK_TIMESERIES_INTERVAL
-    std::size_t timeseriesRingRows = 256;     //!< MASK_TIMESERIES_RING
 
     std::string tracePath;                //!< MASK_TRACE ("" = off)
     std::uint32_t traceCats = 0xffffffffu; //!< MASK_TRACE_CATS bitmask
-    std::size_t traceRingEvents = 4096;    //!< MASK_TRACE_RING
 
     /** MASK_PROFILE_STAGES_OUT: registry-schema JSONL for the stage
      *  profiler (wall-clock — deliberately a separate file from the
@@ -95,8 +95,8 @@ struct ObsOptions
     bool traceOn() const { return !tracePath.empty(); }
 };
 
-/** Read the MASK_TIMESERIES and MASK_TRACE knob families from the
- *  environment. */
+/** Read the obs knobs from the environment (throws ConfigError on a
+ *  malformed MASK_TIMESERIES_INTERVAL). */
 ObsOptions obsOptionsFromEnv();
 
 /**

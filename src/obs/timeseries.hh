@@ -17,6 +17,7 @@
 #ifndef MASK_OBS_TIMESERIES_HH
 #define MASK_OBS_TIMESERIES_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -26,6 +27,9 @@
 
 namespace mask {
 namespace obs {
+
+/** Row ring size of the Gpu's periodic timeseries. */
+constexpr std::size_t kTimeseriesRingRows = 256;
 
 /** JSONL gauge-row writer with a bounded flush-on-full row ring. */
 class TimeseriesWriter

@@ -21,6 +21,7 @@
 #ifndef MASK_OBS_TRACE_HH
 #define MASK_OBS_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
@@ -42,6 +43,9 @@ enum class TraceCat : std::uint32_t
 };
 
 const char *traceCatName(TraceCat c);
+
+/** Event ring size of the Gpu's tracer. */
+constexpr std::size_t kTraceRingEvents = 4096;
 
 /** One numeric event argument; keys must be string literals (stored
  *  by pointer in the ring). */

@@ -1,14 +1,16 @@
 #include "sim/crash_repro.hh"
 
+#include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "sim/file_io.hh"
 #include "sim/snapshot.hh"
 
@@ -17,11 +19,7 @@ namespace mask {
 std::string
 reproFilePath()
 {
-    if (const char *path = std::getenv(kReproFileEnv);
-        path != nullptr && path[0] != '\0') {
-        return path;
-    }
-    return "mask_crash.repro";
+    return envString("MASK_REPRO_FILE", "mask_crash.repro");
 }
 
 std::string
@@ -187,12 +185,21 @@ namespace {
  */
 struct ArmedRepro
 {
-    bool armed = false;
     std::string path;
     std::string content;
 };
 
 thread_local ArmedRepro tl_armed_repro;
+
+/**
+ * &tl_armed_repro while armed, else null. The handler reads only this
+ * pointer on a thread that never armed: constant-initialized and
+ * trivially destructible, it needs no TLS initializer, whereas the
+ * first touch of tl_armed_repro registers a destructor and may
+ * allocate, which a signal handler must not do. Atomic, so the
+ * compiler keeps the disarm / rewrite / re-arm order a signal sees.
+ */
+constinit thread_local std::atomic<const ArmedRepro *> tl_armed{nullptr};
 
 /** "module fatal-signal\ndetail <SIG>\n" override tail, appended
  *  after the base record so loadRepro's last-key-wins parse reports
@@ -217,12 +224,12 @@ signalTail(int sig)
 extern "C" void
 fatalSignalHandler(int sig)
 {
-    const ArmedRepro &armed = tl_armed_repro;
-    if (armed.armed && !armed.path.empty()) {
-        const int fd = ::open(armed.path.c_str(),
+    const ArmedRepro *armed = tl_armed.load();
+    if (armed != nullptr && !armed->path.empty()) {
+        const int fd = ::open(armed->path.c_str(),
                               O_WRONLY | O_CREAT | O_TRUNC, 0644);
         if (fd >= 0) {
-            writeAll(fd, armed.content.data(), armed.content.size());
+            writeAll(fd, armed->content.data(), armed->content.size());
             const char *tail = signalTail(sig);
             writeAll(fd, tail, __builtin_strlen(tail));
             ::close(fd);
@@ -246,10 +253,8 @@ installFatalSignalHandlers()
 {
     static std::once_flag once;
     std::call_once(once, []() {
-        if (const char *off = std::getenv("MASK_NO_SIGNAL_REPRO");
-            off != nullptr && off[0] == '1') {
+        if (envFlag("MASK_NO_SIGNAL_REPRO"))
             return;
-        }
         struct sigaction action = {};
         action.sa_handler = fatalSignalHandler;
         sigemptyset(&action.sa_mask);
@@ -260,21 +265,25 @@ installFatalSignalHandlers()
 
 ScopedSignalRepro::ScopedSignalRepro(const CrashRepro &repro,
                                      const std::string &path)
-    : prevPath_(std::move(tl_armed_repro.path)),
-      prevContent_(std::move(tl_armed_repro.content)),
-      prevArmed_(tl_armed_repro.armed)
 {
     installFatalSignalHandlers();
-    tl_armed_repro.path = path;
-    tl_armed_repro.content = formatRepro(repro);
-    tl_armed_repro.armed = true;
+    std::string content = formatRepro(repro);
+    // Disarm while the strings change, so a signal never reads a
+    // half-assigned record.
+    prevArmed_ = tl_armed.exchange(nullptr) != nullptr;
+    prevPath_ = std::exchange(tl_armed_repro.path, path);
+    prevContent_ = std::exchange(tl_armed_repro.content,
+                                 std::move(content));
+    tl_armed.store(&tl_armed_repro);
 }
 
 ScopedSignalRepro::~ScopedSignalRepro()
 {
+    tl_armed.store(nullptr);
     tl_armed_repro.path = std::move(prevPath_);
     tl_armed_repro.content = std::move(prevContent_);
-    tl_armed_repro.armed = prevArmed_;
+    if (prevArmed_)
+        tl_armed.store(&tl_armed_repro);
 }
 
 } // namespace mask

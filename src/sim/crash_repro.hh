@@ -47,10 +47,7 @@ struct CrashRepro
     std::string detail;
 };
 
-/** Env var naming the repro output path (default "mask_crash.repro"). */
-constexpr const char *kReproFileEnv = "MASK_REPRO_FILE";
-
-/** Repro path honoring MASK_REPRO_FILE. */
+/** Repro output path: MASK_REPRO_FILE, default "mask_crash.repro". */
 std::string reproFilePath();
 
 /** Render @p repro to its key/value file format. */

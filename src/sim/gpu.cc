@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "common/check.hh"
+#include "common/env.hh"
 #include "obs/registry.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
@@ -13,14 +13,6 @@
 namespace mask {
 
 namespace {
-
-/** MASK_PROFILE_STAGES=1 turns on the per-stage wall-clock profiler. */
-bool
-profileStagesByEnv()
-{
-    const char *env = std::getenv("MASK_PROFILE_STAGES");
-    return env != nullptr && env[0] == '1';
-}
 
 /** Validate before any member construction touches derived quantities
  *  (e.g. numSets() divides by lineBytes); cfg_ is the first member. */
@@ -234,7 +226,7 @@ Gpu::Gpu(const GpuConfig &cfg, const std::vector<AppDesc> &apps)
     dataRetryByCore_.resize(cfg_.numCores);
     coreFilledKeys_.resize(cfg_.numCores);
     dataMergeKeys_.resize(cfg_.numCores);
-    profileStages_ = profileStagesByEnv();
+    profileStages_ = envFlag("MASK_PROFILE_STAGES");
     dramRetryFull_.resize(static_cast<std::size_t>(
         dram_.numChannels() * 2 * apps.size()));
 
@@ -1644,7 +1636,7 @@ Gpu::obsInit()
 
     if (opts.traceOn()) {
         obsTrace_ = std::make_unique<obs::TraceWriter>(
-            opts.tracePath, opts.traceCats, opts.traceRingEvents);
+            opts.tracePath, opts.traceCats, obs::kTraceRingEvents);
     }
 
     if (!opts.timeseriesOn())
@@ -1698,7 +1690,7 @@ Gpu::obsInit()
     obsVals_.assign(reg.size(), 0.0);
     obsTs_ = std::make_unique<obs::TimeseriesWriter>(
         opts.timeseriesPath, std::move(reg), opts.timeseriesInterval,
-        opts.timeseriesRingRows);
+        obs::kTimeseriesRingRows);
     obsLastSample_ = now_;
     obsCaptureBaseline();
 }

@@ -2,11 +2,11 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include <sys/stat.h>
 
+#include "common/env.hh"
 #include "common/rate_limit.hh"
 #include "metrics/metrics.hh"
 #include "obs/registry.hh"
@@ -30,29 +30,6 @@ warmFallbackWarns()
     static WarnRateLimiter warns;
     return warns;
 }
-
-} // namespace
-
-RunOptions
-defaultRunOptions()
-{
-    RunOptions options;
-    if (const char *fast = std::getenv("MASK_BENCH_FAST");
-        fast != nullptr && fast[0] == '1') {
-        options.warmup = 10000;
-        options.measure = 40000;
-    }
-    if (const char *cycles = std::getenv("MASK_BENCH_CYCLES")) {
-        const long long n = std::atoll(cycles);
-        if (n > 0) {
-            options.measure = static_cast<Cycle>(n);
-            options.warmup = std::max<Cycle>(5000, options.measure / 4);
-        }
-    }
-    return options;
-}
-
-namespace {
 
 std::vector<AppDesc>
 toAppDescs(const std::vector<std::string> &bench_names)
@@ -96,18 +73,18 @@ captureCrash(const GpuConfig &arch, DesignPoint point,
  * MASK_SWEEP_OBS_DIR is set, every shared run writes its timeseries
  * and trace to <dir>/<design>+<benches>.{timeseries.jsonl,trace.json}
  * instead of the global MASK_TIMESERIES/MASK_TRACE paths, so
- * concurrent sweep jobs never clobber each other. Interval, category
- * filter and ring sizes still come from the environment. Returns null
+ * concurrent sweep jobs never clobber each other. Interval and
+ * category filter still come from the environment. Returns null
  * (no override) when the knob is unset.
  */
 std::unique_ptr<obs::ScopedObsOverride>
 makeJobObsOverride(DesignPoint point,
                    const std::vector<std::string> &benches)
 {
-    const char *dir = std::getenv("MASK_SWEEP_OBS_DIR");
-    if (dir == nullptr || dir[0] == '\0')
+    const std::string dir = envString("MASK_SWEEP_OBS_DIR");
+    if (dir.empty())
         return nullptr;
-    ::mkdir(dir, 0777); // best-effort; fopen reports real failures
+    ::mkdir(dir.c_str(), 0777); // best-effort; fopen reports real failures
 
     std::string tag = designPointName(point);
     for (const auto &b : benches) {
@@ -121,7 +98,7 @@ makeJobObsOverride(DesignPoint point,
     }
 
     obs::ObsOptions opts = obs::obsOptionsFromEnv();
-    const std::string base = std::string(dir) + "/" + tag;
+    const std::string base = dir + "/" + tag;
     opts.timeseriesPath = base + ".timeseries.jsonl";
     opts.tracePath = base + ".trace.json";
     return std::make_unique<obs::ScopedObsOverride>(std::move(opts));

@@ -34,13 +34,6 @@ struct RunOptions
     Cycle measure = 200000;
 };
 
-/**
- * Default windows, honoring environment overrides:
- * MASK_BENCH_CYCLES=<n> sets the measurement window, and
- * MASK_BENCH_FAST=1 selects a short CI-friendly window.
- */
-RunOptions defaultRunOptions();
-
 /** Result of one multi-application evaluation. */
 struct PairResult
 {

@@ -4,12 +4,12 @@
 #include <atomic>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "sim/gpu.hh"
 
 namespace mask {
@@ -210,21 +210,8 @@ CheckpointPolicy
 checkpointPolicyFromEnv()
 {
     CheckpointPolicy policy;
-    if (const char *env = std::getenv("MASK_CKPT_INTERVAL_CYCLES");
-        env != nullptr && env[0] != '\0') {
-        char *end = nullptr;
-        const unsigned long long n = std::strtoull(env, &end, 10);
-        if (end != nullptr && *end == '\0')
-            policy.intervalCycles = static_cast<Cycle>(n);
-    }
-    if (const char *dir = std::getenv("MASK_CKPT_DIR");
-        dir != nullptr && dir[0] != '\0') {
-        policy.dir = dir;
-    }
-    if (const char *keep = std::getenv("MASK_CKPT_KEEP");
-        keep != nullptr && keep[0] == '1') {
-        policy.keep = true;
-    }
+    policy.intervalCycles = envU64("MASK_CKPT_INTERVAL_CYCLES", 0);
+    policy.dir = envString("MASK_CKPT_DIR", ".");
     return policy;
 }
 
@@ -371,7 +358,6 @@ namespace {
  */
 struct EmergencySink
 {
-    bool armed = false;
     std::string path;
     std::string buf[2];
     std::atomic<int> ready{-1};
@@ -379,59 +365,63 @@ struct EmergencySink
 
 thread_local EmergencySink tl_emergency;
 
+/**
+ * &tl_emergency while armed, else null. Constant-initialized and
+ * trivially destructible, so the handler can read it on any thread;
+ * the first touch of tl_emergency itself registers a TLS destructor
+ * and may allocate, so only armed threads (whose scope already
+ * touched it) ever reach it from a signal.
+ */
+constinit thread_local std::atomic<EmergencySink *> tl_armed_sink{nullptr};
+
 } // namespace
 
 ScopedEmergencySnapshot::ScopedEmergencySnapshot(const std::string &path)
-    : prevPath_(std::move(tl_emergency.path)),
-      prevArmed_(tl_emergency.armed)
+    : prevArmed_(tl_armed_sink.exchange(nullptr) != nullptr)
 {
-    tl_emergency.path = path;
-    tl_emergency.armed = true;
+    prevPath_ = std::exchange(tl_emergency.path, path);
     tl_emergency.ready.store(-1, std::memory_order_release);
+    tl_armed_sink.store(&tl_emergency);
 }
 
 ScopedEmergencySnapshot::~ScopedEmergencySnapshot()
 {
+    tl_armed_sink.store(nullptr);
     tl_emergency.ready.store(-1, std::memory_order_release);
     tl_emergency.path = std::move(prevPath_);
-    tl_emergency.armed = prevArmed_;
+    if (prevArmed_)
+        tl_armed_sink.store(&tl_emergency);
 }
 
 void
 publishEmergencySnapshot(const std::string &image)
 {
-    EmergencySink &sink = tl_emergency;
-    if (!sink.armed)
-        return;
-    const int current = sink.ready.load(std::memory_order_relaxed);
-    const int next = current == 0 ? 1 : 0;
-    sink.buf[next] = image;
-    sink.ready.store(next, std::memory_order_release);
+    publishEmergencySnapshot(std::string(image));
 }
 
 void
 publishEmergencySnapshot(std::string &&image)
 {
-    EmergencySink &sink = tl_emergency;
-    if (!sink.armed)
+    EmergencySink *sink = tl_armed_sink.load();
+    if (sink == nullptr)
         return;
-    const int current = sink.ready.load(std::memory_order_relaxed);
+    const int current = sink->ready.load(std::memory_order_relaxed);
     const int next = current == 0 ? 1 : 0;
-    sink.buf[next] = std::move(image);
-    sink.ready.store(next, std::memory_order_release);
+    sink->buf[next] = std::move(image);
+    sink->ready.store(next, std::memory_order_release);
 }
 
 void
 flushEmergencySnapshotFromSignal() noexcept
 {
-    const EmergencySink &sink = tl_emergency;
-    if (!sink.armed || sink.path.empty())
+    const EmergencySink *sink = tl_armed_sink.load();
+    if (sink == nullptr || sink->path.empty())
         return;
-    const int ready = sink.ready.load(std::memory_order_acquire);
+    const int ready = sink->ready.load(std::memory_order_acquire);
     if (ready < 0)
         return;
-    const std::string &image = sink.buf[ready];
-    const int fd = ::open(sink.path.c_str(),
+    const std::string &image = sink->buf[ready];
+    const int fd = ::open(sink->path.c_str(),
                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
         return;

@@ -18,19 +18,22 @@
  * with a structured SnapshotError (never UB; the corruption tests run
  * under ASan/UBSan).
  *
- * Periodic checkpointing is driven by three environment knobs:
+ * Periodic checkpointing is driven by two environment knobs:
  *
  *   MASK_CKPT_INTERVAL_CYCLES  checkpoint every N simulated cycles
  *                              (0 / unset = disabled)
  *   MASK_CKPT_DIR              directory for snapshot files
  *                              (default ".")
- *   MASK_CKPT_KEEP=1           keep snapshots after a successful run
- *                              (default: deleted on success)
+ *
+ * Snapshots are deleted once a run succeeds, unless code sets
+ * CheckpointPolicy::keep.
  *
  * Every periodic checkpoint also publishes its rendered bytes to a
  * thread-local double buffer; the fatal-signal handlers flush the last
  * complete buffer to "<path>.sig" with async-signal-safe calls, so a
- * SIGSEGV/SIGABRT mid-run loses at most one checkpoint interval.
+ * SIGSEGV/SIGABRT mid-run loses at most one checkpoint interval. A
+ * thread that never armed a buffer returns from the handler without
+ * touching it.
  */
 
 #ifndef MASK_SIM_SNAPSHOT_HH
@@ -104,13 +107,13 @@ struct CheckpointPolicy
 {
     Cycle intervalCycles = 0; //!< 0 = checkpointing disabled
     std::string dir = ".";    //!< directory for snapshot files
-    bool keep = false;        //!< keep snapshots after success
+    bool keep = false;        //!< keep snapshots after success (code only)
 
     bool enabled() const { return intervalCycles != 0; }
 };
 
-/** Policy from MASK_CKPT_INTERVAL_CYCLES / MASK_CKPT_DIR /
- *  MASK_CKPT_KEEP. */
+/** Policy from MASK_CKPT_INTERVAL_CYCLES / MASK_CKPT_DIR (throws
+ *  ConfigError on a malformed interval). */
 CheckpointPolicy checkpointPolicyFromEnv();
 
 /**

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include "common/check.hh"
+#include "common/env.hh"
 #include "sim/cancel.hh"
 #include "sim/crash_repro.hh"
 #include "sim/file_io.hh"
@@ -27,39 +28,23 @@ namespace mask {
 
 namespace {
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || env[0] == '\0')
-        return fallback;
-    const long long n = std::atoll(env);
-    return n >= 0 ? static_cast<std::uint64_t>(n) : fallback;
-}
-
 /**
  * Deterministic fault injection for the resilience smoke tests:
  * MASK_SWEEP_FAULT_CRASH=<job index> segfaults that job on every
  * attempt, MASK_SWEEP_FAULT_HANG=<job index> spins it forever
  * (cancellable, so a deadline can reclaim it in-process; SIGKILL
- * reclaims it in isolation mode). Unset, this is a few getenv calls
+ * reclaims it in isolation mode). Unset, this is two env reads
  * per job — invisible next to a simulation.
  */
 void
 injectSweepTestFault(std::size_t job_idx)
 {
-    const auto matches = [job_idx](const char *name) {
-        const char *env = std::getenv(name);
-        if (env == nullptr || env[0] == '\0')
-            return false;
-        return std::atoll(env) ==
-               static_cast<long long>(job_idx);
-    };
-    if (matches("MASK_SWEEP_FAULT_CRASH")) {
+    constexpr std::uint64_t kNoJob = ~std::uint64_t{0};
+    if (envU64("MASK_SWEEP_FAULT_CRASH", kNoJob) == job_idx) {
         volatile int *null_ptr = nullptr;
         *null_ptr = 42; // deliberate SIGSEGV
     }
-    if (matches("MASK_SWEEP_FAULT_HANG")) {
+    if (envU64("MASK_SWEEP_FAULT_HANG", kNoJob) == job_idx) {
         for (;;) {
             pollCancellation();
             std::this_thread::sleep_for(
@@ -119,12 +104,7 @@ fileExists(const std::string &path)
 unsigned
 sweepJobs()
 {
-    const char *env = std::getenv("MASK_BENCH_JOBS");
-    if (env == nullptr || env[0] == '\0')
-        return 1;
-    const long n = std::atol(env);
-    if (n < 0)
-        return 1;
+    const std::uint64_t n = envU64("MASK_BENCH_JOBS", 1);
     if (n == 0) {
         const unsigned hw = std::thread::hardware_concurrency();
         return hw != 0 ? hw : 1;
@@ -164,15 +144,8 @@ sweepPolicyFromEnv()
     policy.timeoutMs = envU64("MASK_SWEEP_TIMEOUT_MS", 0);
     policy.retries =
         static_cast<unsigned>(envU64("MASK_SWEEP_RETRIES", 0));
-    policy.backoffMs = envU64("MASK_SWEEP_BACKOFF_MS", 100);
-    if (const char *iso = std::getenv("MASK_SWEEP_ISOLATE");
-        iso != nullptr && iso[0] == '1') {
-        policy.isolate = true;
-    }
-    if (const char *journal = std::getenv("MASK_SWEEP_JOURNAL");
-        journal != nullptr && journal[0] != '\0') {
-        policy.journalPath = journal;
-    }
+    policy.isolate = envFlag("MASK_SWEEP_ISOLATE");
+    policy.journalPath = envString("MASK_SWEEP_JOURNAL");
     return policy;
 }
 
@@ -195,18 +168,8 @@ WarmPolicy
 warmPolicyFromEnv()
 {
     WarmPolicy policy;
-    if (const char *on = std::getenv("MASK_SWEEP_WARM");
-        on != nullptr && on[0] == '1') {
-        policy.enabled = true;
-    }
-    if (const char *dir = std::getenv("MASK_SWEEP_WARM_DIR");
-        dir != nullptr && dir[0] != '\0') {
-        policy.dir = dir;
-        policy.enabled = true;
-    }
-    policy.memCapBytes = static_cast<std::size_t>(
-                             envU64("MASK_SWEEP_WARM_MEM_MB", 256))
-                         << 20;
+    policy.dir = envString("MASK_SWEEP_WARM_DIR");
+    policy.enabled = envFlag("MASK_SWEEP_WARM") || !policy.dir.empty();
     return policy;
 }
 
@@ -943,7 +906,7 @@ SweepRunner::runIsolated(const std::vector<std::size_t> &todo,
             // Redirect this job's crash-repro (both the invariant
             // path and the fatal-signal path honor the env) to a
             // per-job file the parent can harvest.
-            ::setenv(kReproFileEnv, child.reproPath.c_str(), 1);
+            ::setenv("MASK_REPRO_FILE", child.reproPath.c_str(), 1);
             int code = 0;
             std::string payload;
             try {

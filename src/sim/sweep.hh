@@ -39,10 +39,12 @@
  *   MASK_SWEEP_TIMEOUT_MS=<ms>  per-attempt wall-clock deadline
  *                               (0 = none, the default)
  *   MASK_SWEEP_RETRIES=<n>      extra attempts per failed job
- *   MASK_SWEEP_BACKOFF_MS=<ms>  retry backoff base (doubles per
- *                               attempt, capped; default 100)
+ *                               (backoff starts at 100 ms, doubles
+ *                               per attempt, capped at 5 s)
  *   MASK_SWEEP_ISOLATE=1        fork/exec-style subprocess per job
  *   MASK_SWEEP_JOURNAL=<path>   JSONL results journal for resume
+ *
+ * A malformed value throws ConfigError (common/env.hh).
  *
  * Warm-start execution (DESIGN.md §14): with MASK_SWEEP_WARM=1 (or
  * MASK_SWEEP_WARM_DIR=<dir>), jobs sharing a warmup fingerprint fork
@@ -174,8 +176,8 @@ struct WarmPolicy
  *   MASK_SWEEP_WARM_DIR=<dir>    also persist warm snapshots as files
  *                                (implies enabled; lets fork-isolated
  *                                jobs and journal resumes share them)
- *   MASK_SWEEP_WARM_MEM_MB=<n>   in-memory budget (default 256,
- *                                0 = unlimited)
+ *
+ * The in-memory budget keeps its 256 MB default.
  */
 WarmPolicy warmPolicyFromEnv();
 

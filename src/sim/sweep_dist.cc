@@ -16,6 +16,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "common/rate_limit.hh"
 #include "sim/file_io.hh"
 #include "sim/sweep_io.hh"
@@ -23,15 +24,6 @@
 namespace mask {
 
 namespace {
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0')
-        return fallback;
-    return std::strtoull(raw, nullptr, 10);
-}
 
 /** Worker ids become file names and lease tokens: keep them to a
  *  conservative charset so neither role can be confused. */
@@ -153,29 +145,19 @@ DistPolicy
 distPolicyFromEnv()
 {
     DistPolicy policy;
-    const char *dir = std::getenv("MASK_SWEEP_DIST_DIR");
-    if (dir == nullptr || *dir == '\0')
+    policy.dir = envString("MASK_SWEEP_DIST_DIR");
+    if (policy.dir.empty())
         return policy;
-    policy.dir = dir;
-    const char *worker = std::getenv("MASK_SWEEP_DIST_WORKER");
-    if (worker != nullptr && *worker != '\0')
-        policy.worker = sanitizeWorkerId(worker);
-    else
-        policy.worker =
-            hostName() + "-" + std::to_string(::getpid());
+    const std::string worker = envString("MASK_SWEEP_DIST_WORKER");
+    policy.worker = !worker.empty()
+                        ? sanitizeWorkerId(worker)
+                        : hostName() + "-" + std::to_string(::getpid());
     policy.heartbeatMs = std::max<std::uint64_t>(
         10, envU64("MASK_SWEEP_DIST_HEARTBEAT_MS", 1000));
-    // A lease must survive at least two missed heartbeats, or normal
-    // scheduling jitter would read as worker death.
-    policy.stealAfterMs = std::max<std::uint64_t>(
-        2 * policy.heartbeatMs,
-        envU64("MASK_SWEEP_DIST_STEAL_AFTER_MS", 10000));
-    policy.maxSteals = static_cast<unsigned>(
-        envU64("MASK_SWEEP_DIST_MAX_STEALS", 3));
-    policy.pollMs = std::max<std::uint64_t>(
-        10, envU64("MASK_SWEEP_DIST_POLL_MS", 200));
-    const char *merge = std::getenv("MASK_SWEEP_DIST_MERGE");
-    policy.mergeOnly = merge != nullptr && *merge == '1';
+    // Each refresh pushes the deadline ten heartbeats out, so
+    // scheduling jitter never reads as worker death.
+    policy.stealAfterMs = 10 * policy.heartbeatMs;
+    policy.mergeOnly = envFlag("MASK_SWEEP_DIST_MERGE");
     return policy;
 }
 
@@ -260,12 +242,6 @@ std::string
 DistCoordinator::shardPath() const
 {
     return shardDir_ + "/" + policy_.worker + ".jsonl";
-}
-
-std::string
-DistCoordinator::warmDirDefault() const
-{
-    return policy_.dir + "/warm";
 }
 
 std::string

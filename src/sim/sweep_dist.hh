@@ -18,11 +18,11 @@
  * count}. The holder's heartbeat thread rewrites the content (and so
  * the deadline) in place every MASK_SWEEP_DIST_HEARTBEAT_MS; a lease
  * whose deadline has passed is provably stale — its holder stopped
- * heartbeating at least MASK_SWEEP_DIST_STEAL_AFTER_MS ago — and any
+ * heartbeating at least ten heartbeat periods ago — and any
  * worker may steal it: rename the lease aside (atomic; exactly one
  * stealer wins), unlink the tombstone, and re-claim with the steal
  * count incremented. Steal attempts per job back off exponentially
- * (capped), and once a job has been stolen MASK_SWEEP_DIST_MAX_STEALS
+ * (capped), and once a job has been stolen DistPolicy::maxSteals (3)
  * times without producing a durable result it is abandoned: the cell
  * degrades to FAILED(Abandoned) instead of looping forever on a job
  * that kills every worker that touches it.
@@ -75,13 +75,13 @@ struct DistPolicy
  *
  *   MASK_SWEEP_DIST_DIR=<dir>         enable; the shared directory
  *   MASK_SWEEP_DIST_WORKER=<id>       worker id (default host-pid)
- *   MASK_SWEEP_DIST_HEARTBEAT_MS=<ms> lease heartbeat (default 1000)
- *   MASK_SWEEP_DIST_STEAL_AFTER_MS=<ms> staleness window (default
- *                                     10000; floored at 2 heartbeats)
- *   MASK_SWEEP_DIST_MAX_STEALS=<n>    abandonment cap (default 3)
- *   MASK_SWEEP_DIST_POLL_MS=<ms>      idle rescan period (default 200)
+ *   MASK_SWEEP_DIST_HEARTBEAT_MS=<ms> lease heartbeat (default 1000,
+ *                                     min 10); the staleness window
+ *                                     is ten heartbeats
  *   MASK_SWEEP_DIST_MERGE=1           merge-only: decode what the
  *                                     shards hold, never execute
+ *
+ * The steal cap and idle poll period keep their DistPolicy defaults.
  */
 DistPolicy distPolicyFromEnv();
 
@@ -153,9 +153,6 @@ class DistCoordinator
 
     /** This worker's journal shard: <dir>/shards/<worker>.jsonl. */
     std::string shardPath() const;
-
-    /** Shared warm-snapshot store default: <dir>/warm. */
-    std::string warmDirDefault() const;
 
     enum class Claim : std::uint8_t {
         Acquired,  //!< lease held; execute the job, then release()

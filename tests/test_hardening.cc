@@ -438,7 +438,7 @@ TEST(CrashRepro, LoadRejectsUnknownKeys)
 TEST(CrashRepro, TrippedRunWritesReproAndReplaysToSameCycle)
 {
     const std::string path = "watchdog_trip.repro";
-    ::setenv(kReproFileEnv, path.c_str(), 1);
+    ::setenv("MASK_REPRO_FILE", path.c_str(), 1);
 
     // A preset arch (required for name-based replay) with an injected
     // unrecoverable fault: every walk completion is dropped, so the
@@ -474,7 +474,7 @@ TEST(CrashRepro, TrippedRunWritesReproAndReplaysToSameCycle)
         << replay.failCycle;
 
     std::remove(path.c_str());
-    ::unsetenv(kReproFileEnv);
+    ::unsetenv("MASK_REPRO_FILE");
 }
 
 } // namespace

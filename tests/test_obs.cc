@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -338,6 +339,46 @@ TEST(ObsStageNames, MatchTickOneOrderDocumentedInDesign)
               sizeof(want) / sizeof(want[0]));
     for (std::size_t s = 0; s < Gpu::kNumStages; ++s)
         EXPECT_STREQ(Gpu::stageName(s), want[s]) << "stage " << s;
+}
+
+TEST(ObsStageProfile, EnvExportWritesOneRowOfSecondsAndCalls)
+{
+    const std::string path = tmpPath("obs_stage_profile.jsonl");
+    std::remove(path.c_str());
+    ::setenv("MASK_PROFILE_STAGES", "1", 1);
+    ::setenv("MASK_PROFILE_STAGES_OUT", path.c_str(), 1);
+    makeGpu(configFor(DesignPoint::Mask, false))->run(2000);
+    ::unsetenv("MASK_PROFILE_STAGES");
+    ::unsetenv("MASK_PROFILE_STAGES_OUT");
+
+    std::ifstream in(path);
+    ASSERT_TRUE(static_cast<bool>(in)) << path;
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 2u) << "schema header + one row";
+
+    const std::string &header = lines[0];
+    EXPECT_NE(header.find("\"schema\":\"mask-stage-profile\""),
+              std::string::npos);
+    std::size_t series = 0;
+    for (std::size_t at = header.find("{\"name\":");
+         at != std::string::npos; at = header.find("{\"name\":", at + 1))
+        ++series;
+    EXPECT_EQ(series, 2 * static_cast<std::size_t>(Gpu::kNumStages));
+    EXPECT_NE(header.find("\"name\":\"stage_seconds.faults\""),
+              std::string::npos);
+    EXPECT_NE(header.find("\"name\":\"stage_calls.watchdog\""),
+              std::string::npos);
+
+    // {"cycle":2000,"v":[...]}: one comma after the cycle, then n
+    // values joined by n - 1 commas.
+    const std::string &row = lines[1];
+    EXPECT_EQ(row.rfind("{\"cycle\":2000,\"v\":[", 0), 0u) << row;
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(row.begin(), row.end(), ',')),
+              2 * static_cast<std::size_t>(Gpu::kNumStages));
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -95,19 +95,6 @@ TEST(Runner, PartitionSearchNotWorseThanEvenSplit)
     EXPECT_GE(best.weightedSpeedup, even.weightedSpeedup - 1e-9);
 }
 
-TEST(Runner, DefaultOptionsHonorEnvironment)
-{
-    ::setenv("MASK_BENCH_CYCLES", "12345", 1);
-    const RunOptions options = defaultRunOptions();
-    EXPECT_EQ(options.measure, 12345u);
-    ::unsetenv("MASK_BENCH_CYCLES");
-
-    ::setenv("MASK_BENCH_FAST", "1", 1);
-    const RunOptions fast = defaultRunOptions();
-    EXPECT_LT(fast.measure, 100000u);
-    ::unsetenv("MASK_BENCH_FAST");
-}
-
 TEST(TimeMux, OverheadIsPositiveAndGrowsWithProcesses)
 {
     GpuConfig cfg = smallArch();

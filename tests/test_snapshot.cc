@@ -679,7 +679,6 @@ TEST(CheckpointPolicy, FromEnv)
     {
         ScopedEnv interval("MASK_CKPT_INTERVAL_CYCLES", nullptr);
         ScopedEnv dir("MASK_CKPT_DIR", nullptr);
-        ScopedEnv keep("MASK_CKPT_KEEP", nullptr);
         const CheckpointPolicy policy = checkpointPolicyFromEnv();
         EXPECT_FALSE(policy.enabled());
         EXPECT_EQ(policy.dir, ".");
@@ -688,17 +687,15 @@ TEST(CheckpointPolicy, FromEnv)
     {
         ScopedEnv interval("MASK_CKPT_INTERVAL_CYCLES", "250000");
         ScopedEnv dir("MASK_CKPT_DIR", "/tmp/ckpts");
-        ScopedEnv keep("MASK_CKPT_KEEP", "1");
         const CheckpointPolicy policy = checkpointPolicyFromEnv();
         EXPECT_TRUE(policy.enabled());
         EXPECT_EQ(policy.intervalCycles, 250000u);
         EXPECT_EQ(policy.dir, "/tmp/ckpts");
-        EXPECT_TRUE(policy.keep);
     }
     {
-        // Garbage interval is ignored, not UB.
+        // A garbage interval is rejected, never silently "off".
         ScopedEnv interval("MASK_CKPT_INTERVAL_CYCLES", "10k");
-        EXPECT_FALSE(checkpointPolicyFromEnv().enabled());
+        EXPECT_THROW(checkpointPolicyFromEnv(), ConfigError);
     }
 }
 

@@ -590,19 +590,16 @@ TEST(Sweep, PolicyFromEnvironment)
 {
     setenv("MASK_SWEEP_TIMEOUT_MS", "2500", 1);
     setenv("MASK_SWEEP_RETRIES", "2", 1);
-    setenv("MASK_SWEEP_BACKOFF_MS", "50", 1);
     setenv("MASK_SWEEP_ISOLATE", "1", 1);
     setenv("MASK_SWEEP_JOURNAL", "/tmp/j.jsonl", 1);
     const SweepPolicy policy = sweepPolicyFromEnv();
     EXPECT_EQ(policy.timeoutMs, 2500u);
     EXPECT_EQ(policy.retries, 2u);
-    EXPECT_EQ(policy.backoffMs, 50u);
     EXPECT_TRUE(policy.isolate);
     EXPECT_EQ(policy.journalPath, "/tmp/j.jsonl");
 
     unsetenv("MASK_SWEEP_TIMEOUT_MS");
     unsetenv("MASK_SWEEP_RETRIES");
-    unsetenv("MASK_SWEEP_BACKOFF_MS");
     unsetenv("MASK_SWEEP_ISOLATE");
     unsetenv("MASK_SWEEP_JOURNAL");
     const SweepPolicy defaults = sweepPolicyFromEnv();

@@ -185,24 +185,19 @@ TEST(DistPolicyEnv, ParsesKnobsAndEnforcesFloors)
     ::setenv("MASK_SWEEP_DIST_DIR", "/tmp/distenv", 1);
     ::setenv("MASK_SWEEP_DIST_WORKER", "worker one!", 1);
     ::setenv("MASK_SWEEP_DIST_HEARTBEAT_MS", "2000", 1);
-    ::setenv("MASK_SWEEP_DIST_STEAL_AFTER_MS", "100", 1);
-    ::setenv("MASK_SWEEP_DIST_MAX_STEALS", "5", 1);
     ::setenv("MASK_SWEEP_DIST_MERGE", "1", 1);
     const DistPolicy policy = distPolicyFromEnv();
     ::unsetenv("MASK_SWEEP_DIST_DIR");
     ::unsetenv("MASK_SWEEP_DIST_WORKER");
     ::unsetenv("MASK_SWEEP_DIST_HEARTBEAT_MS");
-    ::unsetenv("MASK_SWEEP_DIST_STEAL_AFTER_MS");
-    ::unsetenv("MASK_SWEEP_DIST_MAX_STEALS");
     ::unsetenv("MASK_SWEEP_DIST_MERGE");
 
     EXPECT_TRUE(policy.enabled());
     EXPECT_EQ(policy.dir, "/tmp/distenv");
     EXPECT_EQ(policy.worker, "worker_one_"); // sanitized
     EXPECT_EQ(policy.heartbeatMs, 2000u);
-    // The staleness window must cover at least two heartbeats.
-    EXPECT_EQ(policy.stealAfterMs, 4000u);
-    EXPECT_EQ(policy.maxSteals, 5u);
+    // The staleness window is derived: ten heartbeats.
+    EXPECT_EQ(policy.stealAfterMs, 20000u);
     EXPECT_TRUE(policy.mergeOnly);
 
     EXPECT_FALSE(distPolicyFromEnv().enabled());
