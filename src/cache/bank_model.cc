@@ -59,52 +59,33 @@ BankedPipe::BankedPipe(std::uint32_t banks, std::uint32_t ports,
     bankMask_ = banks - 1;
 }
 
+template <typename Self, typename Io>
 void
-LatencyPipe::serialize(StateWriter &w) const
+LatencyPipe::state(Self &self, Io &io)
 {
-    w.tag("pipe");
+    io.tag("pipe");
     // The mutable per-cycle port counter is included so that a restore
     // taken mid-cycle (emergency snapshots) replays identically; for
     // boundary checkpoints it round-trips harmlessly.
-    w.u(portCycle_);
-    w.u(usedThisCycle_);
-    putSeq(w, pipe_, [](StateWriter &sw, const Entry &e) {
-        sw.u(e.payload);
-        sw.u(e.readyAt);
+    io.u(self.portCycle_);
+    io.u(self.usedThisCycle_);
+    io.seq(self.pipe_, [&io](auto &e) {
+        io.u(e.payload);
+        io.u(e.readyAt);
     });
 }
 
+template <typename Self, typename Io>
 void
-LatencyPipe::deserialize(StateReader &r)
+BankedPipe::state(Self &self, Io &io)
 {
-    r.tag("pipe");
-    portCycle_ = r.u();
-    usedThisCycle_ = static_cast<std::uint32_t>(r.u());
-    getSeq(r, pipe_, [](StateReader &sr, Entry &e) {
-        e.payload = sr.u();
-        e.readyAt = sr.u();
-    });
+    io.tag("banks");
+    io.fixed(self.banks_.size(), "bank count");
+    for (auto &bank : self.banks_)
+        io.obj(bank);
 }
 
-void
-BankedPipe::serialize(StateWriter &w) const
-{
-    w.tag("banks");
-    w.u(banks_.size());
-    for (const LatencyPipe &bank : banks_)
-        bank.serialize(w);
-}
-
-void
-BankedPipe::deserialize(StateReader &r)
-{
-    r.tag("banks");
-    const std::uint64_t n = r.u();
-    if (n != banks_.size())
-        r.fail("bank count mismatch (" + std::to_string(n) +
-               " vs configured " + std::to_string(banks_.size()) + ")");
-    for (LatencyPipe &bank : banks_)
-        bank.deserialize(r);
-}
+MASK_STATE_INSTANTIATE(LatencyPipe);
+MASK_STATE_INSTANTIATE(BankedPipe);
 
 } // namespace mask

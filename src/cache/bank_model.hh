@@ -40,8 +40,8 @@ class LatencyPipe
 
     std::size_t inFlight() const { return pipe_.size(); }
 
-    void serialize(StateWriter &w) const;
-    void deserialize(StateReader &r);
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
 
   private:
     struct Entry
@@ -81,8 +81,8 @@ class BankedPipe
         return static_cast<std::uint32_t>(key) & bankMask_;
     }
 
-    void serialize(StateWriter &w) const;
-    void deserialize(StateReader &r);
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
 
   private:
     std::vector<LatencyPipe> banks_;

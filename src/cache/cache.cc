@@ -134,53 +134,36 @@ SetAssocCache::flushIf(const std::function<bool(std::uint64_t)> &pred)
     }
 }
 
+template <typename Self, typename Io>
 void
-SetAssocCache::serialize(StateWriter &w) const
+SetAssocCache::state(Self &self, Io &io)
 {
-    w.tag("cache");
-    w.u(sets_);
-    w.u(ways_);
-    w.u(useClock_);
-    w.u(occupancy_);
-    for (const Line &line : lines_) {
-        w.b(line.valid);
+    io.tag("cache");
+    io.fixed(self.sets_, "cache set count");
+    io.fixed(self.ways_, "cache way count");
+    io.u(self.useClock_);
+    io.u(self.occupancy_);
+    std::uint64_t valid = 0;
+    for (auto &line : self.lines_) {
+        if constexpr (Io::kReading)
+            line = Line{};
+        io.b(line.valid);
         if (!line.valid)
             continue;
-        w.u(line.key);
-        w.u(line.payload);
-        w.u(line.lastUse);
+        io.u(line.key);
+        io.u(line.payload);
+        io.u(line.lastUse);
+        ++valid;
+    }
+    if constexpr (Io::kReading) {
+        if (valid != self.occupancy_)
+            io.fail("cache occupancy " + std::to_string(self.occupancy_) +
+                    " disagrees with " + std::to_string(valid) +
+                    " valid lines");
     }
 }
 
-void
-SetAssocCache::deserialize(StateReader &r)
-{
-    r.tag("cache");
-    const std::uint64_t sets = r.u();
-    const std::uint64_t ways = r.u();
-    if (sets != sets_ || ways != ways_)
-        r.fail("cache geometry mismatch (" + std::to_string(sets) +
-               "x" + std::to_string(ways) + " vs configured " +
-               std::to_string(sets_) + "x" + std::to_string(ways_) +
-               ")");
-    useClock_ = r.u();
-    occupancy_ = r.u();
-    std::uint64_t valid = 0;
-    for (Line &line : lines_) {
-        line = Line{};
-        if (!r.b())
-            continue;
-        line.key = r.u();
-        line.payload = r.u();
-        line.lastUse = r.u();
-        line.valid = true;
-        ++valid;
-    }
-    if (valid != occupancy_)
-        r.fail("cache occupancy " + std::to_string(occupancy_) +
-               " disagrees with " + std::to_string(valid) +
-               " valid lines");
-}
+MASK_STATE_INSTANTIATE(SetAssocCache);
 
 int
 SetAssocCache::lruDepth(std::uint64_t key) const

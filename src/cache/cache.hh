@@ -78,8 +78,8 @@ class SetAssocCache
     int lruDepth(std::uint64_t key) const;
 
     /** Snapshot the full directory, including LRU timestamps. */
-    void serialize(StateWriter &w) const;
-    void deserialize(StateReader &r);
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
 
   private:
     struct Line

@@ -47,33 +47,17 @@ MshrTable::recycle(std::vector<ReqId> &&waiters)
         pool_.push_back(std::move(waiters));
 }
 
+template <typename Self, typename Io>
 void
-MshrTable::serialize(StateWriter &w) const
+MshrTable::state(Self &self, Io &io)
 {
-    w.tag("mshr");
-    w.u(entries_);
-    table_.serializeSlots(
-        w, [](StateWriter &sw, const std::vector<ReqId> &waiters) {
-            putUintSeq(sw, waiters);
-        });
-    w.u(merges_);
-    w.u(rejections_);
+    io.tag("mshr");
+    io.fixed(self.entries_, "MSHR entry count");
+    self.table_.slots(io, [&io](auto &waiters) { io.uintSeq(waiters); });
+    io.u(self.merges_);
+    io.u(self.rejections_);
 }
 
-void
-MshrTable::deserialize(StateReader &r)
-{
-    r.tag("mshr");
-    const std::uint64_t entries = r.u();
-    if (entries != entries_)
-        r.fail("MSHR entry count mismatch (" + std::to_string(entries) +
-               " vs configured " + std::to_string(entries_) + ")");
-    table_.deserializeSlots(
-        r, [](StateReader &sr, std::vector<ReqId> &waiters) {
-            getUintSeq(sr, waiters);
-        });
-    merges_ = r.u();
-    rejections_ = r.u();
-}
+MASK_STATE_INSTANTIATE(MshrTable);
 
 } // namespace mask

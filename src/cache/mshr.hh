@@ -70,8 +70,8 @@ class MshrTable
 
     /** Snapshot outstanding entries and their waiter lists (the
      *  recycled-capacity pool is a pure optimization and is skipped). */
-    void serialize(StateWriter &w) const;
-    void deserialize(StateReader &r);
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
 
   private:
     std::uint32_t entries_;

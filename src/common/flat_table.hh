@@ -163,12 +163,13 @@ class FlatTable
      * reproduce the probe layout — backward-shift deletion makes the
      * layout a function of the full insert/erase history — and
      * forEach() order must survive a restore bit-exactly, so the
-     * physical layout itself is the canonical state.
-     * @p item(w, value) writes one value.
+     * physical layout itself is the canonical state. The wire holds
+     * only the used slots, so writing and reading are separate
+     * transforms; @p item(value) describes one value for either.
      */
     template <typename Fn>
     void
-    serializeSlots(StateWriter &w, Fn &&item) const
+    slots(StateWriter &w, Fn &&item) const
     {
         w.tag("ft");
         w.u(slots_.size());
@@ -178,15 +179,15 @@ class FlatTable
                 continue;
             w.u(i);
             w.u(slots_[i].key);
-            item(w, slots_[i].value);
+            item(slots_[i].value);
         }
     }
 
-    /** Restore a serializeSlots layout; @p item(r, value) reads one
-     *  value. Rejects malformed capacities and slot indices. */
+    /** Restore a slots() layout; rejects malformed capacities and
+     *  slot indices. */
     template <typename Fn>
     void
-    deserializeSlots(StateReader &r, Fn &&item)
+    slots(StateReader &r, Fn &&item)
     {
         r.tag("ft");
         const std::uint64_t cap = r.u();
@@ -205,7 +206,7 @@ class FlatTable
                 r.fail("duplicate slot index " + std::to_string(idx));
             states_[idx] = State::Used;
             slots_[idx].key = r.u();
-            item(r, slots_[idx].value);
+            item(slots_[idx].value);
         }
         size_ = static_cast<std::size_t>(n);
     }

@@ -53,50 +53,27 @@ struct MemRequest
     Cycle issueCycle = 0;       //!< creation time
     Cycle dramEnqueueCycle = 0; //!< entry into a DRAM request buffer
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("req");
-        w.u(paddr);
-        w.u(asid);
-        w.u(app);
-        w.u(core);
-        w.u(warp);
-        w.u(static_cast<std::uint64_t>(type));
-        w.u(static_cast<std::uint64_t>(origin));
-        w.u(pwLevel);
-        w.u(walkId);
-        w.b(bypassL2);
-        w.b(mshrPrimary);
-        w.b(l2StatsCounted);
-        w.b(live);
-        w.s(where);
-        w.u(issueCycle);
-        w.u(dramEnqueueCycle);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("req");
-        paddr = r.u();
-        asid = static_cast<Asid>(r.u());
-        app = static_cast<AppId>(r.u());
-        core = static_cast<CoreId>(r.u());
-        warp = static_cast<WarpId>(r.u());
-        type = static_cast<ReqType>(r.u());
-        origin = static_cast<ReqOrigin>(r.u());
-        pwLevel = static_cast<std::uint8_t>(r.u());
-        walkId = static_cast<std::uint32_t>(r.u());
-        bypassL2 = r.b();
-        mshrPrimary = r.b();
-        l2StatsCounted = r.b();
-        live = r.b();
-        // `where` normally points at string literals; interning gives
-        // the restored label the same process lifetime.
-        where = internLabel(r.s());
-        issueCycle = r.u();
-        dramEnqueueCycle = r.u();
+        io.tag("req");
+        io.u(self.paddr);
+        io.u(self.asid);
+        io.u(self.app);
+        io.u(self.core);
+        io.u(self.warp);
+        io.u(self.type);
+        io.u(self.origin);
+        io.u(self.pwLevel);
+        io.u(self.walkId);
+        io.b(self.bypassL2);
+        io.b(self.mshrPrimary);
+        io.b(self.l2StatsCounted);
+        io.b(self.live);
+        io.s(self.where);
+        io.u(self.issueCycle);
+        io.u(self.dramEnqueueCycle);
     }
 };
 
@@ -179,46 +156,32 @@ class RequestPool
      * hand out the same ids in the same order. Dead slots are elided
      * (alloc() resets them before reuse).
      */
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("pool");
-        w.u(reqs_.size());
-        for (const MemRequest &req : reqs_) {
-            w.b(req.live);
+        io.tag("pool");
+        io.seq(self.reqs_, [&io](auto &req) {
+            io.b(req.live);
             if (req.live)
-                req.serialize(w);
-        }
-        putUintSeq(w, free_);
-        w.u(peakLive_);
-        w.u(highWater_);
-        w.u(totalAllocated_);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("pool");
-        const std::uint64_t cap = r.count(kMaxSeqItems);
-        reqs_.assign(static_cast<std::size_t>(cap), MemRequest{});
-        liveCount_ = 0;
-        for (MemRequest &req : reqs_) {
-            if (r.b()) {
-                req.deserialize(r);
-                ++liveCount_;
+                io.obj(req);
+        });
+        io.uintSeq(self.free_, self.reqs_.size());
+        io.u(self.peakLive_);
+        io.u(self.highWater_);
+        io.u(self.totalAllocated_);
+        if constexpr (Io::kReading) {
+            self.liveCount_ = 0;
+            for (const MemRequest &req : self.reqs_)
+                self.liveCount_ += req.live ? 1 : 0;
+            if (self.liveCount_ + self.free_.size() != self.reqs_.size())
+                io.fail("request pool free list inconsistent with live "
+                        "slots");
+            for (const ReqId id : self.free_) {
+                if (id >= self.reqs_.size() || self.reqs_[id].live)
+                    io.fail("free-list entry " + std::to_string(id) +
+                            " refers to a live slot");
             }
-        }
-        getUintSeq(r, free_, cap);
-        peakLive_ = r.u();
-        highWater_ = r.u();
-        totalAllocated_ = r.u();
-        if (liveCount_ + free_.size() != reqs_.size())
-            r.fail("request pool free list inconsistent with live "
-                   "slots");
-        for (const ReqId id : free_) {
-            if (id >= reqs_.size() || reqs_[id].live)
-                r.fail("free-list entry " + std::to_string(id) +
-                       " refers to a live slot");
         }
     }
 

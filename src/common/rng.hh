@@ -54,20 +54,13 @@ class Rng
     std::uint64_t geometric(double mean);
 
     /** Checkpoint the generator state (StateCodec interface). */
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("rng");
-        for (const std::uint64_t s : s_)
-            w.u(s);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("rng");
-        for (std::uint64_t &s : s_)
-            s = r.u();
+        io.tag("rng");
+        for (auto &s : self.s_)
+            io.u(s);
     }
 
   private:

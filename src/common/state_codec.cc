@@ -209,6 +209,30 @@ StateReader::s()
                        static_cast<std::size_t>(len));
 }
 
+void
+StateReader::s(const char *&dst)
+{
+    // Labels normally point at string literals; interning gives the
+    // restored one the same process lifetime.
+    dst = internLabel(s());
+}
+
+void
+StateReader::failWidth(const std::string &value, std::size_t bits) const
+{
+    fail("value " + value + " does not fit the " + std::to_string(bits) +
+         "-bit field");
+}
+
+void
+StateReader::fixed(std::uint64_t configured, const char *what)
+{
+    const std::uint64_t v = u();
+    if (v != configured)
+        fail(std::string(what) + " mismatch (" + std::to_string(v) +
+             " vs configured " + std::to_string(configured) + ")");
+}
+
 std::uint64_t
 StateReader::count(std::uint64_t max_items)
 {

@@ -2,9 +2,27 @@
  * @file
  * Binary codec for full simulator-state snapshots.
  *
- * Every component exposes a `serialize(StateWriter&)` /
- * `deserialize(StateReader&)` pair built on these two classes — the
- * common StateCodec interface of the checkpoint/restore subsystem.
+ * Every snapshotted component describes its state once, as
+ *
+ *   template <typename Self, typename Io>
+ *   static void state(Self &self, Io &io);
+ *
+ * instantiated with Io = StateWriter (Self const) to write and
+ * Io = StateReader to read. Both classes take the same typed field
+ * calls — tag, u, i, b, d, s, fixed, obj, seq, uintSeq — so one
+ * description fixes the field order for both directions, and adding a
+ * field is one line plus a kSnapshotVersion bump (sim/snapshot.hh).
+ * Reader-only work (validation, rebuilding derived indices) sits in
+ * the same description behind `if constexpr (Io::kReading)`.
+ *
+ * Separate write and read branches remain only where the wire layout
+ * is a transform of the in-memory one: FlatTable::slots (raw slot
+ * array, used slots only), PageTable (the radix tree as a pre-order
+ * walk of present children), BankedRequestQueue (linked indices as an
+ * age-ordered sequence, rebuilt by replaying pushes) and the Gpu's
+ * per-core data-retry queues (flattened to global arrival order, then
+ * re-sharded).
+ *
  * The payload is a flat byte stream:
  *
  *   u    unsigned LEB128 varint (7 bits per byte, low group first)
@@ -27,16 +45,23 @@
  * and never with UB: all reads are bounds-checked, varints longer
  * than 10 bytes or wider than 64 bits are rejected, and all counts
  * are validated before allocation (the corruption and fuzz tests run
- * under ASan/UBSan).
+ * under ASan/UBSan). Width rule: a u or i read into a field (an enum
+ * through its underlying type) fails unless the value fits the
+ * field's type, so a checksum-valid payload cannot restore a
+ * truncated value.
  */
 
 #ifndef MASK_COMMON_STATE_CODEC_HH
 #define MASK_COMMON_STATE_CODEC_HH
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace mask {
 
@@ -68,10 +93,16 @@ class SnapshotError : public std::runtime_error
     std::uint64_t cycle_;
 };
 
+/** Default element bound for variable-length sequences. */
+constexpr std::uint64_t kMaxSeqItems = std::uint64_t{1} << 26;
+
 /** Serializes state into a flat binary stream. */
 class StateWriter
 {
   public:
+    /** False: `if constexpr (Io::kReading)` guards reader-only code. */
+    static constexpr bool kReading = false;
+
     /**
      * Pre-reserve the output buffer. Periodic checkpointing passes
      * the previous snapshot's payload size so a multi-megabyte
@@ -85,12 +116,59 @@ class StateWriter
     void tag(const char *name);
 
     void u(std::uint64_t v);
+    /** An enum travels as its underlying value. */
+    template <typename E>
+        requires std::is_enum_v<E>
+    void
+    u(E v)
+    {
+        u(static_cast<std::uint64_t>(
+            static_cast<std::underlying_type_t<E>>(v)));
+    }
     void i(std::int64_t v);
     void b(bool v) { u(v ? 1 : 0); }
     /** Exact double: its bit pattern, little-endian. */
     void d(double v);
     /** Length-prefixed raw bytes. */
     void s(std::string_view v);
+
+    /** A value the configuration fixes (a geometry or count): the
+     *  reader checks it instead of assigning it. */
+    void fixed(std::uint64_t v, const char *) { u(v); }
+
+    /** A nested component: `T::state(x, *this)`. */
+    template <typename T>
+    void
+    obj(const T &x)
+    {
+        T::state(x, *this);
+    }
+
+    /** Element count, then @p item(elem) per element. */
+    template <typename C, typename Fn>
+    void
+    seq(const C &c, Fn &&item, std::uint64_t = kMaxSeqItems)
+    {
+        u(static_cast<std::uint64_t>(c.size()));
+        for (const auto &e : c)
+            item(e);
+    }
+
+    /** A sequence of nested components. */
+    template <typename C>
+    void
+    seq(const C &c)
+    {
+        seq(c, [this](const auto &e) { obj(e); });
+    }
+
+    /** A sequence of unsigned integers. */
+    template <typename C>
+    void
+    uintSeq(const C &c, std::uint64_t = kMaxSeqItems)
+    {
+        seq(c, [this](const auto v) { u(v); });
+    }
 
     const std::string &str() const { return out_; }
     std::string take() { return std::move(out_); }
@@ -99,10 +177,17 @@ class StateWriter
     std::string out_;
 };
 
-/** Bounds-checked reader for a StateWriter stream. */
+/**
+ * Bounds-checked reader for a StateWriter stream. The value-returning
+ * calls decode one field; the assigning ones mirror StateWriter so a
+ * `state` description reads back what it wrote, range-checking each
+ * integer against the width of the field it lands in.
+ */
 class StateReader
 {
   public:
+    static constexpr bool kReading = true;
+
     /** @p cycle is the snapshot cycle for error context (kNoCycle ok). */
     explicit StateReader(std::string_view payload,
                          std::uint64_t cycle = SnapshotError::kNoCycle);
@@ -115,6 +200,86 @@ class StateReader
     bool b();
     double d();
     std::string s();
+
+    /** Read into an unsigned field or enum; a value wider than the
+     *  field (or its enum's underlying type) is rejected. */
+    template <typename T>
+    void
+    u(T &dst)
+    {
+        if constexpr (std::is_enum_v<T>) {
+            std::underlying_type_t<T> raw;
+            u(raw);
+            dst = static_cast<T>(raw);
+        } else {
+            static_assert(std::is_unsigned_v<T> &&
+                          !std::is_same_v<T, bool>);
+            const std::uint64_t v = u();
+            if (v > std::numeric_limits<T>::max())
+                failWidth(std::to_string(v), 8 * sizeof(T));
+            dst = static_cast<T>(v);
+        }
+    }
+
+    /** Read into a signed field, range-checked like u(). */
+    template <typename T>
+    void
+    i(T &dst)
+    {
+        static_assert(std::is_signed_v<T> && std::is_integral_v<T>);
+        const std::int64_t v = i();
+        if (v < std::numeric_limits<T>::min() ||
+            v > std::numeric_limits<T>::max())
+            failWidth(std::to_string(v), 8 * sizeof(T));
+        dst = static_cast<T>(v);
+    }
+
+    void b(bool &dst) { dst = b(); }
+    void b(std::vector<bool>::reference dst) { dst = b(); }
+    void d(double &dst) { dst = d(); }
+    void s(std::string &dst) { dst = s(); }
+    /** A diagnostic label, interned (see internLabel). */
+    void s(const char *&dst);
+
+    /** Fail unless the stored value equals @p configured. */
+    void fixed(std::uint64_t configured, const char *what);
+
+    template <typename T>
+    void
+    obj(T &x)
+    {
+        T::state(x, *this);
+    }
+
+    /**
+     * Read a count (validated by count(@p max_items) before any
+     * allocation), resize @p c (vector or deque of default-
+     * constructible elements) and read each element with @p item.
+     */
+    template <typename C, typename Fn>
+    void
+    seq(C &c, Fn &&item, std::uint64_t max_items = kMaxSeqItems)
+    {
+        const std::uint64_t n = count(max_items);
+        c.clear();
+        c.resize(static_cast<std::size_t>(n));
+        for (auto &&e : c)
+            item(e);
+    }
+
+    template <typename C>
+    void
+    seq(C &c)
+    {
+        seq(c, [this](auto &e) { obj(e); });
+    }
+
+    template <typename C>
+    void
+    uintSeq(C &c, std::uint64_t max_items = kMaxSeqItems)
+    {
+        seq(c, [this](auto &v) { u(v); }, max_items);
+    }
 
     /**
      * Read an element count and validate it against @p max_items and
@@ -134,6 +299,8 @@ class StateReader
   private:
     /** Consume @p n bytes, failing "payload truncated" if short. */
     const char *consume(std::size_t n);
+    [[noreturn]] void failWidth(const std::string &value,
+                                std::size_t bits) const;
 
     std::string_view data_;
     std::size_t pos_ = 0;
@@ -142,65 +309,20 @@ class StateReader
 };
 
 /**
+ * Explicitly instantiate `T::state` for both directions; components
+ * that define their description in a .cc file end with this.
+ */
+#define MASK_STATE_INSTANTIATE(T)                                      \
+    template void T::state(const T &, StateWriter &);                   \
+    template void T::state(T &, StateReader &)
+
+/**
  * Intern a diagnostic label restored from a snapshot so it can be
  * stored in `const char *` fields (MemRequest::where points at string
  * literals during normal operation). Thread-safe; storage lives for
  * the process lifetime.
  */
 const char *internLabel(const std::string &label);
-
-// --- Sequence helpers -------------------------------------------------
-
-/** Default element bound for variable-length sequences. */
-constexpr std::uint64_t kMaxSeqItems = std::uint64_t{1} << 26;
-
-/** Write container @p c; @p item(w, elem) writes one element. */
-template <typename C, typename Fn>
-void
-putSeq(StateWriter &w, const C &c, Fn &&item)
-{
-    w.u(static_cast<std::uint64_t>(c.size()));
-    for (const auto &e : c)
-        item(w, e);
-}
-
-/**
- * Read a sequence written by putSeq into @p c (vector or deque of
- * default-constructible elements); @p item(r, elem) reads one element.
- */
-template <typename C, typename Fn>
-void
-getSeq(StateReader &r, C &c, Fn &&item,
-       std::uint64_t max_items = kMaxSeqItems)
-{
-    const std::uint64_t n = r.count(max_items);
-    c.clear();
-    c.resize(static_cast<std::size_t>(n));
-    for (auto &e : c)
-        item(r, e);
-}
-
-/** putSeq specialization for containers of unsigned integers. */
-template <typename C>
-void
-putUintSeq(StateWriter &w, const C &c)
-{
-    putSeq(w, c, [](StateWriter &sw, const auto &v) {
-        sw.u(static_cast<std::uint64_t>(v));
-    });
-}
-
-/** getSeq specialization for containers of unsigned integers. */
-template <typename C>
-void
-getUintSeq(StateReader &r, C &c,
-           std::uint64_t max_items = kMaxSeqItems)
-{
-    using V = typename C::value_type;
-    getSeq(
-        r, c, [](StateReader &sr, V &v) { v = static_cast<V>(sr.u()); },
-        max_items);
-}
 
 } // namespace mask
 

@@ -47,20 +47,21 @@ struct HitMiss
         return *this;
     }
 
-    void
-    serialize(StateWriter &w) const
+    /** The fields without a tag (GpuStats writes them bare). */
+    template <typename Self, typename Io>
+    static void
+    fields(Self &self, Io &io)
     {
-        w.tag("hm");
-        w.u(hits);
-        w.u(misses);
+        io.u(self.hits);
+        io.u(self.misses);
     }
 
-    void
-    deserialize(StateReader &r)
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        r.tag("hm");
-        hits = r.u();
-        misses = r.u();
+        io.tag("hm");
+        fields(self, io);
     }
 };
 
@@ -91,24 +92,23 @@ struct RunningStat
     double mean() const { return safeDiv(sum, count); }
     void reset() { *this = RunningStat{}; }
 
-    void
-    serialize(StateWriter &w) const
+    /** The fields without a tag (GpuStats writes them bare). */
+    template <typename Self, typename Io>
+    static void
+    fields(Self &self, Io &io)
     {
-        w.tag("rs");
-        w.u(count);
-        w.d(sum);
-        w.d(minVal);
-        w.d(maxVal);
+        io.u(self.count);
+        io.d(self.sum);
+        io.d(self.minVal);
+        io.d(self.maxVal);
     }
 
-    void
-    deserialize(StateReader &r)
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        r.tag("rs");
-        count = r.u();
-        sum = r.d();
-        minVal = r.d();
-        maxVal = r.d();
+        io.tag("rs");
+        fields(self, io);
     }
 };
 
@@ -131,24 +131,15 @@ class Histogram
     std::uint64_t percentileUpperBound(double fraction) const;
     void reset();
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("hist");
-        w.u(width_);
-        putUintSeq(w, buckets_);
-        w.u(total_);
-        w.d(sum_);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("hist");
-        width_ = r.u();
-        getUintSeq(r, buckets_);
-        total_ = r.u();
-        sum_ = r.d();
+        io.tag("hist");
+        io.u(self.width_);
+        io.uintSeq(self.buckets_);
+        io.u(self.total_);
+        io.d(self.sum_);
     }
 
   private:
@@ -185,22 +176,14 @@ class IntervalSampler
     const RunningStat &stat() const { return stat_; }
     void reset() { stat_.reset(); next_ = 0; }
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("sampler");
-        w.u(interval_);
-        w.u(next_);
-        stat_.serialize(w);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("sampler");
-        interval_ = r.u();
-        next_ = r.u();
-        stat_.deserialize(r);
+        io.tag("sampler");
+        io.u(self.interval_);
+        io.u(self.next_);
+        io.obj(self.stat_);
     }
 
   private:

@@ -49,7 +49,7 @@ ShaderCore::assign(AppId app, Asid asid, const BenchmarkParams *program,
 void
 ShaderCore::makeReady(WarpId w)
 {
-    warps_[w].state = WarpState::Ready;
+    warps_[w].status = WarpState::Ready;
     readyQueue_.push_back(w);
     ++readyCount_;
 }
@@ -73,12 +73,12 @@ ShaderCore::issue(Cycle now)
     // take the oldest ready warp (FIFO order of stall completion).
     WarpId selected;
     if (greedyWarp_ >= 0 &&
-        warps_[greedyWarp_].state == WarpState::Ready) {
+        warps_[greedyWarp_].status == WarpState::Ready) {
         selected = static_cast<WarpId>(greedyWarp_);
     } else {
         // Drop stale queue entries of warps that went Waiting.
         while (!readyQueue_.empty() &&
-               warps_[readyQueue_.front()].state != WarpState::Ready) {
+               warps_[readyQueue_.front()].status != WarpState::Ready) {
             readyQueue_.pop_front();
         }
         if (readyQueue_.empty()) {
@@ -127,7 +127,7 @@ ShaderCore::issue(Cycle now)
         return std::nullopt;
     }
 
-    w.state = WarpState::Waiting;
+    w.status = WarpState::Waiting;
     w.stallStart = now;
     w.partsOutstanding = issued.count;
     --readyCount_;
@@ -139,7 +139,7 @@ void
 ShaderCore::accessDone(WarpId warp_id, Cycle now)
 {
     Warp &w = warps_[warp_id];
-    assert(w.state == WarpState::Waiting);
+    assert(w.status == WarpState::Waiting);
     assert(w.partsOutstanding > 0);
     assert(outstanding_ > 0);
     --outstanding_;
@@ -150,70 +150,50 @@ ShaderCore::accessDone(WarpId warp_id, Cycle now)
     makeReady(warp_id);
 }
 
+template <typename Self, typename Io>
 void
-ShaderCore::serialize(StateWriter &w) const
+ShaderCore::state(Self &self, Io &io)
 {
-    w.tag("core");
-    w.u(app_);
-    w.u(asid_);
-    w.b(program_ != nullptr);
-    w.u(warpIndexBase_);
-    w.u(warps_.size());
-    for (const Warp &warp : warps_)
-        warp.serialize(w);
-    putUintSeq(w, readyQueue_);
-    w.u(readyCount_);
-    w.i(greedyWarp_);
-    l1Tlb_.serialize(w);
-    l1d_.serialize(w);
-    l1Mshr_.serialize(w);
-    l1dStats_.serialize(w);
-    rng_.serialize(w);
-    w.u(instructions_);
-    w.u(stallCycles_);
-    w.u(outstanding_);
-    w.b(draining_);
-}
-
-void
-ShaderCore::deserialize(StateReader &r)
-{
-    r.tag("core");
-    app_ = static_cast<AppId>(r.u());
-    asid_ = static_cast<Asid>(r.u());
+    io.tag("core");
+    io.u(self.app_);
+    io.u(self.asid_);
     // Whether a program was bound; the Gpu re-attaches the actual
     // pointer via rebindAfterRestore (nullptr when this is false).
-    const bool had_program = r.b();
-    program_ = nullptr;
-    streamTable_ = nullptr;
-    warpIndexBase_ = static_cast<std::uint32_t>(r.u());
-    const std::uint64_t warp_count = r.u();
-    if (warp_count != warps_.size())
-        r.fail("warp count mismatch (" + std::to_string(warp_count) +
-               " vs configured " + std::to_string(warps_.size()) + ")");
-    for (Warp &warp : warps_)
-        warp.deserialize(r);
-    getUintSeq(r, readyQueue_);
-    for (const WarpId w : readyQueue_) {
-        if (w >= warps_.size())
-            r.fail("ready-queue warp id out of range");
+    bool bound = self.program_ != nullptr;
+    io.b(bound);
+    if constexpr (Io::kReading) {
+        self.hadProgram_ = bound;
+        self.program_ = nullptr;
+        self.streamTable_ = nullptr;
     }
-    readyCount_ = static_cast<std::uint32_t>(r.u());
-    greedyWarp_ = static_cast<int>(r.i());
-    if (greedyWarp_ < -1 ||
-        greedyWarp_ >= static_cast<int>(warps_.size()))
-        r.fail("greedy warp index out of range");
-    l1Tlb_.deserialize(r);
-    l1d_.deserialize(r);
-    l1Mshr_.deserialize(r);
-    l1dStats_.deserialize(r);
-    rng_.deserialize(r);
-    instructions_ = r.u();
-    stallCycles_ = r.u();
-    outstanding_ = static_cast<std::uint32_t>(r.u());
-    draining_ = r.b();
-    hadProgram_ = had_program;
+    io.u(self.warpIndexBase_);
+    io.fixed(self.warps_.size(), "warp count");
+    for (auto &warp : self.warps_)
+        io.obj(warp);
+    io.uintSeq(self.readyQueue_);
+    io.u(self.readyCount_);
+    io.i(self.greedyWarp_);
+    if constexpr (Io::kReading) {
+        for (const WarpId w : self.readyQueue_) {
+            if (w >= self.warps_.size())
+                io.fail("ready-queue warp id out of range");
+        }
+        if (self.greedyWarp_ < -1 ||
+            self.greedyWarp_ >= static_cast<int>(self.warps_.size()))
+            io.fail("greedy warp index out of range");
+    }
+    io.obj(self.l1Tlb_);
+    io.obj(self.l1d_);
+    io.obj(self.l1Mshr_);
+    io.obj(self.l1dStats_);
+    io.obj(self.rng_);
+    io.u(self.instructions_);
+    io.u(self.stallCycles_);
+    io.u(self.outstanding_);
+    io.b(self.draining_);
 }
+
+MASK_STATE_INSTANTIATE(ShaderCore);
 
 void
 ShaderCore::rebindAfterRestore(const BenchmarkParams *program,

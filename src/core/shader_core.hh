@@ -108,11 +108,11 @@ class ShaderCore
 
     /**
      * Snapshot all mutable core state. The program/stream-table
-     * pointers are owned by the Gpu and are NOT serialized; after
-     * deserialize the Gpu re-attaches them via rebindAfterRestore.
+     * pointers are owned by the Gpu and are NOT serialized; after a
+     * restore the Gpu re-attaches them via rebindAfterRestore.
      */
-    void serialize(StateWriter &w) const;
-    void deserialize(StateReader &r);
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
     void rebindAfterRestore(const BenchmarkParams *program,
                             StreamTable *stream_table);
     /** True when the snapshot had a program bound (restore must call
@@ -146,7 +146,7 @@ class ShaderCore
     std::uint64_t stallCycles_ = 0;
     std::uint32_t outstanding_ = 0;
     bool draining_ = false;
-    bool hadProgram_ = false; //!< set by deserialize (see needsRebind)
+    bool hadProgram_ = false; //!< set by a restore (see needsRebind)
 };
 
 } // namespace mask

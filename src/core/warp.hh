@@ -27,7 +27,7 @@ enum class WarpState : std::uint8_t {
 /** One warp's execution and workload-cursor state. */
 struct Warp
 {
-    WarpState state = WarpState::Ready;
+    WarpState status = WarpState::Ready;
     /** Compute instructions left before the next memory instruction. */
     std::uint32_t computeRemaining = 0;
     /** Outstanding coalesced accesses of the current mem instruction. */
@@ -47,33 +47,23 @@ struct Warp
         *this = Warp{};
     }
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("warp");
-        w.u(static_cast<std::uint64_t>(state));
-        w.u(computeRemaining);
-        w.u(partsOutstanding);
-        w.u(instructions);
-        w.u(memAccesses);
-        w.u(stallStart);
-        mem.serialize(w);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("warp");
-        const std::uint64_t s = r.u();
-        if (s > static_cast<std::uint64_t>(WarpState::Waiting))
-            r.fail("invalid warp state " + std::to_string(s));
-        state = static_cast<WarpState>(s);
-        computeRemaining = static_cast<std::uint32_t>(r.u());
-        partsOutstanding = static_cast<std::uint32_t>(r.u());
-        instructions = r.u();
-        memAccesses = r.u();
-        stallStart = r.u();
-        mem.deserialize(r);
+        io.tag("warp");
+        io.u(self.status);
+        if constexpr (Io::kReading) {
+            if (self.status > WarpState::Waiting)
+                io.fail("invalid warp state " +
+                        std::to_string(static_cast<unsigned>(self.status)));
+        }
+        io.u(self.computeRemaining);
+        io.u(self.partsOutstanding);
+        io.u(self.instructions);
+        io.u(self.memAccesses);
+        io.u(self.stallStart);
+        io.obj(self.mem);
     }
 };
 

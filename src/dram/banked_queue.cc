@@ -272,28 +272,33 @@ BankedRequestQueue::clear()
     nextSeq_ = 0;
 }
 
+template <typename Self, typename Io>
 void
-BankedRequestQueue::serialize(StateWriter &w) const
+BankedRequestQueue::state(Self &self, Io &io,
+                          const std::vector<DramBank> &banks)
 {
-    w.u(static_cast<std::uint64_t>(size_));
-    forEachAge(
-        [&w](const DramQueueEntry &e) { e.serialize(w); });
-}
-
-void
-BankedRequestQueue::deserialize(StateReader &r,
-                                const std::vector<DramBank> &banks)
-{
-    const std::uint64_t n = r.count(kMaxSeqItems);
-    clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        DramQueueEntry e;
-        e.deserialize(r);
-        if (e.bank >= banks_.size())
-            r.fail("DRAM queue bank index " + std::to_string(e.bank) +
-                   " out of range");
-        push(e, banks);
+    if constexpr (Io::kReading) {
+        const std::uint64_t n = io.count(kMaxSeqItems);
+        self.clear();
+        for (std::uint64_t i = 0; i < n; ++i) {
+            DramQueueEntry e;
+            io.obj(e);
+            if (e.bank >= self.banks_.size())
+                io.fail("DRAM queue bank index " +
+                        std::to_string(e.bank) + " out of range");
+            self.push(e, banks);
+        }
+    } else {
+        io.u(self.size_);
+        self.forEachAge([&io](const DramQueueEntry &e) { io.obj(e); });
     }
 }
+
+template void BankedRequestQueue::state(const BankedRequestQueue &,
+                                        StateWriter &,
+                                        const std::vector<DramBank> &);
+template void BankedRequestQueue::state(BankedRequestQueue &,
+                                        StateReader &,
+                                        const std::vector<DramBank> &);
 
 } // namespace mask

@@ -19,10 +19,10 @@
  * equivalence is enforced by tests and by a MASK_SCHED_REFERENCE=1
  * determinism leg.
  *
- * All index state is derived: serialization writes only the entries
- * in age order (byte-identical to the flat-vector format it
- * replaces), and deserialization rebuilds the links by replaying
- * pushes against the already-restored bank state.
+ * All index state is derived: a snapshot holds only the entries in
+ * age order (byte-identical to the flat-vector format it replaces),
+ * and a restore rebuilds the links by replaying pushes against the
+ * already-restored bank state.
  */
 
 #ifndef MASK_DRAM_BANKED_QUEUE_HH
@@ -43,20 +43,13 @@ struct DramBank
     bool rowValid = false;
     Cycle readyAt = 0;
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.u(openRow);
-        w.b(rowValid);
-        w.u(readyAt);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        openRow = r.u();
-        rowValid = r.b();
-        readyAt = r.u();
+        io.u(self.openRow);
+        io.b(self.rowValid);
+        io.u(self.readyAt);
     }
 };
 
@@ -71,28 +64,17 @@ struct DramQueueEntry
     Cycle enqueueCycle = 0;
     std::uint32_t bypassed = 0; //!< times skipped by younger row hits
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.u(id);
-        w.u(bank);
-        w.u(row);
-        w.u(app);
-        w.u(static_cast<std::uint64_t>(type));
-        w.u(enqueueCycle);
-        w.u(bypassed);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        id = static_cast<ReqId>(r.u());
-        bank = static_cast<std::uint32_t>(r.u());
-        row = r.u();
-        app = static_cast<AppId>(r.u());
-        type = static_cast<ReqType>(r.u());
-        enqueueCycle = r.u();
-        bypassed = static_cast<std::uint32_t>(r.u());
+        io.u(self.id);
+        io.u(self.bank);
+        io.u(self.row);
+        io.u(self.app);
+        io.u(self.type);
+        io.u(self.enqueueCycle);
+        io.u(self.bypassed);
     }
 };
 
@@ -171,13 +153,15 @@ class BankedRequestQueue
             fn(nodes_[n].entry);
     }
 
-    /** Byte-identical to putSeq over the age-ordered entries. */
-    void serialize(StateWriter &w) const;
-
-    /** Rebuilds every index; @p banks must already be restored so
-     *  the row-hit chains come back correct. */
-    void deserialize(StateReader &r,
-                     const std::vector<DramBank> &banks);
+    /**
+     * The age-ordered entries as a sequence (the flat-vector format
+     * this queue replaced). Reading rebuilds every index by replaying
+     * pushes; @p banks must already be restored so the row-hit chains
+     * come back correct.
+     */
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io,
+                      const std::vector<DramBank> &banks);
 
   private:
     struct Node

@@ -491,98 +491,51 @@ heapArray(PQ &pq)
     return static_cast<CompletionHeapAccess &>(pq).c;
 }
 
-void
-putQueue(StateWriter &w, const std::vector<DramQueueEntry> &queue)
-{
-    putSeq(w, queue, [](StateWriter &sw, const DramQueueEntry &e) {
-        e.serialize(sw);
-    });
-}
-
-void
-getQueue(StateReader &r, std::vector<DramQueueEntry> &queue)
-{
-    getSeq(r, queue,
-           [](StateReader &sr, DramQueueEntry &e) { e.deserialize(sr); });
-}
-
 } // namespace
 
+template <typename Self, typename Io>
 void
-DramChannel::serialize(StateWriter &w) const
+DramChannel::state(Self &self, Io &io)
 {
-    w.tag("chan");
-    w.u(banks_.size());
-    for (const DramBank &bank : banks_)
-        bank.serialize(w);
-    putQueue(w, golden_);
+    io.tag("chan");
+    io.fixed(self.banks_.size(), "DRAM bank count");
+    for (auto &bank : self.banks_)
+        io.obj(bank);
+    io.seq(self.golden_);
     // Age-ordered entries only: byte-identical to the flat vectors
-    // these queues replaced. Index links are rebuilt on restore.
-    silver_.serialize(w);
-    normal_.serialize(w);
-    w.u(silverApp_);
-    w.u(silverCredits_);
-    w.u(busFreeAt_);
-    const std::vector<Completion> &heap = heapArray(inService_);
-    putSeq(w, heap, [](StateWriter &sw, const Completion &c) {
-        sw.u(c.at);
-        sw.u(c.id);
+    // these queues replaced. Banks are restored above, so replaying
+    // pushes rebuilds the row-hit chains exactly as the live run had
+    // them.
+    BankedRequestQueue::state(self.silver_, io, self.banks_);
+    BankedRequestQueue::state(self.normal_, io, self.banks_);
+    io.u(self.silverApp_);
+    io.u(self.silverCredits_);
+    io.u(self.busFreeAt_);
+    auto &heap = heapArray(self.inService_);
+    io.seq(heap, [&io](auto &c) {
+        io.u(c.at);
+        io.u(c.id);
     });
-    putUintSeq(w, completed_);
-    stats_.serialize(w);
+    if constexpr (Io::kReading) {
+        if (!std::is_heap(heap.begin(), heap.end(), std::greater<>{}))
+            io.fail("in-service completion array is not a min-heap");
+    }
+    io.uintSeq(self.completed_);
+    io.obj(self.stats_);
 }
 
+template <typename Self, typename Io>
 void
-DramChannel::deserialize(StateReader &r)
+Dram::state(Self &self, Io &io)
 {
-    r.tag("chan");
-    const std::uint64_t banks = r.u();
-    if (banks != banks_.size())
-        r.fail("DRAM bank count mismatch (" + std::to_string(banks) +
-               " vs configured " + std::to_string(banks_.size()) + ")");
-    for (DramBank &bank : banks_)
-        bank.deserialize(r);
-    getQueue(r, golden_);
-    // Banks are restored above, so replaying pushes rebuilds the
-    // row-hit chains exactly as the live run had them.
-    silver_.deserialize(r, banks_);
-    normal_.deserialize(r, banks_);
-    silverApp_ = static_cast<AppId>(r.u());
-    silverCredits_ = static_cast<std::uint32_t>(r.u());
-    busFreeAt_ = r.u();
-    std::vector<Completion> &heap = heapArray(inService_);
-    getSeq(r, heap, [](StateReader &sr, Completion &c) {
-        c.at = sr.u();
-        c.id = static_cast<ReqId>(sr.u());
-    });
-    if (!std::is_heap(heap.begin(), heap.end(), std::greater<>{}))
-        r.fail("in-service completion array is not a min-heap");
-    getUintSeq(r, completed_);
-    stats_.deserialize(r);
+    io.tag("dram");
+    io.fixed(self.channels_.size(), "DRAM channel count");
+    for (auto &channel : self.channels_)
+        io.obj(channel);
+    io.uintSeq(self.completed_);
 }
 
-void
-Dram::serialize(StateWriter &w) const
-{
-    w.tag("dram");
-    w.u(channels_.size());
-    for (const DramChannel &channel : channels_)
-        channel.serialize(w);
-    putUintSeq(w, completed_);
-}
-
-void
-Dram::deserialize(StateReader &r)
-{
-    r.tag("dram");
-    const std::uint64_t n = r.u();
-    if (n != channels_.size())
-        r.fail("DRAM channel count mismatch (" + std::to_string(n) +
-               " vs configured " + std::to_string(channels_.size()) +
-               ")");
-    for (DramChannel &channel : channels_)
-        channel.deserialize(r);
-    getUintSeq(r, completed_);
-}
+MASK_STATE_INSTANTIATE(DramChannel);
+MASK_STATE_INSTANTIATE(Dram);
 
 } // namespace mask

@@ -104,38 +104,22 @@ struct DramChannelStats
         *this = DramChannelStats{};
     }
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("dstats");
-        for (const std::uint64_t v : busBusy)
-            w.u(v);
-        for (const std::uint64_t v : serviced)
-            w.u(v);
-        for (const RunningStat &s : latency)
-            s.serialize(w);
-        w.u(rowHits);
-        w.u(rowMisses);
-        w.u(rowConflicts);
-        w.u(enqueueRejects);
-        w.u(capEscalations);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("dstats");
-        for (std::uint64_t &v : busBusy)
-            v = r.u();
-        for (std::uint64_t &v : serviced)
-            v = r.u();
-        for (RunningStat &s : latency)
-            s.deserialize(r);
-        rowHits = r.u();
-        rowMisses = r.u();
-        rowConflicts = r.u();
-        enqueueRejects = r.u();
-        capEscalations = r.u();
+        io.tag("dstats");
+        for (auto &v : self.busBusy)
+            io.u(v);
+        for (auto &v : self.serviced)
+            io.u(v);
+        for (auto &s : self.latency)
+            io.obj(s);
+        io.u(self.rowHits);
+        io.u(self.rowMisses);
+        io.u(self.rowConflicts);
+        io.u(self.enqueueRejects);
+        io.u(self.capEscalations);
     }
 };
 
@@ -237,8 +221,8 @@ class DramChannel
      * same bytes as the flat vectors they replaced), and restore
      * rebuilds the links against the already-restored bank state.
      */
-    void serialize(StateWriter &w) const;
-    void deserialize(StateReader &r);
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
 
     /** A request in service; public so the snapshot code can name the
      *  completion heap's element type. */
@@ -342,8 +326,8 @@ class Dram
     std::uint64_t schedPicks() const;
     std::uint64_t schedUnitsScanned() const;
 
-    void serialize(StateWriter &w) const;
-    void deserialize(StateReader &r);
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
 
   private:
     AddressMapper mapper_;

@@ -65,20 +65,13 @@ class TlbBypassCache
     std::uint64_t occupancy() const { return cache_.occupancy(); }
     std::uint32_t entries() const { return cache_.numWays(); }
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("bypcache");
-        cache_.serialize(w);
-        stats_.serialize(w);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("bypcache");
-        cache_.deserialize(r);
-        stats_.deserialize(r);
+        io.tag("bypcache");
+        io.obj(self.cache_);
+        io.obj(self.stats_);
     }
 
   private:

@@ -43,20 +43,12 @@ class SilverQuotaController : public SilverQuotaProvider
 
     double pressure(AppId app) const;
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("quota");
-        putSeq(w, weight_,
-               [](StateWriter &sw, double v) { sw.d(v); });
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("quota");
-        getSeq(r, weight_,
-               [](StateReader &sr, double &v) { v = sr.d(); });
+        io.tag("quota");
+        io.seq(self.weight_, [&io](auto &v) { io.d(v); });
     }
 
   private:

@@ -66,26 +66,16 @@ class L2BypassPolicy
 
     std::uint64_t bypasses() const { return bypasses_; }
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("l2byp");
-        for (const HitMiss &hm : stats_)
-            hm.serialize(w);
-        for (const std::uint32_t v : probeCountdown_)
-            w.u(v);
-        w.u(bypasses_);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("l2byp");
-        for (HitMiss &hm : stats_)
-            hm.deserialize(r);
-        for (std::uint32_t &v : probeCountdown_)
-            v = static_cast<std::uint32_t>(r.u());
-        bypasses_ = r.u();
+        io.tag("l2byp");
+        for (auto &hm : self.stats_)
+            io.obj(hm);
+        for (auto &v : self.probeCountdown_)
+            io.u(v);
+        io.u(self.bypasses_);
     }
 
   private:

@@ -57,36 +57,16 @@ class TokenManager
      */
     int lastDirection(AppId app) const { return lastDir_[app]; }
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("tokens");
-        putUintSeq(w, tokens_);
-        putSeq(w, prevMissRate_,
-               [](StateWriter &sw, double v) { sw.d(v); });
-        w.u(havePrev_.size());
-        for (const bool v : havePrev_)
-            w.b(v);
-        putSeq(w, lastDir_,
-               [](StateWriter &sw, int v) { sw.i(v); });
-        w.u(epochsDone_);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("tokens");
-        getUintSeq(r, tokens_);
-        getSeq(r, prevMissRate_,
-               [](StateReader &sr, double &v) { v = sr.d(); });
-        const std::uint64_t n = r.count(kMaxSeqItems);
-        havePrev_.assign(static_cast<std::size_t>(n), false);
-        for (std::size_t i = 0; i < havePrev_.size(); ++i)
-            havePrev_[i] = r.b();
-        getSeq(r, lastDir_, [](StateReader &sr, int &v) {
-            v = static_cast<int>(sr.i());
-        });
-        epochsDone_ = r.u();
+        io.tag("tokens");
+        io.uintSeq(self.tokens_);
+        io.seq(self.prevMissRate_, [&io](auto &v) { io.d(v); });
+        io.seq(self.havePrev_, [&io](auto &v) { io.b(v); });
+        io.seq(self.lastDir_, [&io](auto &v) { io.i(v); });
+        io.u(self.epochsDone_);
     }
 
   private:

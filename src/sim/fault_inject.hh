@@ -57,30 +57,18 @@ class FaultInjector
     std::uint64_t shootdownsInjected() const { return shootdowns_; }
     std::uint64_t portStallsInjected() const { return portStalls_; }
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("faults");
-        rng_.serialize(w);
-        w.u(nextShootdown_);
-        w.u(stallUntil_);
-        w.u(delays_);
-        w.u(drops_);
-        w.u(shootdowns_);
-        w.u(portStalls_);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("faults");
-        rng_.deserialize(r);
-        nextShootdown_ = r.u();
-        stallUntil_ = r.u();
-        delays_ = r.u();
-        drops_ = r.u();
-        shootdowns_ = r.u();
-        portStalls_ = r.u();
+        io.tag("faults");
+        io.obj(self.rng_);
+        io.u(self.nextShootdown_);
+        io.u(self.stallUntil_);
+        io.u(self.delays_);
+        io.u(self.drops_);
+        io.u(self.shootdowns_);
+        io.u(self.portStalls_);
     }
 
   private:

@@ -70,123 +70,56 @@ GpuStats::dramBusUtil(ReqType type, std::uint32_t channels) const
         capacity);
 }
 
-namespace {
-
 // A stats blob holds about 25 HitMiss/RunningStat values. Through
-// their own serializers each would carry a 4-byte tag, and a journal
-// entry would outgrow the v3 text it replaced; GpuStats writes their
-// fields bare instead. The "stats" tag and StateReader's count and
-// finish checks still catch a desynced payload.
+// their own state descriptions each would carry a 4-byte tag, and a
+// journal entry would outgrow the v3 text it replaced; GpuStats
+// describes their fields bare instead. The "stats" tag and
+// StateReader's count and finish checks still catch a desynced
+// payload.
+template <typename Self, typename Io>
 void
-putStat(StateWriter &w, const HitMiss &v)
+GpuStats::state(Self &self, Io &io)
 {
-    w.u(v.hits);
-    w.u(v.misses);
+    const auto bare = [&io](auto &v) {
+        std::remove_cvref_t<decltype(v)>::fields(v, io);
+    };
+    if constexpr (Io::kReading)
+        self = GpuStats{};
+    io.tag("stats");
+    io.u(self.cycles);
+    io.uintSeq(self.instructions);
+    io.seq(self.ipc, [&io](auto &v) { io.d(v); });
+    bare(self.l1Tlb);
+    bare(self.l2Tlb);
+    io.seq(self.l2TlbPerApp, bare);
+    bare(self.bypassCache);
+    bare(self.pwCache);
+    bare(self.l1d);
+    for (auto &v : self.l2Cache)
+        bare(v);
+    for (auto &v : self.l2CachePerLevel)
+        bare(v);
+    io.obj(self.dram);
+    io.u(self.walks);
+    bare(self.walkLatency);
+    bare(self.tlbMissLatency);
+    bare(self.concurrentWalks);
+    io.seq(self.concurrentWalksPerApp, bare);
+    bare(self.warpsPerMiss);
+    io.seq(self.warpsPerMissPerApp, bare);
+    bare(self.readyWarpsPerCore);
+    io.uintSeq(self.tokens);
+    io.u(self.l2Bypasses);
+    io.u(self.warpStallCycles);
+    io.u(self.watchdogSweeps);
+    io.u(self.watchdogMaxAgeSeen);
+    io.u(self.faultsInjected);
+    io.u(self.poolPeakLive);
+    io.u(self.poolCapacity);
+    io.u(self.requests);
 }
 
-void
-putStat(StateWriter &w, const RunningStat &v)
-{
-    w.u(v.count);
-    w.d(v.sum);
-    w.d(v.minVal);
-    w.d(v.maxVal);
-}
-
-void
-getStat(StateReader &r, HitMiss &v)
-{
-    v.hits = r.u();
-    v.misses = r.u();
-}
-
-void
-getStat(StateReader &r, RunningStat &v)
-{
-    v.count = r.u();
-    v.sum = r.d();
-    v.minVal = r.d();
-    v.maxVal = r.d();
-}
-
-} // namespace
-
-void
-GpuStats::serialize(StateWriter &w) const
-{
-    const auto put = [](StateWriter &sw, const auto &v) { putStat(sw, v); };
-    w.tag("stats");
-    w.u(cycles);
-    putUintSeq(w, instructions);
-    putSeq(w, ipc, [](StateWriter &sw, double v) { sw.d(v); });
-    put(w, l1Tlb);
-    put(w, l2Tlb);
-    putSeq(w, l2TlbPerApp, put);
-    put(w, bypassCache);
-    put(w, pwCache);
-    put(w, l1d);
-    for (const HitMiss &v : l2Cache)
-        put(w, v);
-    for (const HitMiss &v : l2CachePerLevel)
-        put(w, v);
-    dram.serialize(w);
-    w.u(walks);
-    put(w, walkLatency);
-    put(w, tlbMissLatency);
-    put(w, concurrentWalks);
-    putSeq(w, concurrentWalksPerApp, put);
-    put(w, warpsPerMiss);
-    putSeq(w, warpsPerMissPerApp, put);
-    put(w, readyWarpsPerCore);
-    putUintSeq(w, tokens);
-    w.u(l2Bypasses);
-    w.u(warpStallCycles);
-    w.u(watchdogSweeps);
-    w.u(watchdogMaxAgeSeen);
-    w.u(faultsInjected);
-    w.u(poolPeakLive);
-    w.u(poolCapacity);
-    w.u(requests);
-}
-
-void
-GpuStats::deserialize(StateReader &r)
-{
-    const auto get = [](StateReader &sr, auto &v) { getStat(sr, v); };
-    *this = GpuStats{};
-    r.tag("stats");
-    cycles = r.u();
-    getUintSeq(r, instructions);
-    getSeq(r, ipc, [](StateReader &sr, double &v) { v = sr.d(); });
-    get(r, l1Tlb);
-    get(r, l2Tlb);
-    getSeq(r, l2TlbPerApp, get);
-    get(r, bypassCache);
-    get(r, pwCache);
-    get(r, l1d);
-    for (HitMiss &v : l2Cache)
-        get(r, v);
-    for (HitMiss &v : l2CachePerLevel)
-        get(r, v);
-    dram.deserialize(r);
-    walks = r.u();
-    get(r, walkLatency);
-    get(r, tlbMissLatency);
-    get(r, concurrentWalks);
-    getSeq(r, concurrentWalksPerApp, get);
-    get(r, warpsPerMiss);
-    getSeq(r, warpsPerMissPerApp, get);
-    get(r, readyWarpsPerCore);
-    getUintSeq(r, tokens);
-    l2Bypasses = r.u();
-    warpStallCycles = r.u();
-    watchdogSweeps = r.u();
-    watchdogMaxAgeSeen = r.u();
-    faultsInjected = r.u();
-    poolPeakLive = static_cast<std::size_t>(r.u());
-    poolCapacity = static_cast<std::size_t>(r.u());
-    requests = r.u();
-}
+MASK_STATE_INSTANTIATE(GpuStats);
 
 Gpu::Gpu(const GpuConfig &cfg, const std::vector<AppDesc> &apps)
     : cfg_(validatedRef(cfg)),
@@ -1946,22 +1879,23 @@ Gpu::obsWriteStageProfile()
 
 namespace {
 
+/** Fail @p r unless @p id names a live pool request: every queue of
+ *  ReqIds points into the pool, and a corrupted id must fail the
+ *  restore, never dereference garbage later. */
 void
-putAccess(StateWriter &w, const StalledAccess &a)
+checkLiveReq(StateReader &r, const RequestPool &pool, ReqId id)
 {
-    w.u(a.vaddr);
-    w.u(a.core);
-    w.u(a.warp);
-    w.u(a.issueCycle);
+    if (id >= pool.capacity() || !pool[id].live)
+        r.fail("queued request id " + std::to_string(id) +
+               " out of range or dead");
 }
 
+template <typename C>
 void
-getAccess(StateReader &r, StalledAccess &a)
+checkLiveReqs(StateReader &r, const RequestPool &pool, const C &ids)
 {
-    a.vaddr = r.u();
-    a.core = static_cast<CoreId>(r.u());
-    a.warp = static_cast<WarpId>(r.u());
-    a.issueCycle = r.u();
+    for (const ReqId id : ids)
+        checkLiveReq(r, pool, id);
 }
 
 } // namespace
@@ -1992,409 +1926,298 @@ Gpu::maybeCheckpoint()
     ++ckptWrites_;
 }
 
+template <typename Self, typename Io>
 void
-Gpu::serialize(StateWriter &w) const
+Gpu::state(Self &self, Io &io)
 {
-    w.tag("gpu");
-    w.u(now_);
-    w.u(statsStart_);
-    w.u(snapshotCookie_);
-    w.u(nextEpoch_);
-    w.u(switchSeed_);
-    w.u(allocsAtReset_);
+    io.tag("gpu");
+    io.u(self.now_);
+    io.u(self.statsStart_);
+    io.u(self.snapshotCookie_);
+    io.u(self.nextEpoch_);
+    io.u(self.switchSeed_);
+    io.u(self.allocsAtReset_);
 
     // Per-app stream progress; benchmark params and core lists are
     // reconstructed from the (fingerprint-checked) config.
-    w.tag("apps");
-    w.u(apps_.size());
-    for (const AppContext &app : apps_) {
-        w.u(app.asid);
-        app.streams->serialize(w);
+    io.tag("apps");
+    io.fixed(self.apps_.size(), "snapshot app count");
+    for (auto &app : self.apps_) {
+        io.fixed(app.asid, "snapshot ASID");
+        io.obj(*app.streams);
     }
 
-    frames_.serialize(w);
-    w.tag("pts");
-    for (const auto &pt : pageTables_)
-        pt->serialize(w);
+    io.obj(self.frames_);
+    io.tag("pts");
+    for (auto &pt : self.pageTables_)
+        io.obj(*pt);
 
-    pool_.serialize(w);
+    io.obj(self.pool_);
 
-    w.tag("cores");
-    w.u(cores_.size());
-    for (const auto &core : cores_)
-        core->serialize(w);
-    putUintSeq(w, coreAppIndex_);
-    putUintSeq(w, coreInstrCredited_);
-    putUintSeq(w, appInstr_);
+    io.tag("cores");
+    io.fixed(self.cores_.size(), "snapshot core count");
+    for (auto &core : self.cores_)
+        io.obj(*core);
+    io.uintSeq(self.coreAppIndex_);
+    io.uintSeq(self.coreInstrCredited_);
+    io.uintSeq(self.appInstr_);
+    if constexpr (Io::kReading) {
+        if (self.coreAppIndex_.size() != self.cores_.size() ||
+            self.coreInstrCredited_.size() != self.cores_.size() ||
+            self.appInstr_.size() != self.apps_.size())
+            io.fail("per-core/per-app accounting vector size mismatch");
+        // Re-attach the benchmark/stream pointers the codec cannot
+        // carry.
+        for (auto &core : self.cores_) {
+            if (!core->needsRebind())
+                continue;
+            const AppId app = core->app();
+            if (app >= self.apps_.size())
+                io.fail("restored core references an unknown app");
+            core->rebindAfterRestore(self.apps_[app].bench,
+                                     self.apps_[app].streams.get());
+        }
+    }
 
     // Shared translation structures.
-    l2Tlb_.serialize(w);
-    l2TlbPipe_.serialize(w);
-    putUintSeq(w, l2TlbInput_);
-    w.tag("slots");
-    putSeq(w, transSlots_, [](StateWriter &sw, const TransSlot &s) {
-        putAccess(sw, s.access);
-        sw.u(s.asid);
-        sw.u(s.vpn);
-        sw.u(s.app);
-        sw.b(s.inUse);
+    io.obj(self.l2Tlb_);
+    io.obj(self.l2TlbPipe_);
+    io.uintSeq(self.l2TlbInput_);
+    io.tag("slots");
+    io.seq(self.transSlots_, [&io](auto &s) {
+        io.obj(s.access);
+        io.u(s.asid);
+        io.u(s.vpn);
+        io.u(s.app);
+        io.b(s.inUse);
     });
-    putUintSeq(w, freeTransSlots_);
-    putUintSeq(w, tlbMissRetry_);
-    tlbMshr_.serialize(w);
-    putUintSeq(w, walkStartQueue_);
-    walker_.serialize(w);
+    io.uintSeq(self.freeTransSlots_);
+    io.uintSeq(self.tlbMissRetry_);
+    if constexpr (Io::kReading) {
+        std::size_t slots_in_use = 0;
+        for (const TransSlot &s : self.transSlots_)
+            slots_in_use += s.inUse ? 1 : 0;
+        if (slots_in_use + self.freeTransSlots_.size() !=
+            self.transSlots_.size())
+            io.fail("translation-slot free list disagrees with live "
+                    "flags");
+        const auto slot_ok = [&](std::uint32_t slot, bool in_use) {
+            return slot < self.transSlots_.size() &&
+                   self.transSlots_[slot].inUse == in_use;
+        };
+        for (const std::uint32_t slot : self.freeTransSlots_) {
+            if (!slot_ok(slot, false))
+                io.fail("free translation slot out of range or in use");
+        }
+        for (const std::uint32_t slot : self.tlbMissRetry_) {
+            if (!slot_ok(slot, true))
+                io.fail("parked translation slot out of range or free");
+        }
+        for (const std::uint32_t slot : self.l2TlbInput_) {
+            if (!slot_ok(slot, true))
+                io.fail("L2 TLB input slot out of range or free");
+        }
+    }
+    io.obj(self.tlbMshr_);
+    io.uintSeq(self.walkStartQueue_);
+    io.obj(self.walker_);
+    if constexpr (Io::kReading) {
+        // Rebuild the parked-translation index (derived state, never
+        // serialized) from the restored retry deque and MSHR table.
+        self.parkedTransKeys_.clear();
+        self.parkedMergeEligible_ = 0;
+        for (const std::uint32_t slot : self.tlbMissRetry_) {
+            const TransSlot &s = self.transSlots_[slot];
+            const std::uint64_t key = tlbKey(s.asid, s.vpn);
+            if (std::uint32_t *parked = self.parkedTransKeys_.find(key))
+                ++*parked;
+            else
+                self.parkedTransKeys_.insert(key, 1);
+            if (self.tlbMshr_.has(s.asid, s.vpn))
+                ++self.parkedMergeEligible_;
+        }
+    }
 
     // Page walk cache path (PwCache baseline).
-    pwCache_.serialize(w);
-    pwCachePipe_.serialize(w);
-    putUintSeq(w, pwInput_);
-    pwStats_.serialize(w);
+    io.obj(self.pwCache_);
+    io.obj(self.pwCachePipe_);
+    io.uintSeq(self.pwInput_);
+    io.obj(self.pwStats_);
+    if constexpr (Io::kReading)
+        checkLiveReqs(io, self.pool_, self.pwInput_);
 
     // Shared L2 data cache.
-    l2Cache_.serialize(w);
-    l2Pipe_.serialize(w);
-    w.tag("l2in");
-    w.u(l2Input_.size());
-    for (const auto &q : l2Input_)
-        putUintSeq(w, q);
-    w.u(l2Work_);
-    l2Mshr_.serialize(w);
-    for (const HitMiss &hm : l2Stats_)
-        hm.serialize(w);
-    for (const HitMiss &hm : l2StatsPerLevel_)
-        hm.serialize(w);
+    io.obj(self.l2Cache_);
+    io.obj(self.l2Pipe_);
+    io.tag("l2in");
+    io.fixed(self.l2Input_.size(), "snapshot L2 bank count");
+    for (auto &q : self.l2Input_) {
+        io.uintSeq(q);
+        if constexpr (Io::kReading)
+            checkLiveReqs(io, self.pool_, q);
+    }
+    io.u(self.l2Work_);
+    io.obj(self.l2Mshr_);
+    for (auto &hm : self.l2Stats_)
+        io.obj(hm);
+    for (auto &hm : self.l2StatsPerLevel_)
+        io.obj(hm);
 
     // DRAM.
-    dram_.serialize(w);
-    putUintSeq(w, dramRetry_);
+    io.obj(self.dram_);
+    io.uintSeq(self.dramRetry_);
+    if constexpr (Io::kReading)
+        checkLiveReqs(io, self.pool_, self.dramRetry_);
 
     // Hardening state.
-    watchdog_.serialize(w);
-    faults_.serialize(w);
-    w.tag("delayed");
-    putSeq(w, delayedResponses_,
-           [](StateWriter &sw, const std::pair<Cycle, ReqId> &e) {
-               sw.u(e.first);
-               sw.u(e.second);
-           });
-    putSeq(w, fetchRetry_,
-           [](StateWriter &sw, const std::pair<Cycle, WalkId> &e) {
-               sw.u(e.first);
-               sw.u(e.second);
-           });
+    io.obj(self.watchdog_);
+    io.obj(self.faults_);
+    io.tag("delayed");
+    const auto timed = [&io](auto &e) {
+        io.u(e.first);
+        io.u(e.second);
+    };
+    io.seq(self.delayedResponses_, timed);
+    if constexpr (Io::kReading) {
+        for (const auto &e : self.delayedResponses_)
+            checkLiveReq(io, self.pool_, e.second);
+    }
+    io.seq(self.fetchRetry_, timed);
 
     // MASK mechanisms.
-    tokens_.serialize(w);
-    bypassCache_.serialize(w);
-    l2Policy_.serialize(w);
-    quota_.serialize(w);
+    io.obj(self.tokens_);
+    io.obj(self.bypassCache_);
+    io.obj(self.l2Policy_);
+    io.obj(self.quota_);
 
     // Stats plumbing.
-    putUintSeq(w, stalledAccesses_);
-    warpsPerMiss_.serialize(w);
-    w.tag("wpmapp");
-    w.u(warpsPerMissPerApp_.size());
-    for (const RunningStat &st : warpsPerMissPerApp_)
-        st.serialize(w);
-    tlbMissLatency_.serialize(w);
-    walkSampler_.serialize(w);
-    w.tag("wsapp");
-    w.u(walkSamplerPerApp_.size());
-    for (const IntervalSampler &sm : walkSamplerPerApp_)
-        sm.serialize(w);
-    readySampler_.serialize(w);
+    io.uintSeq(self.stalledAccesses_);
+    if constexpr (Io::kReading) {
+        if (self.stalledAccesses_.size() != self.apps_.size())
+            io.fail("stalled-access vector size differs from app count");
+    }
+    io.obj(self.warpsPerMiss_);
+    io.tag("wpmapp");
+    io.fixed(self.warpsPerMissPerApp_.size(), "per-app stat count");
+    for (auto &st : self.warpsPerMissPerApp_)
+        io.obj(st);
+    io.obj(self.tlbMissLatency_);
+    io.obj(self.walkSampler_);
+    io.tag("wsapp");
+    io.fixed(self.walkSamplerPerApp_.size(), "per-app sampler count");
+    for (auto &sm : self.walkSamplerPerApp_)
+        io.obj(sm);
+    io.obj(self.readySampler_);
 
     // Time-multiplex switch machinery.
-    w.tag("switch");
-    putSeq(w, pendingSwitch_,
-           [](StateWriter &sw, const PendingSwitch &s) {
-               sw.b(s.pending);
-               sw.u(s.app);
-               sw.u(s.notBefore);
-           });
+    io.tag("switch");
+    io.seq(self.pendingSwitch_, [&io](auto &s) {
+        io.b(s.pending);
+        io.u(s.app);
+        io.u(s.notBefore);
+    });
+    if constexpr (Io::kReading) {
+        if (self.pendingSwitch_.size() != self.cores_.size())
+            io.fail("pending-switch vector size differs from core "
+                    "count");
+        self.switchesInFlight_ = 0;
+        for (const PendingSwitch &s : self.pendingSwitch_) {
+            if (!s.pending)
+                continue;
+            if (s.app >= self.apps_.size())
+                io.fail("pending switch targets an unknown app");
+            ++self.switchesInFlight_;
+        }
+    }
 
     // Retry parking and event-driven wake flags. The per-core indexed
     // queues flatten back to global arrival order, byte-identical to
     // the single-queue format they replaced; sequence numbers, key
     // chains and the merge-eligibility sets are derived state and are
     // not written (DESIGN.md §12).
-    w.tag("retry");
-    std::vector<const DataRetryQueue::Entry *> flat_retries;
-    flat_retries.reserve(dataRetryCount_);
-    for (const DataRetryQueue &q : dataRetryByCore_)
-        q.forEachSeq([&flat_retries](const DataRetryQueue::Entry &e) {
-            flat_retries.push_back(&e);
+    io.tag("retry");
+    const auto retry = [&io](auto &d) {
+        io.obj(d.access);
+        io.u(d.app);
+        io.u(d.pfn);
+    };
+    if constexpr (Io::kReading) {
+        std::deque<DataRetry> flat_retries;
+        io.seq(flat_retries, [&](DataRetry &d) {
+            retry(d);
+            if (d.access.core >= self.cores_.size() ||
+                d.app >= self.apps_.size())
+                io.fail("parked data retry references unknown "
+                        "core/app");
         });
-    std::sort(flat_retries.begin(), flat_retries.end(),
-              [](const DataRetryQueue::Entry *a,
-                 const DataRetryQueue::Entry *b) {
-                  return a->seq < b->seq;
-              });
-    w.u(flat_retries.size());
-    for (const DataRetryQueue::Entry *e : flat_retries) {
-        putAccess(w, e->access);
-        w.u(e->app);
-        w.u(e->pfn);
+        // Re-shard per core; fresh 0..n-1 sequence numbers reproduce
+        // the flattened arrival order exactly (only relative order
+        // matters), and re-parking rebuilds the key chains. The
+        // merge-eligibility sets are derived from the restored L1
+        // MSHR tables below.
+        for (auto &q : self.dataRetryByCore_)
+            q.clear();
+        for (auto &t : self.dataMergeKeys_)
+            t.clear();
+        for (auto &v : self.coreFilledKeys_)
+            v.clear();
+        self.dataRetrySeq_ = 0;
+        self.dataRetryCount_ = flat_retries.size();
+        for (const DataRetry &d : flat_retries)
+            self.dataRetryByCore_[d.access.core].park(
+                d.access, d.app, d.pfn, self.dataRetrySeq_++,
+                self.l2CacheKey(self.dataPaddr(d.access, d.pfn)));
+        for (CoreId c = 0; c < self.cores_.size(); ++c) {
+            const MshrTable &mshr = self.cores_[c]->l1Mshr();
+            self.dataRetryByCore_[c].forEachSeq(
+                [&](const DataRetryQueue::Entry &e) {
+                    if (mshr.has(e.key) &&
+                        !self.dataMergeKeys_[c].contains(e.key))
+                        self.dataMergeKeys_[c].insert(e.key, 1);
+                });
+        }
+    } else {
+        std::vector<const DataRetryQueue::Entry *> flat_retries;
+        flat_retries.reserve(self.dataRetryCount_);
+        for (const DataRetryQueue &q : self.dataRetryByCore_)
+            q.forEachSeq(
+                [&flat_retries](const DataRetryQueue::Entry &e) {
+                    flat_retries.push_back(&e);
+                });
+        std::sort(flat_retries.begin(), flat_retries.end(),
+                  [](const DataRetryQueue::Entry *a,
+                     const DataRetryQueue::Entry *b) {
+                      return a->seq < b->seq;
+                  });
+        io.seq(flat_retries,
+               [&](const DataRetryQueue::Entry *e) { retry(*e); });
     }
-    putUintSeq(w, coreDataWake_);
-    w.b(anyCoreDataWake_);
-    w.b(tlbRetryWake_);
+    io.uintSeq(self.coreDataWake_);
+    if constexpr (Io::kReading) {
+        if (self.coreDataWake_.size() != self.cores_.size())
+            io.fail("core wake vector size differs from core count");
+    }
+    io.b(self.anyCoreDataWake_);
+    io.b(self.tlbRetryWake_);
 
     // Per-core translation MSHRs (probe layout is history-dependent,
     // so the flat tables snapshot their raw slot arrays).
-    w.tag("waiters");
-    w.u(coreTransWaiters_.size());
-    for (const auto &table : coreTransWaiters_) {
-        table.serializeSlots(
-            w,
-            [](StateWriter &sw, const std::vector<StalledAccess> &v) {
-                putSeq(sw, v, putAccess);
-            });
-    }
+    io.tag("waiters");
+    io.fixed(self.coreTransWaiters_.size(), "waiter table count");
+    for (auto &table : self.coreTransWaiters_)
+        table.slots(io, [&io](auto &v) { io.seq(v); });
+}
+
+void
+Gpu::serialize(StateWriter &w) const
+{
+    state(*this, w);
 }
 
 void
 Gpu::deserialize(StateReader &r)
 {
-    r.tag("gpu");
-    now_ = r.u();
-    statsStart_ = r.u();
-    snapshotCookie_ = r.u();
-    nextEpoch_ = r.u();
-    switchSeed_ = r.u();
-    allocsAtReset_ = r.u();
-
-    r.tag("apps");
-    if (r.u() != apps_.size())
-        r.fail("snapshot app count differs from config");
-    for (AppContext &app : apps_) {
-        if (r.u() != app.asid)
-            r.fail("snapshot ASID order differs from config");
-        app.streams->deserialize(r);
-    }
-
-    frames_.deserialize(r);
-    r.tag("pts");
-    for (const auto &pt : pageTables_)
-        pt->deserialize(r);
-
-    pool_.deserialize(r);
-    // Every queue below holds ReqIds into the pool; a corrupted id
-    // must fail validation here, never dereference garbage later.
-    const auto check_req = [&](ReqId id) {
-        if (id >= pool_.capacity() || !pool_[id].live)
-            r.fail("queued request id " + std::to_string(id) +
-                   " out of range or dead");
-    };
-
-    r.tag("cores");
-    if (r.u() != cores_.size())
-        r.fail("snapshot core count differs from config");
-    for (auto &core : cores_)
-        core->deserialize(r);
-    getUintSeq(r, coreAppIndex_);
-    getUintSeq(r, coreInstrCredited_);
-    getUintSeq(r, appInstr_);
-    if (coreAppIndex_.size() != cores_.size() ||
-        coreInstrCredited_.size() != cores_.size() ||
-        appInstr_.size() != apps_.size())
-        r.fail("per-core/per-app accounting vector size mismatch");
-
-    // Re-attach the benchmark/stream pointers the codec cannot carry.
-    for (auto &core : cores_) {
-        if (!core->needsRebind())
-            continue;
-        const AppId app = core->app();
-        if (app >= apps_.size())
-            r.fail("restored core references an unknown app");
-        core->rebindAfterRestore(apps_[app].bench,
-                                 apps_[app].streams.get());
-    }
-
-    l2Tlb_.deserialize(r);
-    l2TlbPipe_.deserialize(r);
-    getUintSeq(r, l2TlbInput_);
-    r.tag("slots");
-    getSeq(r, transSlots_, [](StateReader &sr, TransSlot &s) {
-        getAccess(sr, s.access);
-        s.asid = static_cast<Asid>(sr.u());
-        s.vpn = sr.u();
-        s.app = static_cast<AppId>(sr.u());
-        s.inUse = sr.b();
-    });
-    getUintSeq(r, freeTransSlots_);
-    std::size_t slots_in_use = 0;
-    for (const TransSlot &s : transSlots_)
-        slots_in_use += s.inUse ? 1 : 0;
-    if (slots_in_use + freeTransSlots_.size() != transSlots_.size())
-        r.fail("translation-slot free list disagrees with live flags");
-    for (const std::uint32_t slot : freeTransSlots_) {
-        if (slot >= transSlots_.size() || transSlots_[slot].inUse)
-            r.fail("free translation slot out of range or in use");
-    }
-    getUintSeq(r, tlbMissRetry_);
-    for (const std::uint32_t slot : tlbMissRetry_) {
-        if (slot >= transSlots_.size() || !transSlots_[slot].inUse)
-            r.fail("parked translation slot out of range or free");
-    }
-    for (const std::uint32_t slot : l2TlbInput_) {
-        if (slot >= transSlots_.size() || !transSlots_[slot].inUse)
-            r.fail("L2 TLB input slot out of range or free");
-    }
-    tlbMshr_.deserialize(r);
-    getUintSeq(r, walkStartQueue_);
-    walker_.deserialize(r);
-
-    // Rebuild the parked-translation index (derived state, never
-    // serialized) from the restored retry deque and MSHR table.
-    parkedTransKeys_.clear();
-    parkedMergeEligible_ = 0;
-    for (const std::uint32_t slot : tlbMissRetry_) {
-        const TransSlot &s = transSlots_[slot];
-        const std::uint64_t key = tlbKey(s.asid, s.vpn);
-        if (std::uint32_t *parked = parkedTransKeys_.find(key))
-            ++*parked;
-        else
-            parkedTransKeys_.insert(key, 1);
-        if (tlbMshr_.has(s.asid, s.vpn))
-            ++parkedMergeEligible_;
-    }
-
-    pwCache_.deserialize(r);
-    pwCachePipe_.deserialize(r);
-    getUintSeq(r, pwInput_);
-    pwStats_.deserialize(r);
-    for (const ReqId id : pwInput_)
-        check_req(id);
-
-    l2Cache_.deserialize(r);
-    l2Pipe_.deserialize(r);
-    r.tag("l2in");
-    if (r.u() != l2Input_.size())
-        r.fail("snapshot L2 bank count differs from config");
-    for (auto &q : l2Input_) {
-        getUintSeq(r, q);
-        for (const ReqId id : q)
-            check_req(id);
-    }
-    l2Work_ = r.u();
-    l2Mshr_.deserialize(r);
-    for (HitMiss &hm : l2Stats_)
-        hm.deserialize(r);
-    for (HitMiss &hm : l2StatsPerLevel_)
-        hm.deserialize(r);
-
-    dram_.deserialize(r);
-    getUintSeq(r, dramRetry_);
-    for (const ReqId id : dramRetry_)
-        check_req(id);
-
-    watchdog_.deserialize(r);
-    faults_.deserialize(r);
-    r.tag("delayed");
-    getSeq(r, delayedResponses_,
-           [&](StateReader &sr, std::pair<Cycle, ReqId> &e) {
-               e.first = sr.u();
-               e.second = static_cast<ReqId>(sr.u());
-               check_req(e.second);
-           });
-    getSeq(r, fetchRetry_,
-           [](StateReader &sr, std::pair<Cycle, WalkId> &e) {
-               e.first = sr.u();
-               e.second = static_cast<WalkId>(sr.u());
-           });
-
-    tokens_.deserialize(r);
-    bypassCache_.deserialize(r);
-    l2Policy_.deserialize(r);
-    quota_.deserialize(r);
-
-    getUintSeq(r, stalledAccesses_);
-    if (stalledAccesses_.size() != apps_.size())
-        r.fail("stalled-access vector size differs from app count");
-    warpsPerMiss_.deserialize(r);
-    r.tag("wpmapp");
-    if (r.u() != warpsPerMissPerApp_.size())
-        r.fail("per-app stat count differs from config");
-    for (RunningStat &st : warpsPerMissPerApp_)
-        st.deserialize(r);
-    tlbMissLatency_.deserialize(r);
-    walkSampler_.deserialize(r);
-    r.tag("wsapp");
-    if (r.u() != walkSamplerPerApp_.size())
-        r.fail("per-app sampler count differs from config");
-    for (IntervalSampler &sm : walkSamplerPerApp_)
-        sm.deserialize(r);
-    readySampler_.deserialize(r);
-
-    r.tag("switch");
-    getSeq(r, pendingSwitch_, [](StateReader &sr, PendingSwitch &s) {
-        s.pending = sr.b();
-        s.app = static_cast<AppId>(sr.u());
-        s.notBefore = sr.u();
-    });
-    if (pendingSwitch_.size() != cores_.size())
-        r.fail("pending-switch vector size differs from core count");
-    switchesInFlight_ = 0;
-    for (const PendingSwitch &s : pendingSwitch_) {
-        if (!s.pending)
-            continue;
-        if (s.app >= apps_.size())
-            r.fail("pending switch targets an unknown app");
-        ++switchesInFlight_;
-    }
-
-    r.tag("retry");
-    std::deque<DataRetry> flat_retries;
-    getSeq(r, flat_retries, [&](StateReader &sr, DataRetry &d) {
-        getAccess(sr, d.access);
-        d.app = static_cast<AppId>(sr.u());
-        d.pfn = static_cast<Pfn>(sr.u());
-        if (d.access.core >= cores_.size() || d.app >= apps_.size())
-            r.fail("parked data retry references unknown core/app");
-    });
-    // Re-shard per core; fresh 0..n-1 sequence numbers reproduce the
-    // flattened arrival order exactly (only relative order matters),
-    // and re-parking rebuilds the key chains. The merge-eligibility
-    // sets are derived from the restored L1 MSHR tables below.
-    for (auto &q : dataRetryByCore_)
-        q.clear();
-    for (auto &t : dataMergeKeys_)
-        t.clear();
-    for (auto &v : coreFilledKeys_)
-        v.clear();
-    dataRetrySeq_ = 0;
-    dataRetryCount_ = flat_retries.size();
-    for (const DataRetry &d : flat_retries)
-        dataRetryByCore_[d.access.core].park(
-            d.access, d.app, d.pfn, dataRetrySeq_++,
-            l2CacheKey(dataPaddr(d.access, d.pfn)));
-    for (CoreId c = 0; c < cores_.size(); ++c) {
-        const MshrTable &mshr = cores_[c]->l1Mshr();
-        dataRetryByCore_[c].forEachSeq(
-            [&](const DataRetryQueue::Entry &e) {
-                if (mshr.has(e.key) &&
-                    !dataMergeKeys_[c].contains(e.key))
-                    dataMergeKeys_[c].insert(e.key, 1);
-            });
-    }
-    getUintSeq(r, coreDataWake_);
-    if (coreDataWake_.size() != cores_.size())
-        r.fail("core wake vector size differs from core count");
-    anyCoreDataWake_ = r.b();
-    tlbRetryWake_ = r.b();
-
-    r.tag("waiters");
-    if (r.u() != coreTransWaiters_.size())
-        r.fail("waiter table count differs from core count");
-    for (auto &table : coreTransWaiters_) {
-        table.deserializeSlots(
-            r, [](StateReader &sr, std::vector<StalledAccess> &v) {
-                getSeq(sr, v, getAccess);
-            });
-    }
-
+    state(*this, r);
     r.finish();
 
     // Host-side checkpoint cadence restarts relative to the restored

@@ -139,10 +139,10 @@ struct GpuStats
      * The simulated fields only: the host-side ones (wallSeconds,
      * ckpt*, skippedCycles, the work counters, the stage profile)
      * vary run to run or are never persisted, so they are not written
-     * and deserialize leaves them zero.
+     * and a read leaves them zero.
      */
-    void serialize(StateWriter &w) const;
-    void deserialize(StateReader &r);
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
 };
 
 /** The GPU. */
@@ -337,6 +337,11 @@ class Gpu
         AppId app = 0;
         Pfn pfn = 0;
     };
+
+    /** The one snapshot description behind serialize() and
+     *  deserialize() (DESIGN.md §11). */
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
 
     /** Per-woken-core retry-pass bookkeeping: how many entries were
      *  parked when the pass started, how many probes actually ran

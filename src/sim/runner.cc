@@ -154,23 +154,10 @@ std::string
 warmStateKey(std::uint64_t warmup_fingerprint,
              const std::vector<std::string> &bench_names, Cycle warmup)
 {
-    // Filename-safe by construction: the key doubles as the basename
-    // of file-backed warm snapshots under MASK_SWEEP_WARM_DIR.
-    char fp_hex[24];
-    std::snprintf(fp_hex, sizeof(fp_hex), "%016llx",
-                  static_cast<unsigned long long>(warmup_fingerprint));
-    std::string key = "warm_";
-    key += fp_hex;
-    for (const std::string &bench : bench_names) {
-        key += '_';
-        for (const char c : bench) {
-            key += std::isalnum(static_cast<unsigned char>(c)) != 0
-                       ? c
-                       : '-';
-        }
-    }
-    key += '_' + std::to_string(warmup);
-    return key;
+    // The key doubles as the basename of file-backed warm snapshots
+    // under MASK_SWEEP_WARM_DIR.
+    return stateFileName("warm", warmup_fingerprint, bench_names,
+                         {warmup});
 }
 
 double
@@ -214,6 +201,56 @@ AloneIpcCache::size() const
 }
 
 GpuStats
+Evaluator::runWindows(const GpuConfig &cfg,
+                      const std::vector<std::string> &bench_names,
+                      const std::vector<std::string> &ckpt_label)
+{
+    const CheckpointPolicy ckpt = checkpointPolicyFromEnv();
+    if (warm_ != nullptr) {
+        // Warm-eligible runs fork a shared warmed snapshot and
+        // simulate only the measure window. Checkpointed or
+        // obs-instrumented runs bypass: checkpoint resume owns the
+        // snapshot files, and obs sinks must cover warmup too.
+        if (ckpt.enabled() || obsSinksActive()) {
+            warm_->noteBypass();
+        } else {
+            const std::string key = warmStateKey(
+                warmupFingerprint(cfg), bench_names, options_.warmup);
+            const std::string image =
+                warm_->getOrWarm(key, options_.warmup, [&]() {
+                    return runWarmup(cfg, bench_names, options_.warmup);
+                });
+            try {
+                return runMeasureFrom(image, cfg, bench_names,
+                                      options_.warmup, options_.measure);
+            } catch (const SnapshotError &err) {
+                if (const std::uint64_t n = warmFallbackWarns().tick()) {
+                    std::fprintf(stderr,
+                                 "mask: warm state %s rejected (%s); "
+                                 "falling back to a fresh run "
+                                 "(occurrence %llu%s)\n",
+                                 key.c_str(), err.what(),
+                                 static_cast<unsigned long long>(n),
+                                 warmFallbackWarns().suppressNote());
+                }
+                warm_->invalidate(key);
+                warm_->noteFallback();
+            }
+        }
+    }
+    const std::uint64_t fp = configFingerprint(cfg);
+    const std::string path =
+        ckpt.enabled() ? checkpointPath(ckpt, fp, ckpt_label,
+                                        options_.warmup, options_.measure)
+                       : std::string();
+    return runWithCheckpoints(
+        [&]() {
+            return std::make_unique<Gpu>(cfg, toAppDescs(bench_names));
+        },
+        ckpt, fp, path, options_.warmup, options_.measure);
+}
+
+GpuStats
 Evaluator::runShared(const GpuConfig &arch, DesignPoint point,
                      const std::vector<std::string> &bench_names)
 {
@@ -230,56 +267,7 @@ Evaluator::runShared(const GpuConfig &arch, DesignPoint point,
                   options_.measure),
         reproFilePath());
     try {
-        const CheckpointPolicy ckpt = checkpointPolicyFromEnv();
-        if (warm_ != nullptr) {
-            // Warm-eligible runs fork a shared warmed snapshot and
-            // simulate only the measure window. Checkpointed or
-            // obs-instrumented runs bypass: checkpoint resume owns the
-            // snapshot files, and obs sinks must cover warmup too.
-            if (ckpt.enabled() || obsSinksActive()) {
-                warm_->noteBypass();
-            } else {
-                const std::string key =
-                    warmStateKey(warmupFingerprint(cfg), bench_names,
-                                 options_.warmup);
-                const std::string image = warm_->getOrWarm(
-                    key, options_.warmup, [&]() {
-                        return runWarmup(cfg, bench_names,
-                                         options_.warmup);
-                    });
-                try {
-                    return runMeasureFrom(image, cfg, bench_names,
-                                          options_.warmup,
-                                          options_.measure);
-                } catch (const SnapshotError &err) {
-                    if (const std::uint64_t n =
-                            warmFallbackWarns().tick()) {
-                        std::fprintf(
-                            stderr,
-                            "mask: warm state %s rejected (%s); "
-                            "falling back to a fresh run "
-                            "(occurrence %llu%s)\n",
-                            key.c_str(), err.what(),
-                            static_cast<unsigned long long>(n),
-                            warmFallbackWarns().suppressNote());
-                    }
-                    warm_->invalidate(key);
-                    warm_->noteFallback();
-                }
-            }
-        }
-        const std::uint64_t fp = configFingerprint(cfg);
-        const std::string path =
-            ckpt.enabled()
-                ? checkpointPath(ckpt, fp, bench_names,
-                                 options_.warmup, options_.measure)
-                : std::string();
-        return runWithCheckpoints(
-            [&]() {
-                return std::make_unique<Gpu>(cfg,
-                                             toAppDescs(bench_names));
-            },
-            ckpt, fp, path, options_.warmup, options_.measure);
+        return runWindows(cfg, bench_names, bench_names);
     } catch (const SimInvariantError &err) {
         captureCrash(arch, point, bench_names, options_, err);
     }
@@ -307,66 +295,15 @@ Evaluator::aloneIpc(const GpuConfig &arch, DesignPoint point,
     return aloneCache_->getOrCompute(key, [&]() {
         // Alone runs are memoized across jobs and threads; their
         // telemetry would race the shared runs' files, so the obs
-        // layer is disabled for them (empty paths = everything off).
+        // layer is disabled for them (empty paths = everything off,
+        // which also keeps them warm-eligible).
         const obs::ScopedObsOverride no_obs{obs::ObsOptions{}};
         const ScopedSignalRepro armed(
             makeRepro(cfg, point, {bench}, options_.warmup,
                       options_.measure),
             reproFilePath());
         try {
-            const CheckpointPolicy ckpt = checkpointPolicyFromEnv();
-            if (warm_ != nullptr) {
-                // Alone runs are always obs-silent (no_obs above), so
-                // only checkpointing forces a bypass here.
-                if (ckpt.enabled()) {
-                    warm_->noteBypass();
-                } else {
-                    const std::string key = warmStateKey(
-                        warmupFingerprint(cfg),
-                        std::vector<std::string>{bench},
-                        options_.warmup);
-                    const std::string image = warm_->getOrWarm(
-                        key, options_.warmup, [&]() {
-                            return runWarmup(cfg, {bench},
-                                             options_.warmup);
-                        });
-                    try {
-                        return runMeasureFrom(image, cfg, {bench},
-                                              options_.warmup,
-                                              options_.measure)
-                            .ipc[0];
-                    } catch (const SnapshotError &err) {
-                        if (const std::uint64_t n =
-                                warmFallbackWarns().tick()) {
-                            std::fprintf(
-                                stderr,
-                                "mask: warm state %s rejected (%s); "
-                                "falling back to a fresh run "
-                                "(occurrence %llu%s)\n",
-                                key.c_str(), err.what(),
-                                static_cast<unsigned long long>(n),
-                                warmFallbackWarns().suppressNote());
-                        }
-                        warm_->invalidate(key);
-                        warm_->noteFallback();
-                    }
-                }
-            }
-            const std::uint64_t fp = configFingerprint(cfg);
-            const std::string path =
-                ckpt.enabled()
-                    ? checkpointPath(ckpt, fp, {"alone-" + bench},
-                                     options_.warmup,
-                                     options_.measure)
-                    : std::string();
-            return runWithCheckpoints(
-                       [&]() {
-                           return std::make_unique<Gpu>(
-                               cfg, toAppDescs({bench}));
-                       },
-                       ckpt, fp, path, options_.warmup,
-                       options_.measure)
-                .ipc[0];
+            return runWindows(cfg, {bench}, {"alone-" + bench}).ipc[0];
         } catch (const SimInvariantError &err) {
             captureCrash(cfg, point, {bench}, options_, err);
         }

@@ -171,6 +171,17 @@ class Evaluator
     }
 
   private:
+    /**
+     * Warmup + measure of @p bench_names on the final config @p cfg:
+     * forked from the warm cache when one is set and the run is
+     * warm-eligible (no checkpointing, no active obs sinks), else via
+     * runWithCheckpoints with checkpoint files named after
+     * @p ckpt_label.
+     */
+    GpuStats runWindows(const GpuConfig &cfg,
+                        const std::vector<std::string> &bench_names,
+                        const std::vector<std::string> &ckpt_label);
+
     RunOptions options_;
     std::shared_ptr<AloneIpcCache> aloneCache_;
     std::shared_ptr<WarmStateCache> warm_;

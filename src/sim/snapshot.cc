@@ -216,15 +216,15 @@ checkpointPolicyFromEnv()
 }
 
 std::string
-checkpointPath(const CheckpointPolicy &policy,
-               std::uint64_t config_fingerprint,
-               const std::vector<std::string> &benches, Cycle warmup,
-               Cycle measure)
+stateFileName(std::string_view prefix, std::uint64_t fingerprint,
+              const std::vector<std::string> &benches,
+              std::initializer_list<Cycle> windows)
 {
-    std::string name = "ckpt_";
     char fp_hex[24];
     std::snprintf(fp_hex, sizeof(fp_hex), "%016llx",
-                  static_cast<unsigned long long>(config_fingerprint));
+                  static_cast<unsigned long long>(fingerprint));
+    std::string name(prefix);
+    name += '_';
     name += fp_hex;
     for (const std::string &bench : benches) {
         name += '_';
@@ -234,8 +234,21 @@ checkpointPath(const CheckpointPolicy &policy,
                         : '-';
         }
     }
-    name += '_' + std::to_string(warmup) + '_' +
-            std::to_string(measure) + ".snap";
+    for (const Cycle window : windows)
+        name += '_' + std::to_string(window);
+    return name;
+}
+
+std::string
+checkpointPath(const CheckpointPolicy &policy,
+               std::uint64_t config_fingerprint,
+               const std::vector<std::string> &benches, Cycle warmup,
+               Cycle measure)
+{
+    const std::string name =
+        stateFileName("ckpt", config_fingerprint, benches,
+                      {warmup, measure}) +
+        ".snap";
     const std::string &dir = policy.dir.empty() ? "." : policy.dir;
     return dir + "/" + name;
 }

@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -115,6 +116,17 @@ struct CheckpointPolicy
 /** Policy from MASK_CKPT_INTERVAL_CYCLES / MASK_CKPT_DIR (throws
  *  ConfigError on a malformed interval). */
 CheckpointPolicy checkpointPolicyFromEnv();
+
+/**
+ * Basename of a per-job state file: "<prefix>_<fingerprint as 16 hex
+ * digits>", then "_<bench>" per bench with every non-alphanumeric
+ * byte mapped to '-', then "_<window>" per window. Filename-safe by
+ * construction; checkpoint paths and warm-state keys are built here.
+ */
+std::string stateFileName(std::string_view prefix,
+                          std::uint64_t fingerprint,
+                          const std::vector<std::string> &benches,
+                          std::initializer_list<Cycle> windows);
 
 /**
  * Deterministic per-job snapshot path: the same (config, workload,

@@ -90,16 +90,19 @@ decodeBase64(std::string_view in, std::string &out)
     return true;
 }
 
+/** The blob payload: a "pair" section, then the GpuStats fields. */
+template <typename Self, typename Io>
 void
-putDouble(StateWriter &w, double v)
+pairState(Self &result, Io &io)
 {
-    w.d(v);
-}
-
-void
-getDouble(StateReader &r, double &v)
-{
-    v = r.d();
+    const auto dbl = [&io](auto &v) { io.d(v); };
+    io.tag("pair");
+    io.seq(result.sharedIpc, dbl);
+    io.seq(result.aloneIpc, dbl);
+    io.d(result.weightedSpeedup);
+    io.d(result.ipcThroughput);
+    io.d(result.unfairness);
+    io.obj(result.stats);
 }
 
 } // namespace
@@ -108,13 +111,7 @@ std::string
 encodePairResult(const PairResult &result)
 {
     StateWriter w;
-    w.tag("pair");
-    putSeq(w, result.sharedIpc, putDouble);
-    putSeq(w, result.aloneIpc, putDouble);
-    w.d(result.weightedSpeedup);
-    w.d(result.ipcThroughput);
-    w.d(result.unfairness);
-    result.stats.serialize(w);
+    pairState(result, w);
     std::string out(kBlobPrefix);
     appendBase64(out, w.str());
     return out;
@@ -133,13 +130,7 @@ decodePairResult(const std::string &blob)
         throw std::runtime_error("sweep result blob: malformed base64");
     StateReader r(payload);
     PairResult result;
-    r.tag("pair");
-    getSeq(r, result.sharedIpc, getDouble);
-    getSeq(r, result.aloneIpc, getDouble);
-    result.weightedSpeedup = r.d();
-    result.ipcThroughput = r.d();
-    result.unfairness = r.d();
-    result.stats.deserialize(r);
+    pairState(result, r);
     r.finish();
     return result;
 }

@@ -12,14 +12,14 @@
  *
  * A result blob is "v4 " followed by the RFC 4648 base64 of a
  * StateCodec payload (common/state_codec.hh): a "pair" section, then
- * GpuStats::serialize. Doubles travel as their raw bit patterns, so
+ * GpuStats::state. Doubles travel as their raw bit patterns, so
  * every value (-0.0, denormals, NaN payloads) round-trips exactly.
  * Decoding is strict: a foreign version prefix, a non-alphabet byte
  * or bad padding, and any tag, bounds, count or trailing-byte
  * mismatch caught by StateReader all throw. Host-side GpuStats fields
  * are not written, so a blob is a pure function of the simulation.
- * A simulated stat added to GpuStats goes into its
- * serialize/deserialize together with a prefix bump, so older
+ * A simulated stat added to GpuStats goes into its state
+ * description together with a prefix bump, so older
  * journal entries fail to decode and are re-simulated rather than
  * misread.
  *

@@ -77,22 +77,14 @@ class Watchdog
         maxAgeSeen_ = 0;
     }
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("wdog");
-        w.u(nextSweep_);
-        w.u(sweepsDone_);
-        w.u(maxAgeSeen_);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("wdog");
-        nextSweep_ = r.u();
-        sweepsDone_ = r.u();
-        maxAgeSeen_ = r.u();
+        io.tag("wdog");
+        io.u(self.nextSweep_);
+        io.u(self.sweepsDone_);
+        io.u(self.maxAgeSeen_);
     }
 
   private:

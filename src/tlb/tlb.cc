@@ -116,30 +116,18 @@ Tlb::resetStats()
     resetEpochStats();
 }
 
+template <typename Self, typename Io>
 void
-Tlb::serialize(StateWriter &w) const
+Tlb::state(Self &self, Io &io)
 {
-    w.tag("tlb");
-    cache_.serialize(w);
-    stats_.serialize(w);
-    epochStats_.serialize(w);
-    putSeq(w, perAsid_,
-           [](StateWriter &sw, const HitMiss &hm) { hm.serialize(sw); });
-    putSeq(w, epochPerAsid_,
-           [](StateWriter &sw, const HitMiss &hm) { hm.serialize(sw); });
+    io.tag("tlb");
+    io.obj(self.cache_);
+    io.obj(self.stats_);
+    io.obj(self.epochStats_);
+    io.seq(self.perAsid_);
+    io.seq(self.epochPerAsid_);
 }
 
-void
-Tlb::deserialize(StateReader &r)
-{
-    r.tag("tlb");
-    cache_.deserialize(r);
-    stats_.deserialize(r);
-    epochStats_.deserialize(r);
-    getSeq(r, perAsid_,
-           [](StateReader &sr, HitMiss &hm) { hm.deserialize(sr); });
-    getSeq(r, epochPerAsid_,
-           [](StateReader &sr, HitMiss &hm) { hm.deserialize(sr); });
-}
+MASK_STATE_INSTANTIATE(Tlb);
 
 } // namespace mask

@@ -80,8 +80,8 @@ class Tlb
         return cache_.numSets() * cache_.numWays();
     }
 
-    void serialize(StateWriter &w) const;
-    void deserialize(StateReader &r);
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
 
   private:
     /** Grow the per-ASID stat vectors to cover @p asid. */

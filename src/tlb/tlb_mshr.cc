@@ -111,76 +111,28 @@ TlbMshrTable::stalledWarpsFor(AppId app) const
     return app < stalledPerApp_.size() ? stalledPerApp_[app] : 0;
 }
 
-namespace {
-
+template <typename Self, typename Io>
 void
-putStalledAccess(StateWriter &w, const StalledAccess &a)
+TlbMshrTable::state(Self &self, Io &io)
 {
-    w.u(a.vaddr);
-    w.u(a.core);
-    w.u(a.warp);
-    w.u(a.issueCycle);
-}
-
-void
-getStalledAccess(StateReader &r, StalledAccess &a)
-{
-    a.vaddr = r.u();
-    a.core = static_cast<CoreId>(r.u());
-    a.warp = static_cast<WarpId>(r.u());
-    a.issueCycle = r.u();
-}
-
-} // namespace
-
-void
-TlbMshrTable::serialize(StateWriter &w) const
-{
-    w.tag("tlbmshr");
-    w.u(entries_);
-    table_.serializeSlots(w, [](StateWriter &sw, const Entry &e) {
-        sw.u(e.asid);
-        sw.u(e.vpn);
-        sw.u(e.app);
-        putSeq(sw, e.waiters, putStalledAccess);
-        sw.u(e.maxWarpsStalled);
-        sw.u(e.firstMissCycle);
-        sw.b(e.walkStarted);
-        sw.u(e.walkId);
+    io.tag("tlbmshr");
+    io.fixed(self.entries_, "TLB MSHR entry count");
+    self.table_.slots(io, [&io](auto &e) {
+        io.u(e.asid);
+        io.u(e.vpn);
+        io.u(e.app);
+        io.seq(e.waiters);
+        io.u(e.maxWarpsStalled);
+        io.u(e.firstMissCycle);
+        io.b(e.walkStarted);
+        io.u(e.walkId);
     });
-    putUintSeq(w, stalledPerApp_);
-    w.u(stalledWarps_);
-    warpsPerMiss_.serialize(w);
-    putSeq(w, warpsPerMissPerApp_,
-           [](StateWriter &sw, const RunningStat &s) {
-               s.serialize(sw);
-           });
+    io.uintSeq(self.stalledPerApp_);
+    io.u(self.stalledWarps_);
+    io.obj(self.warpsPerMiss_);
+    io.seq(self.warpsPerMissPerApp_);
 }
 
-void
-TlbMshrTable::deserialize(StateReader &r)
-{
-    r.tag("tlbmshr");
-    const std::uint64_t entries = r.u();
-    if (entries != entries_)
-        r.fail("TLB MSHR entry count mismatch (" +
-               std::to_string(entries) + " vs configured " +
-               std::to_string(entries_) + ")");
-    table_.deserializeSlots(r, [](StateReader &sr, Entry &e) {
-        e.asid = static_cast<Asid>(sr.u());
-        e.vpn = sr.u();
-        e.app = static_cast<AppId>(sr.u());
-        getSeq(sr, e.waiters, getStalledAccess);
-        e.maxWarpsStalled = static_cast<std::uint32_t>(sr.u());
-        e.firstMissCycle = sr.u();
-        e.walkStarted = sr.b();
-        e.walkId = static_cast<std::uint32_t>(sr.u());
-    });
-    getUintSeq(r, stalledPerApp_);
-    stalledWarps_ = static_cast<std::uint32_t>(r.u());
-    warpsPerMiss_.deserialize(r);
-    getSeq(r, warpsPerMissPerApp_,
-           [](StateReader &sr, RunningStat &s) { s.deserialize(sr); });
-}
+MASK_STATE_INSTANTIATE(TlbMshrTable);
 
 } // namespace mask

@@ -31,6 +31,16 @@ struct StalledAccess
     CoreId core = 0;
     WarpId warp = 0;
     Cycle issueCycle = 0;
+
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
+    {
+        io.u(self.vaddr);
+        io.u(self.core);
+        io.u(self.warp);
+        io.u(self.issueCycle);
+    }
 };
 
 /** Table of outstanding TLB misses keyed by (asid, vpn). */
@@ -100,8 +110,8 @@ class TlbMshrTable
 
     void resetStats();
 
-    void serialize(StateWriter &w) const;
-    void deserialize(StateReader &r);
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
 
   private:
     std::uint32_t entries_;

@@ -93,87 +93,80 @@ PageTable::unmapPage(Vpn vpn)
     return mapped_.erase(vpn);
 }
 
+template <typename Self, typename Io>
 void
-PageTable::serialize(StateWriter &w) const
+PageTable::state(Self &self, Io &io)
 {
-    w.tag("pt");
-    w.u(asid_);
-    w.u(nodeCount_);
+    io.tag("pt");
+    io.fixed(self.asid_, "page table ASID");
+    io.u(self.nodeCount_);
     // Recursive pre-order encoding: frame, child count, then
-    // (index, subtree) per present child.
-    struct Enc
-    {
-        StateWriter &w;
-        void
-        node(const Node &n)
+    // (index, subtree) per present child. Absent children are not on
+    // the wire, so the tree is written and read by separate walks.
+    if constexpr (Io::kReading) {
+        constexpr std::uint32_t kRadix = 1u << kPtBitsPerLevel;
+        struct Dec
         {
-            w.u(n.frame);
-            std::uint64_t present = 0;
-            for (const auto &child : n.children) {
-                if (child)
-                    ++present;
-            }
-            w.u(present);
-            for (std::size_t i = 0; i < n.children.size(); ++i) {
-                if (n.children[i]) {
-                    w.u(i);
-                    node(*n.children[i]);
+            StateReader &r;
+            std::uint64_t seen = 0;
+            void
+            node(Node &n, std::uint32_t depth)
+            {
+                if (depth > kPtLevels)
+                    r.fail("page table deeper than " +
+                           std::to_string(kPtLevels) + " levels");
+                ++seen;
+                r.u(n.frame);
+                n.children.clear();
+                const std::uint64_t present = r.count(kRadix);
+                if (present > 0)
+                    n.children.resize(kRadix);
+                std::uint64_t prev_idx = 0;
+                for (std::uint64_t k = 0; k < present; ++k) {
+                    const std::uint64_t idx = r.u();
+                    if (idx >= kRadix || (k > 0 && idx <= prev_idx))
+                        r.fail("page table child index out of order");
+                    prev_idx = idx;
+                    auto child = std::make_unique<Node>();
+                    node(*child, depth + 1);
+                    n.children[idx] = std::move(child);
                 }
             }
-        }
-    };
-    Enc{w}.node(*root_);
-    mapped_.serializeSlots(
-        w, [](StateWriter &sw, const Pfn &pfn) { sw.u(pfn); });
+        };
+        Dec dec{io};
+        self.root_ = std::make_unique<Node>();
+        dec.node(*self.root_, 1);
+        if (dec.seen != self.nodeCount_)
+            io.fail("page table node count " +
+                    std::to_string(self.nodeCount_) + " disagrees with " +
+                    std::to_string(dec.seen) + " decoded nodes");
+    } else {
+        struct Enc
+        {
+            StateWriter &w;
+            void
+            node(const Node &n)
+            {
+                w.u(n.frame);
+                std::uint64_t present = 0;
+                for (const auto &child : n.children) {
+                    if (child)
+                        ++present;
+                }
+                w.u(present);
+                for (std::size_t i = 0; i < n.children.size(); ++i) {
+                    if (n.children[i]) {
+                        w.u(i);
+                        node(*n.children[i]);
+                    }
+                }
+            }
+        };
+        Enc{io}.node(*self.root_);
+    }
+    self.mapped_.slots(io, [&io](auto &pfn) { io.u(pfn); });
 }
 
-void
-PageTable::deserialize(StateReader &r)
-{
-    r.tag("pt");
-    const std::uint64_t asid = r.u();
-    if (asid != asid_)
-        r.fail("page table ASID mismatch (" + std::to_string(asid) +
-               " vs " + std::to_string(asid_) + ")");
-    nodeCount_ = r.u();
-    constexpr std::uint32_t kRadix = 1u << kPtBitsPerLevel;
-    struct Dec
-    {
-        StateReader &r;
-        std::uint64_t seen = 0;
-        void
-        node(Node &n, std::uint32_t depth)
-        {
-            if (depth > kPtLevels)
-                r.fail("page table deeper than " +
-                       std::to_string(kPtLevels) + " levels");
-            ++seen;
-            n.frame = r.u();
-            n.children.clear();
-            const std::uint64_t present = r.count(kRadix);
-            if (present > 0)
-                n.children.resize(kRadix);
-            std::uint64_t prev_idx = 0;
-            for (std::uint64_t k = 0; k < present; ++k) {
-                const std::uint64_t idx = r.u();
-                if (idx >= kRadix || (k > 0 && idx <= prev_idx))
-                    r.fail("page table child index out of order");
-                prev_idx = idx;
-                auto child = std::make_unique<Node>();
-                node(*child, depth + 1);
-                n.children[idx] = std::move(child);
-            }
-        }
-    };
-    Dec dec{r};
-    root_ = std::make_unique<Node>();
-    dec.node(*root_, 1);
-    if (dec.seen != nodeCount_)
-        r.fail("page table node count " + std::to_string(nodeCount_) +
-               " disagrees with " + std::to_string(dec.seen) +
-               " decoded nodes");
-    mapped_.deserializeSlots(
-        r, [](StateReader &sr, Pfn &pfn) { pfn = sr.u(); });
-}
+MASK_STATE_INSTANTIATE(PageTable);
 
 } // namespace mask

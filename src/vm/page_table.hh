@@ -50,18 +50,12 @@ class FrameAllocator
     std::uint64_t pageBytes() const { return 1ull << pageBits_; }
     Addr frameAddr(Pfn pfn) const { return pfn << pageBits_; }
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("frames");
-        w.u(next_);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("frames");
-        next_ = r.u();
+        io.tag("frames");
+        io.u(self.next_);
     }
 
   private:
@@ -115,8 +109,8 @@ class PageTable
      * allocations in the shared FrameAllocator, so the exact tree
      * shape and frame numbers are semantic) plus the leaf map.
      */
-    void serialize(StateWriter &w) const;
-    void deserialize(StateReader &r);
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
 
   private:
     struct Node

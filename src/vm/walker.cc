@@ -130,70 +130,49 @@ PageTableWalker::activeWalksFor(AppId app) const
     return app < activePerApp_.size() ? activePerApp_[app] : 0;
 }
 
+template <typename Self, typename Io>
 void
-PageTableWalker::serialize(StateWriter &w) const
+PageTableWalker::state(Self &self, Io &io)
 {
-    w.tag("walker");
-    w.u(slots_.size());
-    for (const Slot &slot : slots_) {
-        w.b(slot.inUse);
+    io.tag("walker");
+    io.fixed(self.slots_.size(), "walker slot count");
+    for (auto &slot : self.slots_) {
+        if constexpr (Io::kReading)
+            slot = Slot{};
+        io.b(slot.inUse);
         if (!slot.inUse)
             continue;
-        w.u(slot.info.asid);
-        w.u(slot.info.vpn);
-        w.u(slot.info.app);
-        w.u(slot.info.startCycle);
-        for (const Addr addr : slot.pteAddrs)
-            w.u(addr);
-        w.u(slot.level);
+        io.u(slot.info.asid);
+        io.u(slot.info.vpn);
+        io.u(slot.info.app);
+        io.u(slot.info.startCycle);
+        for (auto &addr : slot.pteAddrs)
+            io.u(addr);
+        io.u(slot.level);
+        if constexpr (Io::kReading) {
+            if (slot.level < 1 || slot.level > kPtLevels)
+                io.fail("walk level " + std::to_string(slot.level) +
+                        " out of range");
+        }
     }
-    putUintSeq(w, freeSlots_);
-    putUintSeq(w, fetchQueue_);
-    putUintSeq(w, activePerApp_);
-    w.u(active_);
-    w.u(started_);
-    walkLatency_.serialize(w);
+    io.uintSeq(self.freeSlots_, self.slots_.size());
+    io.uintSeq(self.fetchQueue_, self.slots_.size());
+    if constexpr (Io::kReading) {
+        for (const WalkId id : self.freeSlots_) {
+            if (id >= self.slots_.size() || self.slots_[id].inUse)
+                io.fail("walker free list names an in-use slot");
+        }
+        for (const WalkId id : self.fetchQueue_) {
+            if (id >= self.slots_.size() || !self.slots_[id].inUse)
+                io.fail("walker fetch queue names a free slot");
+        }
+    }
+    io.uintSeq(self.activePerApp_);
+    io.u(self.active_);
+    io.u(self.started_);
+    io.obj(self.walkLatency_);
 }
 
-void
-PageTableWalker::deserialize(StateReader &r)
-{
-    r.tag("walker");
-    const std::uint64_t n = r.u();
-    if (n != slots_.size())
-        r.fail("walker slot count mismatch (" + std::to_string(n) +
-               " vs configured " + std::to_string(slots_.size()) + ")");
-    for (Slot &slot : slots_) {
-        slot = Slot{};
-        if (!r.b())
-            continue;
-        slot.info.asid = static_cast<Asid>(r.u());
-        slot.info.vpn = r.u();
-        slot.info.app = static_cast<AppId>(r.u());
-        slot.info.startCycle = r.u();
-        for (Addr &addr : slot.pteAddrs)
-            addr = r.u();
-        const std::uint64_t level = r.u();
-        if (level < 1 || level > kPtLevels)
-            r.fail("walk level " + std::to_string(level) +
-                   " out of range");
-        slot.level = static_cast<std::uint8_t>(level);
-        slot.inUse = true;
-    }
-    getUintSeq(r, freeSlots_, slots_.size());
-    getUintSeq(r, fetchQueue_, slots_.size());
-    for (const WalkId id : freeSlots_) {
-        if (id >= slots_.size() || slots_[id].inUse)
-            r.fail("walker free list names an in-use slot");
-    }
-    for (const WalkId id : fetchQueue_) {
-        if (id >= slots_.size() || !slots_[id].inUse)
-            r.fail("walker fetch queue names a free slot");
-    }
-    getUintSeq(r, activePerApp_);
-    active_ = static_cast<std::uint32_t>(r.u());
-    started_ = r.u();
-    walkLatency_.deserialize(r);
-}
+MASK_STATE_INSTANTIATE(PageTableWalker);
 
 } // namespace mask

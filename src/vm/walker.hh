@@ -94,8 +94,8 @@ class PageTableWalker
 
     void resetStats() { walkLatency_.reset(); started_ = 0; }
 
-    void serialize(StateWriter &w) const;
-    void deserialize(StateReader &r);
+    template <typename Self, typename Io>
+    static void state(Self &self, Io &io);
 
   private:
     struct Slot

@@ -148,18 +148,12 @@ class StreamTable
 
     void reset() { std::fill(counts_.begin(), counts_.end(), 0); }
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("streams");
-        putUintSeq(w, counts_);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("streams");
-        getUintSeq(r, counts_);
+        io.tag("streams");
+        io.uintSeq(self.counts_);
     }
 
   private:
@@ -182,26 +176,16 @@ struct WarpMemState
     std::uint64_t lastPos = 0; //!< stream head position at last pick
     bool started = false;
 
-    void
-    serialize(StateWriter &w) const
+    template <typename Self, typename Io>
+    static void
+    state(Self &self, Io &io)
     {
-        w.tag("wm");
-        w.u(page);
-        w.u(runLeft);
-        w.u(lineCursor);
-        w.u(lastPos);
-        w.b(started);
-    }
-
-    void
-    deserialize(StateReader &r)
-    {
-        r.tag("wm");
-        page = r.u();
-        runLeft = static_cast<std::uint32_t>(r.u());
-        lineCursor = r.u();
-        lastPos = r.u();
-        started = r.b();
+        io.tag("wm");
+        io.u(self.page);
+        io.u(self.runLeft);
+        io.u(self.lineCursor);
+        io.u(self.lastPos);
+        io.b(self.started);
     }
 };
 

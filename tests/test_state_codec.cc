@@ -2,10 +2,12 @@
  * @file
  * Unit tests for the binary StateCodec (common/state_codec.{hh,cc}):
  * bit-exact round trips of varint, zigzag and raw-double fields at
- * their edges, one rejection case per malformed-encoding rule, and a
- * payload fuzz over a real snapshot. The fuzz re-computes the header
- * checksum after every mutation, so the bounds-checked decoder — not
- * the checksum — is what must cope; it also runs under ASan/UBSan.
+ * their edges, one rejection case per malformed-encoding rule
+ * (including values wider than the field they restore), a payload
+ * fuzz over a real snapshot, and the pinned wire format. The fuzz
+ * re-computes the header checksum after every mutation, so the
+ * bounds-checked decoder — not the checksum — is what must cope; it
+ * also runs under ASan/UBSan.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +20,13 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/memreq.hh"
 #include "common/state_codec.hh"
+#include "sim/file_io.hh"
 #include "sim/gpu.hh"
+#include "sim/runner.hh"
 #include "sim/snapshot.hh"
+#include "sim/sweep_io.hh"
 #include "workload/suite.hh"
 
 namespace mask {
@@ -282,6 +288,75 @@ TEST(StateCodecReject, ErrorNamesLastTag)
     EXPECT_EQ(err.field(), "tlb");
 }
 
+// A payload with a valid checksum can still carry a value wider than
+// the field it restores; the typed reads reject it instead of
+// truncating it.
+
+TEST(StateCodecReject, RequestAsidWiderThanSixteenBits)
+{
+    // A complete, otherwise well-formed record: only asid is wrong.
+    StateWriter w;
+    w.tag("req");
+    w.u(0x1000); // paddr
+    w.u(65537);  // asid: 2^16 + 1
+    for (int k = 0; k < 7; ++k)
+        w.u(0); // app, core, warp, type, origin, pwLevel, walkId
+    for (int k = 0; k < 4; ++k)
+        w.b(false); // bypassL2, mshrPrimary, l2StatsCounted, live
+    w.s("dram");
+    w.u(10); // issueCycle
+    w.u(20); // dramEnqueueCycle
+    const SnapshotError err = expectReject(w.str(), [](StateReader &r) {
+        MemRequest req;
+        r.obj(req);
+    });
+    EXPECT_TRUE(contains(err.reason(), "does not fit the 16-bit field"))
+        << err.reason();
+    EXPECT_EQ(err.field(), "req");
+}
+
+TEST(StateCodecReject, UintSeqElementWiderThanItsType)
+{
+    StateWriter w;
+    w.uintSeq(std::vector<std::uint32_t>{1, 70000});
+    const SnapshotError err = expectReject(w.str(), [](StateReader &r) {
+        std::vector<std::uint16_t> v;
+        r.uintSeq(v);
+    });
+    EXPECT_TRUE(contains(err.reason(), "70000 does not fit the 16-bit"))
+        << err.reason();
+}
+
+TEST(StateCodecReject, SignedValueOutsideItsType)
+{
+    StateWriter w;
+    w.i(std::int64_t{1} << 40);
+    const SnapshotError err = expectReject(w.str(), [](StateReader &r) {
+        int v = 0;
+        r.i(v);
+    });
+    EXPECT_TRUE(contains(err.reason(), "does not fit the 32-bit field"))
+        << err.reason();
+}
+
+TEST(StateCodec, EnumsTravelAsTheirUnderlyingValue)
+{
+    StateWriter w;
+    w.u(ReqType::Translation);
+    w.u(std::uint64_t{256});
+    StateReader r(w.str());
+    ReqType t = ReqType::Data;
+    r.u(t);
+    EXPECT_EQ(t, ReqType::Translation);
+    try {
+        r.u(t);
+        ADD_FAILURE() << "256 fits no 8-bit enum";
+    } catch (const SnapshotError &err) {
+        EXPECT_TRUE(contains(err.reason(), "does not fit the 8-bit field"))
+            << err.reason();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Payload fuzz over a real snapshot
 // ---------------------------------------------------------------------
@@ -383,6 +458,28 @@ TEST_F(StateCodecFuzz, RandomByteCorruptionNeverCrashes)
     // A flipped value byte may still decode; a flipped tag, length or
     // count byte is caught. Either way: no crash, no UB.
     EXPECT_GT(rejected, 0);
+}
+
+// The wire format, pinned: the fuzz pair's 2500-cycle snapshot
+// payload and a PairResult blob of a short shared run. A deliberate
+// format or model change updates these constants, together with
+// kSnapshotVersion (snapshots) or the blob prefix (journal entries).
+TEST_F(StateCodecFuzz, WireFormatIsPinned)
+{
+    EXPECT_EQ(kSnapshotVersion, 3u);
+    EXPECT_EQ(payload_.size(), 25886u);
+    EXPECT_EQ(fnv1a64(payload_), 0x2dfe5c0e86f207c6ull);
+
+    const WorkloadPair &pair = workloadPairs().front();
+    Evaluator eval(RunOptions{2000, 3000});
+    PairResult result;
+    result.stats =
+        eval.runShared(cfg_, DesignPoint::Mask, {pair.first, pair.second});
+    result.sharedIpc = result.stats.ipc;
+    const std::string blob = encodePairResult(result);
+    EXPECT_EQ(blob.rfind("v4 ", 0), 0u);
+    EXPECT_EQ(blob.size(), 615u);
+    EXPECT_EQ(fnv1a64(blob), 0xd7689d3e7d2d5d60ull);
 }
 
 } // namespace

@@ -554,6 +554,7 @@ TEST(SweepWarm, WarmupFingerprintSensitivity)
 TEST(SweepWarm, WarmStateKeyCoversWorkloadAndWindow)
 {
     const std::string key = warmStateKey(0x1234, {"HISTO", "LPS"}, 2000);
+    EXPECT_EQ(key, "warm_0000000000001234_HISTO_LPS_2000");
     EXPECT_NE(key, warmStateKey(0x1235, {"HISTO", "LPS"}, 2000));
     EXPECT_NE(key, warmStateKey(0x1234, {"HISTO"}, 2000));
     EXPECT_NE(key, warmStateKey(0x1234, {"HISTO", "LPS"}, 4000));
