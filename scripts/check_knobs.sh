@@ -7,7 +7,10 @@
 # options (MASK_SANITIZE*) are build-time and not counted. The gate also
 # fails if anything in src/ or bench/ calls getenv outside
 # src/common/env.cc, since such a read would bypass both the strict
-# parsing and this inventory. Run from anywhere:
+# parsing and this inventory, and if a string literal in src/ or bench/
+# names a MASK_* token that is not a README knob: an error message or
+# log line must not point users at a knob that does not exist. Run
+# from anywhere:
 #
 #   scripts/check_knobs.sh
 set -euo pipefail
@@ -34,6 +37,18 @@ stray=$(grep -rlE '\bgetenv\b' src bench | grep -v '^src/common/env\.cc$' || tru
 if [ -n "$stray" ]; then
     echo "check_knobs: getenv outside src/common/env.cc:" >&2
     echo "$stray" | sed 's/^/    /' >&2
+    status=1
+fi
+
+# Every MASK_* token inside a string literal (char literals '"' are
+# dropped first so they cannot pair with a real string's quote).
+literal_tokens=$(find src bench -name '*.cc' -o -name '*.hh' | sort |
+    xargs sed -e "s/'\\\\\?\"'//g" |
+    grep -oE '"([^"\\]|\\.)*"' | grep -oE 'MASK_[A-Z0-9_]+' | sort -u)
+unknown=$(comm -23 <(echo "$literal_tokens") <(echo "$readme_knobs"))
+if [ -n "$unknown" ]; then
+    echo "check_knobs: string literals name MASK_* tokens README.md does not list:" >&2
+    echo "$unknown" | sed 's/^/    /' >&2
     status=1
 fi
 

@@ -425,6 +425,15 @@ SweepRunner::failedJobs() const
     return failed;
 }
 
+std::size_t
+SweepRunner::journalHits() const
+{
+    std::size_t hits = 0;
+    for (const SweepOutcome &outcome : outcomes_)
+        hits += outcome.fromJournal && outcome.status == SweepStatus::Ok;
+    return hits;
+}
+
 std::string
 SweepRunner::jobKey(const SweepJob &job) const
 {
@@ -561,6 +570,8 @@ SweepRunner::run()
     const std::size_t batch = pending_.size();
     results_.resize(base + batch);
     outcomes_.resize(base + batch);
+    if (policy_.timeoutMs > 0 && !policy_.isolate && monitor_ == nullptr)
+        monitor_ = std::make_unique<DeadlineMonitor>();
 
     if (dist_.enabled()) {
         runDistributed(base);
@@ -571,57 +582,23 @@ SweepRunner::run()
     if (!policy_.journalPath.empty() && journal_ == nullptr)
         journal_ = std::make_unique<SweepJournal>(policy_.journalPath);
 
-    // Journal pre-pass: jobs a previous run completed are loaded, not
+    // Resume: jobs a previous run completed are loaded, not
     // re-simulated. The decoded results are bit-exact, so bench
     // output after a resume is byte-identical to an uninterrupted run.
-    std::vector<std::size_t> todo;
-    todo.reserve(batch);
-    std::size_t loaded = 0;
-    for (std::size_t i = 0; i < batch; ++i) {
-        if (journal_ != nullptr) {
-            PairResult result;
-            unsigned attempts = 1;
-            bool hit = false;
-            try {
-                hit = journal_->lookupOk(jobKey(pending_[i]), result,
-                                         attempts);
-            } catch (const std::exception &err) {
-                // A corrupt entry degrades to a re-simulation.
-                std::fprintf(stderr,
-                             "[sweep] journal entry unusable: %s\n",
-                             err.what());
-            }
-            if (hit) {
-                SweepOutcome outcome;
-                outcome.status = SweepStatus::Ok;
-                outcome.attempts = attempts;
-                outcome.fromJournal = true;
-                results_[base + i] = std::move(result);
-                outcomes_[base + i] = std::move(outcome);
-                ++loaded;
-                ++journalHits_;
-                continue;
-            }
-        }
-        todo.push_back(i);
-    }
+    const std::vector<std::size_t> todo =
+        loadFromJournal(base, /*ok_only=*/true, {});
     if (journal_ != nullptr) {
         std::fprintf(stderr,
                      "[sweep] journal %s: loaded %zu/%zu jobs, "
                      "simulating %zu\n",
-                     journal_->path().c_str(), loaded, batch,
-                     todo.size());
+                     journal_->path().c_str(), batch - todo.size(),
+                     batch, todo.size());
     }
 
-    if (!todo.empty()) {
-        if (policy_.isolate) {
-            runIsolated(todo, base);
-        } else {
-            if (policy_.timeoutMs > 0 && monitor_ == nullptr)
-                monitor_ = std::make_unique<DeadlineMonitor>();
-            runBatch(todo, base);
-        }
-    }
+    if (policy_.isolate)
+        runIsolated(todo, base);
+    else if (!todo.empty())
+        runBatch(todo, base);
     pending_.clear();
 }
 
@@ -668,6 +645,35 @@ SweepRunner::runBatch(const std::vector<std::size_t> &todo,
         t.join();
 }
 
+std::vector<std::size_t>
+SweepRunner::loadFromJournal(std::size_t base, bool ok_only,
+                             const std::vector<char> &ran_here)
+{
+    if (journal_ != nullptr)
+        journal_->refresh();
+    std::vector<std::size_t> rest;
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+        if (!ran_here.empty() && ran_here[i] != 0)
+            continue;
+        const JournalEntry *entry =
+            journal_ != nullptr ? journal_->find(jobKey(pending_[i]))
+                                : nullptr;
+        if (entry == nullptr || (ok_only && entry->status != "Ok")) {
+            rest.push_back(i);
+            continue;
+        }
+        SweepOutcome &outcome = outcomes_[base + i];
+        outcome = SweepOutcome{};
+        outcome.status = sweepStatusFromName(entry->status);
+        outcome.attempts = entry->attempts;
+        outcome.error = entry->error;
+        outcome.reproPath = entry->repro;
+        outcome.fromJournal = true;
+        results_[base + i] = entry->result;
+    }
+    return rest;
+}
+
 // ---------------------------------------------------------------------
 // Distributed execution (MASK_SWEEP_DIST_DIR, DESIGN.md §15)
 // ---------------------------------------------------------------------
@@ -677,11 +683,10 @@ SweepRunner::runDistributed(std::size_t base)
 {
     const std::size_t batch = pending_.size();
     DistCoordinator dist(dist_);
-    dist.noteJobs(batch);
 
     // In dist mode the per-worker shard IS the journal: finishJob()
     // lands every local outcome there as a durable, single-write
-    // record, and peers learn of it by tailing the shard directory.
+    // record, and the journal reads every peer's shard beside it.
     if (!policy_.journalPath.empty() &&
         policy_.journalPath != dist.shardPath()) {
         std::fprintf(stderr,
@@ -689,47 +694,41 @@ SweepRunner::runDistributed(std::size_t base)
                      "shard %s is the journal\n",
                      dist.shardPath().c_str());
     }
-    journal_ = std::make_unique<SweepJournal>(dist.shardPath());
-    journal_->setWorkerTag(dist_.worker);
-
-    if (policy_.timeoutMs > 0 && monitor_ == nullptr &&
-        !policy_.isolate)
-        monitor_ = std::make_unique<DeadlineMonitor>();
+    journal_ = std::make_unique<SweepJournal>(dist.shardPath(),
+                                              dist_.worker);
 
     Evaluator eval(options_, cache_);
     eval.setWarmCache(warm_);
 
-    std::vector<std::string> keys(batch);
-    for (std::size_t i = 0; i < batch; ++i)
-        keys[i] = jobKey(pending_[i]);
-
     // Claim loop: repeated submission-order passes over the batch.
-    // Every pass first ingests what other workers published; a job
-    // with any terminal shard entry is done (unlike a serial-journal
-    // resume, a Failed entry is not re-simulated here — one worker's
-    // permafail must not cascade into every worker re-running it).
-    // Unclaimed jobs are taken with a lease and executed; jobs whose
-    // lease is held elsewhere are skipped and re-checked next pass.
-    std::vector<char> done(batch, 0);
-    std::vector<char> local(batch, 0);
-    std::size_t remaining = batch;
-    while (remaining > 0) {
-        dist.refreshShards();
-        bool progress = false;
-        for (std::size_t i = 0; i < batch; ++i) {
-            if (done[i] != 0)
-                continue;
-            if (dist.terminal(keys[i]) != nullptr) {
-                done[i] = 1; // decoded in the merge pass below
-                --remaining;
-                progress = true;
-                continue;
-            }
-            if (dist_.mergeOnly)
-                continue;
+    // Every pass first loads what the journal's winners say is done —
+    // any status: unlike a serial resume, a Failed record is not
+    // re-simulated here, since one worker's permafail must not
+    // cascade into every worker re-running it. Unclaimed jobs are
+    // taken with a lease and executed; jobs whose lease is held
+    // elsewhere are skipped and re-checked next pass. The loop ends
+    // on a load, so every job this worker did not run holds the
+    // winner of the final shard bytes: winner selection depends only
+    // on those bytes, so this worker's results_ — and any other
+    // worker's, and a merge-only pass's — match a single-process
+    // serial run byte for byte.
+    std::vector<char> ran_here(batch, 0);
+    std::uint64_t executed = 0;
+    std::uint64_t abandoned = 0;
+    std::vector<std::size_t> todo;
+    for (;;) {
+        todo = loadFromJournal(base, /*ok_only=*/false, ran_here);
+        if (todo.empty() || dist_.mergeOnly)
+            break;
+        bool claimed = false;
+        for (const std::size_t i : todo) {
+            const std::string key = jobKey(pending_[i]);
             unsigned steals = 0;
-            switch (dist.tryClaim(keys[i], &steals)) {
-              case DistCoordinator::Claim::Acquired:
+            const DistCoordinator::Claim claim =
+                dist.tryClaim(key, &steals);
+            if (claim == DistCoordinator::Claim::Busy)
+                continue;
+            if (claim == DistCoordinator::Claim::Acquired) {
                 if (policy_.isolate)
                     runIsolated(std::vector<std::size_t>{i}, base);
                 else
@@ -737,101 +736,51 @@ SweepRunner::runDistributed(std::size_t base)
                 // Release only after finishJob made the shard record
                 // durable: a lease must never vanish while the job's
                 // completion is still invisible to peers.
-                dist.release(keys[i]);
-                dist.noteExecuted();
-                local[i] = 1;
-                done[i] = 1;
-                --remaining;
-                progress = true;
-                break;
-              case DistCoordinator::Claim::Abandoned: {
+                dist.release(key);
+                ++executed;
+            } else {
                 SweepOutcome outcome;
                 outcome.status = SweepStatus::Abandoned;
-                outcome.attempts = 0;
                 outcome.error =
                     "lease stolen " + std::to_string(steals) +
                     " time(s) with no durable result; job abandoned "
-                    "(MASK_SWEEP_DIST_MAX_STEALS=" +
-                    std::to_string(dist_.maxSteals) + ")";
-                finishJob(base + i, keys[i], PairResult{},
+                    "after " +
+                    std::to_string(dist_.maxSteals) + " steals";
+                finishJob(base + i, key, PairResult{},
                           std::move(outcome));
-                dist.noteAbandoned();
-                local[i] = 1;
-                done[i] = 1;
-                --remaining;
-                progress = true;
-                break;
-              }
-              case DistCoordinator::Claim::Busy:
-                break;
+                ++abandoned;
             }
+            ran_here[i] = 1;
+            claimed = true;
         }
-        if (remaining == 0 || dist_.mergeOnly)
-            break;
-        if (!progress) {
-            dist.noteWaiting(remaining);
+        if (!claimed) {
+            dist.noteWaiting(todo.size());
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(dist_.pollMs));
         }
     }
-
-    // Deterministic merge: every job this worker did not execute is
-    // decoded from the shard view's winning entry. The blobs are
-    // bit-exact and winner selection is arrival-order independent, so
-    // this worker's results_ — and any other worker's, and a
-    // merge-only pass's — match a single-process serial run byte for
-    // byte.
-    dist.refreshShards();
-    dist.finalizeMerge();
-    for (std::size_t i = 0; i < batch; ++i) {
-        if (local[i] != 0)
-            continue;
-        const DistCoordinator::Entry *entry = dist.terminal(keys[i]);
-        PairResult result;
-        SweepOutcome outcome;
-        if (entry == nullptr) {
-            outcome.status = SweepStatus::Failed;
-            outcome.error =
-                dist_.mergeOnly
-                    ? "no shard entry for this job "
-                      "(MASK_SWEEP_DIST_MERGE=1 never executes)"
-                    : "no shard entry after distributed run";
-        } else {
-            outcome.status = sweepStatusFromName(entry->status);
-            outcome.attempts = entry->attempts;
-            outcome.error = entry->error;
-            outcome.reproPath = entry->repro;
-            outcome.fromJournal = true;
-            if (outcome.status == SweepStatus::Ok) {
-                try {
-                    result = decodePairResult(entry->blob);
-                    ++journalHits_;
-                } catch (const std::exception &err) {
-                    outcome.status = SweepStatus::Failed;
-                    outcome.error =
-                        std::string("shard entry undecodable: ") +
-                        err.what();
-                }
-            }
-            dist.noteLoaded();
-        }
-        results_[base + i] = std::move(result);
-        outcomes_[base + i] = std::move(outcome);
+    for (const std::size_t i : todo) {
+        SweepOutcome &outcome = outcomes_[base + i];
+        outcome.status = SweepStatus::Failed;
+        outcome.error = "no shard entry for this job "
+                        "(MASK_SWEEP_DIST_MERGE=1 never executes)";
     }
 
-    const DistSweepStats stats = dist.stats();
-    distStats_.worker = stats.worker;
-    distStats_.jobs += stats.jobs;
-    distStats_.executed += stats.executed;
-    distStats_.loadedRemote += stats.loadedRemote;
-    distStats_.leasesClaimed += stats.leasesClaimed;
-    distStats_.leasesStolen += stats.leasesStolen;
-    distStats_.staleSeen += stats.staleSeen;
-    distStats_.stealRetries += stats.stealRetries;
-    distStats_.duplicates += stats.duplicates;
-    distStats_.tornLines += stats.tornLines;
-    distStats_.abandoned += stats.abandoned;
-    distStats_.waitPolls += stats.waitPolls;
+    const DistSweepStats &leases = dist.stats();
+    distStats_.worker = leases.worker;
+    distStats_.jobs += batch;
+    distStats_.executed += executed;
+    distStats_.loadedRemote +=
+        batch - executed - abandoned - todo.size();
+    distStats_.leasesClaimed += leases.leasesClaimed;
+    distStats_.leasesStolen += leases.leasesStolen;
+    distStats_.staleSeen += leases.staleSeen;
+    distStats_.stealRetries += leases.stealRetries;
+    distStats_.duplicates += journal_->duplicates();
+    distStats_.tornLines +=
+        journal_->malformedLines() + journal_->partialTails();
+    distStats_.abandoned += abandoned;
+    distStats_.waitPolls += leases.waitPolls;
 }
 
 // ---------------------------------------------------------------------

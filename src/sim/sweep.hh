@@ -117,7 +117,7 @@ enum class SweepStatus : std::uint8_t {
     Failed,   //!< threw (ConfigError, SimInvariantError, ...)
     TimedOut, //!< exceeded MASK_SWEEP_TIMEOUT_MS and was cancelled
     Crashed,  //!< isolated subprocess died on a fatal signal
-    Abandoned, //!< distributed job stolen MASK_SWEEP_DIST_MAX_STEALS
+    Abandoned, //!< distributed job stolen DistPolicy::maxSteals (3)
                //!< times with no durable result; degraded, not run
 };
 
@@ -297,7 +297,7 @@ class SweepRunner
     std::size_t failedJobs() const;
 
     /** Jobs loaded from the journal instead of simulated. */
-    std::size_t journalHits() const { return journalHits_; }
+    std::size_t journalHits() const;
 
     unsigned jobs() const { return jobs_; }
     const RunOptions &options() const { return options_; }
@@ -344,6 +344,15 @@ class SweepRunner
     void runIsolated(const std::vector<std::size_t> &todo,
                      std::size_t base);
     void runDistributed(std::size_t base);
+    /**
+     * Refresh the journal and load every job of the batch (except
+     * those @p ran_here) that has a winning record: Ok ones only for
+     * a serial resume (@p ok_only), any status in dist mode
+     * (DESIGN.md §15). Returns the jobs not loaded, in order.
+     */
+    std::vector<std::size_t> loadFromJournal(
+        std::size_t base, bool ok_only,
+        const std::vector<char> &ran_here);
     void applyDistWarmDefault();
     void runOne(Evaluator &eval, std::size_t pend_idx,
                 std::size_t base);
@@ -367,7 +376,6 @@ class SweepRunner
     std::vector<SweepOutcome> outcomes_;
     std::unique_ptr<SweepJournal> journal_;
     std::unique_ptr<DeadlineMonitor> monitor_;
-    std::size_t journalHits_ = 0;
     Executor executor_;
 };
 

@@ -8,9 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <tuple>
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -19,7 +17,6 @@
 #include "common/env.hh"
 #include "common/rate_limit.hh"
 #include "sim/file_io.hh"
-#include "sim/sweep_io.hh"
 
 namespace mask {
 
@@ -433,130 +430,6 @@ DistCoordinator::noteWaiting(std::size_t pending_jobs)
                      policy_.worker.c_str(), pending_jobs, n,
                      waitWarns().suppressNote());
     }
-}
-
-void
-DistCoordinator::refreshShards()
-{
-    ::DIR *dir = ::opendir(shardDir_.c_str());
-    if (dir != nullptr) {
-        for (const struct ::dirent *ent = ::readdir(dir);
-             ent != nullptr; ent = ::readdir(dir)) {
-            const std::string name = ent->d_name;
-            constexpr const char *kExt = ".jsonl";
-            if (name.size() <= std::strlen(kExt) ||
-                name.compare(name.size() - std::strlen(kExt),
-                             std::string::npos, kExt) != 0)
-                continue;
-            ShardSource &src = sources_[name];
-            if (src.path.empty())
-                src.path = shardDir_ + "/" + name;
-        }
-        ::closedir(dir);
-    }
-
-    // std::map iteration is shard-name order: candidates from shard A
-    // always carry a smaller tie-break key than shard B regardless of
-    // which refresh discovered them.
-    for (auto &source : sources_) {
-        ShardSource &src = source.second;
-        std::string data;
-        if (!readFile(src.path, data, src.offset))
-            continue;
-
-        // Consume complete lines only. A partial tail is usually a
-        // write in flight — it stays pending and is re-read once its
-        // newline lands. (A dead writer's torn tail never completes;
-        // finalizeMerge() counts those.)
-        std::size_t pos = 0;
-        while (pos < data.size()) {
-            const std::size_t nl = data.find('\n', pos);
-            if (nl == std::string::npos)
-                break;
-            consumeShardLine(source.first, src.lines,
-                             data.substr(pos, nl - pos));
-            ++src.lines;
-            src.offset += nl - pos + 1;
-            pos = nl + 1;
-        }
-    }
-}
-
-void
-DistCoordinator::consumeShardLine(const std::string &shard,
-                                  std::size_t line_no,
-                                  const std::string &line)
-{
-    if (line.empty())
-        return;
-    Entry entry;
-    if (!parseJournalLine(line, entry)) {
-        ++stats_.tornLines; // complete but unparsable: corruption
-        return;
-    }
-    const std::string key = entry.key;
-    const bool is_ok = entry.status == "Ok";
-
-    auto ok_it = hasOk_.find(key);
-    if (is_ok) {
-        if (ok_it != hasOk_.end() && ok_it->second)
-            ++stats_.duplicates; // double claim: first entry won
-        else
-            hasOk_[key] = true;
-    } else if (ok_it == hasOk_.end()) {
-        hasOk_[key] = false;
-    }
-
-    Candidate cand;
-    cand.shard = shard;
-    cand.line = line_no;
-    cand.entry = std::move(entry);
-
-    const auto best_it = best_.find(key);
-    if (best_it == best_.end()) {
-        best_.emplace(key, std::move(cand));
-        return;
-    }
-    // Deterministic winner, independent of arrival order: Ok beats
-    // non-Ok; ties resolve by (shard filename, line number).
-    const Candidate &cur = best_it->second;
-    const bool cur_ok = cur.entry.status == "Ok";
-    const bool better =
-        (is_ok != cur_ok)
-            ? is_ok
-            : std::tie(cand.shard, cand.line) <
-                  std::tie(cur.shard, cur.line);
-    if (better)
-        best_it->second = std::move(cand);
-}
-
-const DistCoordinator::Entry *
-DistCoordinator::terminal(const std::string &job_key) const
-{
-    const auto it = best_.find(job_key);
-    return it == best_.end() ? nullptr : &it->second.entry;
-}
-
-void
-DistCoordinator::finalizeMerge()
-{
-    // Anything still unconsumed after the last refresh is a partial
-    // final line with no writer left to finish it — the torn tail of
-    // a crashed worker's shard. Remote shards are never truncated
-    // (their owner repairs on its next open); just count and move on.
-    for (const auto &source : sources_) {
-        struct ::stat st = {};
-        if (::stat(source.second.path.c_str(), &st) != 0)
-            continue;
-        if (static_cast<std::size_t>(st.st_size) > source.second.offset)
-            ++stats_.tornLines;
-    }
-}
-
-DistSweepStats
-DistCoordinator::stats() const
-{
-    return stats_;
 }
 
 } // namespace mask

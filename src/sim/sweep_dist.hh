@@ -29,15 +29,16 @@
  *
  * Completion is a durable journal entry: each worker appends outcomes
  * to its own shard (single-write O_APPEND records, sweep_io.hh), and
- * every worker incrementally tails all shards to learn what the
+ * reads every shard through the same SweepJournal to learn what the
  * others finished. Double claims are legal (a slow-but-alive worker
- * may race its thief); the first durable entry wins and later
- * duplicates are detected and counted, never re-merged. The merge is
- * deterministic — submission order comes from the local job list, Ok
- * entries are preferred, and ties resolve by (shard name, line
- * number) — so every worker (or a later MASK_SWEEP_DIST_MERGE=1
- * invocation) renders byte-identical results, themselves
- * byte-identical to a single-process serial run.
+ * may race its thief); the journal's one winner rule — the first
+ * decodable Ok entry in (shard name, line number) order, else the
+ * first other entry — picks the same record on every worker, and the
+ * extra entries are counted, never re-merged. So every worker (or a
+ * later MASK_SWEEP_DIST_MERGE=1 invocation) renders byte-identical
+ * results in submission order, themselves byte-identical to a
+ * single-process serial run. DistCoordinator itself only handles
+ * leases; it never reads a shard.
  */
 
 #ifndef MASK_SIM_SWEEP_DIST_HH
@@ -50,8 +51,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "sim/sweep_io.hh"
 
 namespace mask {
 
@@ -131,13 +130,12 @@ struct DistSweepStats
 };
 
 /**
- * One worker's view of a shared sweep directory: lease claims with
- * heartbeats and steal accounting, plus an incremental reader over
- * every worker's journal shard.
+ * One worker's lease table in a shared sweep directory: claims with
+ * heartbeats, steals of stale leases, and their counters.
  *
- * Thread model: all claim/refresh/merge calls come from the sweep
- * driver thread; the only internal thread is the heartbeat, which
- * touches nothing but the held-lease table (mutex-protected) and is
+ * Thread model: all claim/release calls come from the sweep driver
+ * thread; the only internal thread is the heartbeat, which touches
+ * nothing but the held-lease table (mutex-protected) and is
  * allocation-free per beat so fork-per-job isolation stays safe.
  */
 class DistCoordinator
@@ -173,35 +171,13 @@ class DistCoordinator
      *  durable — completion must be visible before the lease goes). */
     void release(const std::string &job_key);
 
-    /** One deterministically-merged shard entry. */
-    using Entry = JournalEntry;
-
-    /** Incrementally tail every shard in <dir>/shards (complete
-     *  lines only; a growing file's partial tail is left pending). */
-    void refreshShards();
-
-    /**
-     * Winning terminal entry for @p job_key, or null. Selection is
-     * arrival-order independent: Ok beats non-Ok, ties resolve by
-     * (shard filename, line number), so every worker picks the same
-     * winner from the same shard bytes.
-     */
-    const Entry *terminal(const std::string &job_key) const;
-
-    /** Count leftover partial shard tails (dead writers' torn final
-     *  records) into stats; call once after the last refresh. */
-    void finalizeMerge();
-
-    void noteExecuted() { ++stats_.executed; }
-    void noteLoaded() { ++stats_.loadedRemote; }
-    void noteAbandoned() { ++stats_.abandoned; }
-    void noteJobs(std::uint64_t n) { stats_.jobs += n; }
-
     /** Count one idle wait on @p pending_jobs jobs other workers
      *  hold, with a rate-limited stderr note. */
     void noteWaiting(std::size_t pending_jobs);
 
-    DistSweepStats stats() const;
+    /** Worker id and the lease and wait counters; the runner fills
+     *  in the job and shard counters. */
+    const DistSweepStats &stats() const { return stats_; }
 
   private:
     struct Held
@@ -215,25 +191,11 @@ class DistCoordinator
         unsigned attempts = 0;
         std::uint64_t notBeforeMs = 0;
     };
-    struct ShardSource
-    {
-        std::string path;
-        std::size_t offset = 0; //!< consumed up to here
-        std::size_t lines = 0;  //!< complete lines parsed
-    };
-    struct Candidate
-    {
-        std::string shard;
-        std::size_t line = 0;
-        Entry entry;
-    };
 
     std::string leasePath(const std::string &lease_name) const;
     void writeLeaseLocked(Held &held, std::uint64_t now_ms);
     void startHeartbeatLocked();
     void heartbeatLoop();
-    void consumeShardLine(const std::string &shard,
-                          std::size_t line_no, const std::string &line);
 
     DistPolicy policy_;
     std::string leaseDir_;
@@ -249,9 +211,6 @@ class DistCoordinator
     // Driver-thread-only state (never touched by the heartbeat).
     std::map<std::string, unsigned> stealObserved_;
     std::map<std::string, StealBackoff> stealBackoff_;
-    std::map<std::string, ShardSource> sources_;
-    std::map<std::string, Candidate> best_; //!< job key -> winner
-    std::map<std::string, bool> hasOk_;     //!< job key -> Ok seen
     DistSweepStats stats_;
 };
 

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string_view>
+#include <tuple>
+#include <utility>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -188,6 +191,14 @@ jsonField(const std::string &line, const std::string &field,
     return false; // no closing quote (truncated line)
 }
 
+namespace {
+
+/**
+ * Parse one complete, non-empty journal line into @p entry. Returns
+ * false when the line is malformed: no key or status, an "attempts"
+ * field that is not an unsigned decimal fitting `unsigned`, or an
+ * "Ok" record without a result.
+ */
 bool
 parseJournalLine(const std::string &line, JournalEntry &entry)
 {
@@ -197,55 +208,53 @@ parseJournalLine(const std::string &line, JournalEntry &entry)
         return false;
     jsonField(line, "error", entry.error);
     jsonField(line, "repro", entry.repro);
-    jsonField(line, "worker", entry.worker);
     std::string attempts;
-    if (jsonField(line, "attempts", attempts))
-        entry.attempts = static_cast<unsigned>(
-            std::strtoul(attempts.c_str(), nullptr, 10));
+    if (jsonField(line, "attempts", attempts)) {
+        // The envU64 rule: digits only, no sign, space or suffix, and
+        // a value that overflows `unsigned` is malformed, not wrapped.
+        const char *end = attempts.data() + attempts.size();
+        const auto [ptr, ec] =
+            std::from_chars(attempts.data(), end, entry.attempts);
+        if (ec != std::errc() || ptr != end)
+            return false;
+    }
     return entry.status != "Ok" || jsonField(line, "result", entry.blob);
 }
 
-SweepJournal::SweepJournal(std::string path) : path_(std::move(path))
-{
-    std::string data;
-    if (!readFile(path_, data))
-        return; // fresh journal
+} // namespace
 
-    // Parse complete ('\n'-terminated) lines only. Whatever trails
-    // the final newline is a torn record from a writer killed
-    // mid-append: truncate it away so the next append starts on a
-    // clean line boundary instead of gluing onto the torn tail.
-    std::size_t pos = 0;
-    while (pos < data.size()) {
-        const std::size_t nl = data.find('\n', pos);
-        if (nl == std::string::npos)
-            break; // torn tail, handled below
-        const std::string line = data.substr(pos, nl - pos);
-        pos = nl + 1;
-        if (line.empty())
-            continue;
-        JournalEntry entry;
-        if (!parseJournalLine(line, entry))
-            ++malformed_;
-        else if (entry.status == "Ok")
-            ok_[entry.key] = std::move(entry); // latest per key wins
-    }
-    if (pos < data.size()) {
+SweepJournal::SweepJournal(std::string path, std::string worker)
+    : path_(std::move(path)), worker_(std::move(worker))
+{
+    const std::size_t slash = path_.rfind('/');
+    const std::string own_name =
+        slash == std::string::npos ? path_ : path_.substr(slash + 1);
+    if (!worker_.empty())
+        peerDir_ = slash == std::string::npos ? "." : path_.substr(0, slash);
+    Source &own = sources_[own_name];
+    own.path = path_;
+    refresh();
+
+    // Whatever trails the final newline of our own file is a torn
+    // record from a writer killed mid-append: truncate it away so the
+    // next append starts on a clean line boundary instead of gluing
+    // onto the torn tail.
+    if (own.partial) {
         tornTail_ = 1;
+        own.partial = false;
         if (::truncate(path_.c_str(),
-                       static_cast<::off_t>(pos)) != 0) {
+                       static_cast<::off_t>(own.offset)) != 0) {
             // Repair failure is survivable: appends after the torn
             // tail produce one more malformed line on the next load.
             std::fprintf(stderr,
                          "[sweep] journal %s: cannot truncate torn "
-                         "tail (%zu bytes): %s\n",
-                         path_.c_str(), data.size() - pos,
-                         std::strerror(errno));
+                         "tail: %s\n",
+                         path_.c_str(), std::strerror(errno));
         } else {
             std::fprintf(stderr,
                          "[sweep] journal %s: truncated torn final "
-                         "record (%zu bytes)\n",
-                         path_.c_str(), data.size() - pos);
+                         "record\n",
+                         path_.c_str());
         }
     }
     if (malformed_ > 0) {
@@ -263,27 +272,91 @@ SweepJournal::~SweepJournal()
 }
 
 void
-SweepJournal::setWorkerTag(std::string worker)
+SweepJournal::refresh()
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    worker_ = std::move(worker);
+    if (!peerDir_.empty()) {
+        if (::DIR *dir = ::opendir(peerDir_.c_str())) {
+            constexpr std::string_view kExt = ".jsonl";
+            for (const struct ::dirent *ent = ::readdir(dir);
+                 ent != nullptr; ent = ::readdir(dir)) {
+                const std::string_view name = ent->d_name;
+                if (name.size() <= kExt.size() ||
+                    name.substr(name.size() - kExt.size()) != kExt)
+                    continue;
+                Source &src = sources_[std::string(name)];
+                if (src.path.empty())
+                    src.path = peerDir_ + "/" + std::string(name);
+            }
+            ::closedir(dir);
+        }
+    }
+    for (auto &[name, src] : sources_) {
+        std::string data;
+        if (!readFile(src.path, data, src.offset))
+            continue; // not created yet
+        // Complete lines only: a partial tail is usually a write in
+        // flight and is read again once its newline lands.
+        std::size_t pos = 0;
+        for (;;) {
+            const std::size_t nl = data.find('\n', pos);
+            if (nl == std::string::npos)
+                break;
+            consume(name, src.lines++, data.substr(pos, nl - pos));
+            pos = nl + 1;
+        }
+        src.offset += pos;
+        src.partial = pos < data.size();
+    }
 }
 
-bool
-SweepJournal::lookupOk(const std::string &key, PairResult &result,
-                       unsigned &attempts) const
+void
+SweepJournal::consume(const std::string &source, std::size_t line_no,
+                      const std::string &line)
 {
-    std::string blob;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = ok_.find(key);
-        if (it == ok_.end())
-            return false;
-        blob = it->second.blob;
-        attempts = it->second.attempts;
+    if (line.empty())
+        return;
+    JournalEntry entry;
+    if (!parseJournalLine(line, entry)) {
+        ++malformed_;
+        return;
     }
-    result = decodePairResult(blob);
-    return true;
+    Slot &slot = slots_[entry.key];
+    const bool ok = entry.status == "Ok";
+    if (ok && std::exchange(slot.okSeen, true))
+        ++duplicates_; // a double claim: one more Ok for the key
+
+    // A decoded Ok outranks every other entry; within a rank the
+    // smaller (file name, line number) wins. Sources are only ever
+    // appended to, but a refresh can meet a new file whose name sorts
+    // first, so the rank is compared rather than arrival order used.
+    auto rank = std::make_tuple(!ok, source, line_no);
+    if (!slot.entry.status.empty() && rank >= slot.rank)
+        return;
+    if (ok) {
+        try {
+            entry.result = decodePairResult(entry.blob);
+        } catch (const std::exception &err) {
+            // Never the winner: the job runs again.
+            std::fprintf(stderr,
+                         "[sweep] journal %s: entry for %s in %s "
+                         "unusable: %s\n",
+                         path_.c_str(), entry.key.c_str(),
+                         source.c_str(), err.what());
+            return;
+        }
+        entry.blob.clear();
+    }
+    slot.entry = std::move(entry);
+    slot.rank = std::move(rank);
+}
+
+const JournalEntry *
+SweepJournal::find(const std::string &key) const
+{
+    const auto it = slots_.find(key);
+    return it == slots_.end() || it->second.entry.status.empty()
+               ? nullptr
+               : &it->second.entry;
 }
 
 void
@@ -327,18 +400,15 @@ SweepJournal::record(const std::string &key, const char *status,
     if (n != static_cast<::ssize_t>(line.size()))
         throw std::runtime_error("short write to sweep journal: " +
                                  path_);
-    if (std::strcmp(status, "Ok") == 0) {
-        JournalEntry &entry = ok_[key];
-        entry.attempts = attempts;
-        entry.blob = std::move(blob);
-    }
 }
 
 std::size_t
-SweepJournal::okEntries() const
+SweepJournal::partialTails() const
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return ok_.size();
+    std::size_t n = 0;
+    for (const auto &source : sources_)
+        n += source.second.partial;
+    return n;
 }
 
 } // namespace mask

@@ -33,19 +33,29 @@
  *
  * The key fingerprints everything that determines a job's result:
  * config fingerprint, design point, bench list, sweep mode, and run
- * windows. On load, the latest "Ok" entry per key wins; failed
- * entries are kept for the record but are never resumed from, so a
- * re-run re-simulates exactly the jobs that did not complete.
+ * windows.
+ *
+ * SweepJournal is the one reader of these records. A serial journal
+ * reads its own file; a distributed worker's journal also reads every
+ * other "*.jsonl" in its directory, which holds each peer's shard.
+ * One winner rule serves both: per key, the first "Ok" entry whose
+ * blob decodes wins, in (file name, line number) order; a key with no
+ * such entry falls back to its first non-"Ok" entry. An "Ok" entry
+ * that does not decode is never the winner, so its job runs again.
+ * The order is a property of the bytes, not of when a reader saw
+ * them, so every reader of the same files picks the same winners.
  *
  * Crash tolerance: every record is appended with a single write() on
  * an O_APPEND descriptor, so concurrent writers (two processes
  * sharing one journal, per-worker distributed shards living in one
  * directory) never interleave bytes of different records. A process
- * killed mid-append can still leave a torn final line; on open the
- * journal tolerates it, truncates the file back to the last complete
- * record (so future appends start on a clean boundary), and counts
- * it in tornTailLines(). Torn or malformed lines never fail a
- * resume.
+ * killed mid-append can still leave a torn final line. Readers only
+ * consume '\n'-terminated lines; the bytes after the last newline
+ * wait for the next refresh(), since a live writer may finish them.
+ * The owner truncates its own file back to the last complete record
+ * on open (so future appends start on a clean boundary); a peer's
+ * file is never truncated, since its owner may still be writing.
+ * Torn or malformed lines never fail a load.
  */
 
 #ifndef MASK_SIM_SWEEP_IO_HH
@@ -55,6 +65,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <tuple>
 
 #include "sim/runner.hh"
 
@@ -85,41 +96,45 @@ struct JournalEntry
     std::string blob;   //!< encodePairResult payload (Ok only)
     std::string error;
     std::string repro;  //!< harvested crash-repro path, if any
-    std::string worker; //!< distributed worker that recorded it
     unsigned attempts = 1;
+    PairResult result;  //!< the decoded blob of a winning Ok entry
 };
 
 /**
- * Parse one complete, non-empty journal line into @p entry. Returns
- * false when the line is malformed: no key or status, or an "Ok"
- * record without a result.
- */
-bool parseJournalLine(const std::string &line, JournalEntry &entry);
-
-/**
  * Append-only JSONL journal of per-job sweep outcomes, keyed by job
- * fingerprint. Thread-safe; every record is flushed as it lands so a
- * killed process loses at most the in-flight line.
+ * fingerprint, and the index of winning records read from it (and,
+ * for a distributed worker, from its peers' shards). record() is
+ * thread-safe; refresh(), find() and the counters belong to the one
+ * thread that drives the sweep.
  */
 class SweepJournal
 {
   public:
     /**
-     * Open @p path, loading any entries a previous run left. A torn
-     * final line (writer killed mid-append) is truncated away and
-     * counted, never fatal. Only open a journal this process owns:
-     * the truncation repair must not race a live writer.
+     * Open @p path and read what it holds. A non-empty @p worker
+     * makes it one shard of a distributed sweep: every record is
+     * tagged with that id ("worker" field), and every other "*.jsonl"
+     * in the same directory (the peers' shards) is read too. A torn
+     * final line of @p path (writer killed mid-append) is truncated
+     * away and counted, never fatal. Only open a journal this process
+     * owns: the truncation repair must not race a live writer.
      */
-    explicit SweepJournal(std::string path);
+    explicit SweepJournal(std::string path,
+                          std::string worker = std::string());
 
     ~SweepJournal();
 
     /**
-     * Completed result for @p key from a previous run, if any.
-     * Returns true and fills @p result / @p attempts on a hit.
+     * Read the complete lines appended since the last refresh to
+     * every source (a peer shard created since is picked up too) and
+     * update the winners. Records this process appends become
+     * visible here, not at record().
      */
-    bool lookupOk(const std::string &key, PairResult &result,
-                  unsigned &attempts) const;
+    void refresh();
+
+    /** Winning entry for @p key, or null. Valid until the next
+     *  refresh(). */
+    const JournalEntry *find(const std::string &key) const;
 
     /**
      * Append one outcome as a single O_APPEND write. @p result must
@@ -132,32 +147,52 @@ class SweepJournal
                 const PairResult *result,
                 const std::string &repro = std::string());
 
-    /** Distinct keys with a completed result loaded or recorded. */
-    std::size_t okEntries() const;
-
-    /**
-     * Tag every future record with a worker id ("worker" field) —
-     * set by the distributed executor so merged shards identify who
-     * produced each entry.
-     */
-    void setWorkerTag(std::string worker);
-
     /** Torn trailing lines truncated away on open (0 or 1). */
     std::size_t tornTailLines() const { return tornTail_; }
 
-    /** Complete-but-unparsable lines skipped on open. */
+    /** Complete-but-unparsable lines skipped, over every source. */
     std::size_t malformedLines() const { return malformed_; }
+
+    /** "Ok" entries beyond the first for their key (double claims). */
+    std::size_t duplicates() const { return duplicates_; }
+
+    /** Sources whose bytes after the last newline were still
+     *  unconsumed at the last refresh: after a sweep ends, the torn
+     *  tails of peers that died mid-append. */
+    std::size_t partialTails() const;
 
     const std::string &path() const { return path_; }
 
   private:
+    struct Source
+    {
+        std::string path;
+        std::size_t offset = 0; //!< consumed up to here
+        std::size_t lines = 0;  //!< complete lines consumed
+        bool partial = false;   //!< bytes past offset at last read
+    };
+    struct Slot
+    {
+        JournalEntry entry; //!< status "" until a winner lands
+        /** The winner's (not a decoded Ok, file name, line): the
+         *  smallest rank wins. */
+        std::tuple<bool, std::string, std::size_t> rank;
+        bool okSeen = false; //!< an "Ok" entry was read
+    };
+
+    void consume(const std::string &source, std::size_t line_no,
+                 const std::string &line);
+
     std::string path_;
     std::string worker_;
+    std::string peerDir_; //!< "" unless peers are read
     std::size_t tornTail_ = 0;
     std::size_t malformed_ = 0;
-    mutable std::mutex mutex_;
-    int fd_ = -1; //!< lazily-opened O_APPEND descriptor
-    std::map<std::string, JournalEntry> ok_;
+    std::size_t duplicates_ = 0;
+    std::mutex mutex_; //!< guards fd_ (record())
+    int fd_ = -1;      //!< lazily-opened O_APPEND descriptor
+    std::map<std::string, Source> sources_; //!< by file name
+    std::map<std::string, Slot> slots_;     //!< by job key
 };
 
 } // namespace mask

@@ -373,6 +373,10 @@ TEST(SweepDist, TwoConcurrentWorkersMatchSerialBitExact)
                 << "job " << i;
         }
         executed += runner->distStats().executed;
+        // Every pass of the claim loop reloads the finished jobs;
+        // each still counts as one journal hit.
+        EXPECT_EQ(runner->journalHits(),
+                  runner->distStats().loadedRemote);
     }
     // Every job ran somewhere; claim races may add duplicates but
     // never lose work.
@@ -476,6 +480,109 @@ TEST(SweepDist, DuplicateEntriesResolveDeterministically)
     removeTree(dir);
 }
 
+TEST(SweepDist, UndecodableShardEntryIsReRun)
+{
+    const std::string dir = tempPath("undecodable");
+    removeTree(dir);
+    const std::vector<SweepJob> jobs = {sampleJobs().front()};
+
+    {
+        SweepRunner w1(shortOptions(), 1);
+        w1.setDistPolicy(testPolicy(dir, "w1"));
+        w1.setExecutorForTest([](Evaluator &, const SweepJob &) {
+            return syntheticResult(1.0);
+        });
+        w1.submit(jobs[0]);
+        w1.run();
+    }
+    // The only entry now carries an older build's blob prefix.
+    const std::string shard = dir + "/shards/w1.jsonl";
+    std::string text = readFile(shard);
+    const std::size_t at = text.find("\"result\":\"v4 ");
+    ASSERT_NE(at, std::string::npos);
+    text[at + 11] = '3';
+    writeFile(shard, text);
+
+    // As in a serial resume, the undecodable Ok never wins: the job
+    // is claimed and simulated again rather than failed.
+    SweepRunner w2(shortOptions(), 1);
+    w2.setDistPolicy(testPolicy(dir, "w2"));
+    w2.setExecutorForTest([](Evaluator &, const SweepJob &) {
+        return syntheticResult(2.0);
+    });
+    w2.submit(jobs[0]);
+    w2.run();
+
+    ASSERT_EQ(w2.outcome(0).status, SweepStatus::Ok)
+        << w2.outcome(0).error;
+    EXPECT_FALSE(w2.outcome(0).fromJournal);
+    EXPECT_EQ(w2.distStats().executed, 1u);
+    EXPECT_EQ(encodePairResult(w2.result(0)),
+              encodePairResult(syntheticResult(2.0)));
+    removeTree(dir);
+}
+
+TEST(SweepDist, SerialResumeAndMergePickTheSameWinner)
+{
+    const std::string dir = tempPath("winner");
+    removeTree(dir);
+    ::mkdir(dir.c_str(), 0755);
+    const std::string journal = dir + "/journal.jsonl";
+    const SweepJob job = sampleJobs().front();
+
+    SweepPolicy policy;
+    policy.journalPath = journal;
+    {
+        SweepRunner first(shortOptions(), 1);
+        first.setPolicy(policy);
+        first.setExecutorForTest([](Evaluator &, const SweepJob &) {
+            return syntheticResult(1.0);
+        });
+        first.submit(job);
+        first.run();
+    }
+    // A second Ok entry for the same key, with a different payload.
+    const std::string key = firstShardKey(journal);
+    ASSERT_FALSE(key.empty());
+    const std::string text =
+        readFile(journal) + "{\"key\":\"" + jsonEscape(key) +
+        "\",\"status\":\"Ok\",\"attempts\":\"1\",\"error\":\"\","
+        "\"result\":\"" + encodePairResult(syntheticResult(9.0)) +
+        "\"}\n";
+    writeFile(journal, text);
+
+    const auto poisoned = [](Evaluator &, const SweepJob &) -> PairResult {
+        throw std::runtime_error("the job must be loaded, not run");
+    };
+    SweepRunner resumed(shortOptions(), 1);
+    resumed.setPolicy(policy);
+    resumed.setExecutorForTest(poisoned);
+    resumed.submit(job);
+    resumed.run();
+    ASSERT_EQ(resumed.outcome(0).status, SweepStatus::Ok)
+        << resumed.outcome(0).error;
+    EXPECT_EQ(encodePairResult(resumed.result(0)),
+              encodePairResult(syntheticResult(1.0)));
+
+    // The same bytes as a shard of a merge-only dist pass.
+    ::mkdir((dir + "/dist").c_str(), 0755);
+    ::mkdir((dir + "/dist/shards").c_str(), 0755);
+    writeFile(dir + "/dist/shards/aa.jsonl", text);
+    SweepRunner merge(shortOptions(), 1);
+    DistPolicy dist = testPolicy(dir + "/dist", "mm");
+    dist.mergeOnly = true;
+    merge.setDistPolicy(dist);
+    merge.setExecutorForTest(poisoned);
+    merge.submit(job);
+    merge.run();
+    ASSERT_EQ(merge.outcome(0).status, SweepStatus::Ok)
+        << merge.outcome(0).error;
+    EXPECT_EQ(encodePairResult(merge.result(0)),
+              encodePairResult(syntheticResult(1.0)));
+    EXPECT_EQ(merge.distStats().duplicates, 1u);
+    removeTree(dir);
+}
+
 TEST(SweepDist, MergeOnlyModeNeverExecutesAndFlagsMissingJobs)
 {
     const std::string dir = tempPath("mergeonly");
@@ -563,7 +670,7 @@ TEST(SweepDist, MaxStealsDegradesJobToAbandoned)
 
     const SweepOutcome &outcome = w1.outcome(0);
     EXPECT_EQ(outcome.status, SweepStatus::Abandoned);
-    EXPECT_NE(outcome.error.find("MASK_SWEEP_DIST_MAX_STEALS"),
+    EXPECT_NE(outcome.error.find("abandoned after 2 steals"),
               std::string::npos);
     EXPECT_EQ(w1.distStats().abandoned, 1u);
     EXPECT_THROW(w1.result(0), std::runtime_error);
@@ -600,10 +707,9 @@ TEST(SweepJournalHardening, TornFinalLineIsTruncatedAndCounted)
     SweepJournal reopened(path);
     EXPECT_EQ(reopened.tornTailLines(), 1u);
     EXPECT_EQ(reopened.malformedLines(), 0u);
-    PairResult back;
-    unsigned attempts = 0;
-    EXPECT_TRUE(reopened.lookupOk("good-key", back, attempts));
-    EXPECT_EQ(encodePairResult(back), encodePairResult(result));
+    const JournalEntry *back = reopened.find("good-key");
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(encodePairResult(back->result), encodePairResult(result));
     // Truncated back to the last complete record: a future append
     // starts on a clean boundary.
     EXPECT_EQ(readFile(path), intact);
@@ -618,12 +724,24 @@ TEST(SweepJournalHardening, MalformedCompleteLinesAreCountedNotFatal)
         SweepJournal journal(path);
         journal.record("k1", "Ok", 1, "", &result);
     }
-    writeFile(path, readFile(path) + "this is not json\n");
+    // Besides plain garbage, an "attempts" field that does not fit
+    // `unsigned` or is not a number makes the whole line malformed.
+    const std::string blob = encodePairResult(result);
+    writeFile(path,
+              readFile(path) + "this is not json\n" +
+                  "{\"key\":\"k2\",\"status\":\"Ok\","
+                  "\"attempts\":\"4294967297\",\"error\":\"\","
+                  "\"result\":\"" + blob + "\"}\n" +
+                  "{\"key\":\"k3\",\"status\":\"Ok\","
+                  "\"attempts\":\"x\",\"error\":\"\","
+                  "\"result\":\"" + blob + "\"}\n");
 
     SweepJournal reopened(path);
-    EXPECT_EQ(reopened.malformedLines(), 1u);
+    EXPECT_EQ(reopened.malformedLines(), 3u);
     EXPECT_EQ(reopened.tornTailLines(), 0u);
-    EXPECT_EQ(reopened.okEntries(), 1u);
+    EXPECT_NE(reopened.find("k1"), nullptr);
+    EXPECT_EQ(reopened.find("k2"), nullptr);
+    EXPECT_EQ(reopened.find("k3"), nullptr);
     ::unlink(path.c_str());
 }
 
@@ -631,8 +749,7 @@ TEST(SweepJournalHardening, RecordsReproAndWorkerFields)
 {
     const std::string path = tempPath("fields");
     {
-        SweepJournal journal(path);
-        journal.setWorkerTag("w7");
+        SweepJournal journal(path, "w7");
         journal.record("kx", "Crashed", 2, "child killed", nullptr,
                        "/tmp/repro.json");
     }
@@ -664,8 +781,14 @@ TEST(SweepJournalHardening, ConcurrentThreadAppendsAllSurvive)
         t2.join();
     }
     SweepJournal reopened(path);
-    EXPECT_EQ(reopened.okEntries(),
-              static_cast<std::size_t>(2 * kPerThread));
+    for (const char *prefix : {"a", "b"}) {
+        for (int i = 0; i < kPerThread; ++i) {
+            const JournalEntry *entry =
+                reopened.find(prefix + std::to_string(i));
+            ASSERT_NE(entry, nullptr) << prefix << i;
+            EXPECT_EQ(entry->status, "Ok");
+        }
+    }
     EXPECT_EQ(reopened.malformedLines(), 0u);
     EXPECT_EQ(reopened.tornTailLines(), 0u);
     ::unlink(path.c_str());
