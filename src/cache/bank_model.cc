@@ -4,51 +4,6 @@
 
 namespace mask {
 
-LatencyPipe::LatencyPipe(std::uint32_t ports, std::uint32_t latency)
-    : ports_(ports), latency_(latency)
-{
-    assert(ports_ > 0);
-}
-
-bool
-LatencyPipe::canAccept(Cycle now) const
-{
-    if (portCycle_ != now) {
-        portCycle_ = now;
-        usedThisCycle_ = 0;
-    }
-    return usedThisCycle_ < ports_;
-}
-
-void
-LatencyPipe::push(std::uint64_t payload, Cycle now)
-{
-    assert(canAccept(now));
-    // Maintain the per-cycle port count here as well: push must not
-    // depend on the caller having invoked canAccept first.
-    if (portCycle_ != now) {
-        portCycle_ = now;
-        usedThisCycle_ = 0;
-    }
-    ++usedThisCycle_;
-    pipe_.push_back(Entry{payload, now + latency_});
-}
-
-bool
-LatencyPipe::hasReady(Cycle now) const
-{
-    return !pipe_.empty() && pipe_.front().readyAt <= now;
-}
-
-std::uint64_t
-LatencyPipe::pop()
-{
-    assert(!pipe_.empty());
-    const std::uint64_t payload = pipe_.front().payload;
-    pipe_.pop_front();
-    return payload;
-}
-
 BankedPipe::BankedPipe(std::uint32_t banks, std::uint32_t ports,
                        std::uint32_t latency)
 {
@@ -69,10 +24,24 @@ LatencyPipe::state(Self &self, Io &io)
     // boundary checkpoints it round-trips harmlessly.
     io.u(self.portCycle_);
     io.u(self.usedThisCycle_);
-    io.seq(self.pipe_, [&io](auto &e) {
-        io.u(e.payload);
-        io.u(e.readyAt);
-    });
+    // The entries, oldest first (the sequence format of a queue).
+    if constexpr (Io::kReading) {
+        const std::uint64_t n = io.count(kMaxSeqItems);
+        self.head_ = 0;
+        self.size_ = 0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            Entry e{};
+            io.u(e.payload);
+            io.u(e.readyAt);
+            self.append(e);
+        }
+    } else {
+        io.u(self.size_);
+        for (std::size_t i = 0; i < self.size_; ++i) {
+            io.u(self.at(i).payload);
+            io.u(self.at(i).readyAt);
+        }
+    }
 }
 
 template <typename Self, typename Io>

@@ -11,8 +11,8 @@
 #ifndef MASK_CACHE_BANK_MODEL_HH
 #define MASK_CACHE_BANK_MODEL_HH
 
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/state_codec.hh"
@@ -20,25 +20,71 @@
 
 namespace mask {
 
-/** Single bank: fixed-latency pipe with a per-cycle port limit. */
+/**
+ * Single bank: fixed-latency pipe with a per-cycle port limit. Inline,
+ * over a ring buffer: every request crosses one or two of these, and
+ * the L2 stage polls every bank each cycle.
+ */
 class LatencyPipe
 {
   public:
-    LatencyPipe(std::uint32_t ports, std::uint32_t latency);
+    LatencyPipe(std::uint32_t ports, std::uint32_t latency)
+        : ports_(ports), latency_(latency)
+    {
+        assert(ports_ > 0);
+        // At most ports_ entries enter per cycle and each leaves
+        // latency_ cycles later, so this rarely needs to grow.
+        std::size_t cap = 4;
+        while (cap < static_cast<std::size_t>(ports_) * (latency_ + 1))
+            cap <<= 1;
+        ring_.resize(cap);
+    }
 
     /** True if a port is free in cycle @p now. */
-    bool canAccept(Cycle now) const;
+    bool
+    canAccept(Cycle now) const
+    {
+        if (portCycle_ != now) {
+            portCycle_ = now;
+            usedThisCycle_ = 0;
+        }
+        return usedThisCycle_ < ports_;
+    }
 
     /** Accept a payload in cycle @p now (asserts a port is free). */
-    void push(std::uint64_t payload, Cycle now);
+    void
+    push(std::uint64_t payload, Cycle now)
+    {
+        assert(canAccept(now));
+        // Maintain the per-cycle port count here as well: push must
+        // not depend on the caller having invoked canAccept first.
+        if (portCycle_ != now) {
+            portCycle_ = now;
+            usedThisCycle_ = 0;
+        }
+        ++usedThisCycle_;
+        append(Entry{payload, now + latency_});
+    }
 
     /** True if the oldest accepted payload has completed by @p now. */
-    bool hasReady(Cycle now) const;
+    bool
+    hasReady(Cycle now) const
+    {
+        return size_ != 0 && ring_[head_].readyAt <= now;
+    }
 
     /** Pop the oldest completed payload. */
-    std::uint64_t pop();
+    std::uint64_t
+    pop()
+    {
+        assert(size_ != 0);
+        const std::uint64_t payload = ring_[head_].payload;
+        head_ = (head_ + 1) & (ring_.size() - 1);
+        --size_;
+        return payload;
+    }
 
-    std::size_t inFlight() const { return pipe_.size(); }
+    std::size_t inFlight() const { return size_; }
 
     template <typename Self, typename Io>
     static void state(Self &self, Io &io);
@@ -50,11 +96,34 @@ class LatencyPipe
         Cycle readyAt;
     };
 
+    /** The @p i-th oldest entry. */
+    const Entry &
+    at(std::size_t i) const
+    {
+        return ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+
+    void
+    append(const Entry &e)
+    {
+        if (size_ == ring_.size()) {
+            std::vector<Entry> bigger(ring_.size() * 2);
+            for (std::size_t i = 0; i < size_; ++i)
+                bigger[i] = at(i);
+            ring_ = std::move(bigger);
+            head_ = 0;
+        }
+        ring_[(head_ + size_) & (ring_.size() - 1)] = e;
+        ++size_;
+    }
+
     std::uint32_t ports_;
     std::uint32_t latency_;
     mutable Cycle portCycle_ = kNeverCycle;
     mutable std::uint32_t usedThisCycle_ = 0;
-    std::deque<Entry> pipe_;
+    std::vector<Entry> ring_; //!< power-of-two capacity
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
 };
 
 /** A vector of LatencyPipes addressed by bank index. */

@@ -1,66 +1,93 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 
 namespace mask {
 
 SetAssocCache::SetAssocCache(std::uint32_t sets, std::uint32_t ways)
-    : sets_(sets), ways_(ways)
+    : sets_(sets), ways_(ways), indexed_(ways >= kIndexedWays)
 {
     // Misconfiguration, not a transient condition: fail loudly even in
     // release builds (sets must be a power of two for index masking).
     if (sets_ == 0 || (sets_ & (sets_ - 1)) != 0 || ways_ == 0)
         std::abort();
-    lines_.resize(static_cast<std::size_t>(sets_) * ways_);
+    const std::size_t lines = static_cast<std::size_t>(sets_) * ways_;
+    keys_.resize(lines);
+    stamp_.resize(lines);
+    payload_.resize(lines);
+    if (indexed_) {
+        index_ = FlatTable<std::uint32_t>(lines);
+        prev_.assign(lines, kNil);
+        next_.assign(lines, kNil);
+        head_.assign(sets_, kNil);
+        tail_.assign(sets_, kNil);
+        setValid_.assign(sets_, 0);
+    }
 }
 
 std::uint32_t
-SetAssocCache::setIndex(std::uint64_t key) const
-{
-    return static_cast<std::uint32_t>(key) & (sets_ - 1);
-}
-
-SetAssocCache::Line *
-SetAssocCache::findLine(std::uint64_t key)
-{
-    Line *set = &lines_[static_cast<std::size_t>(setIndex(key)) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].key == key)
-            return &set[w];
-    }
-    return nullptr;
-}
-
-const SetAssocCache::Line *
 SetAssocCache::findLine(std::uint64_t key) const
 {
-    return const_cast<SetAssocCache *>(this)->findLine(key);
+    if (indexed_) {
+        const std::uint32_t *line = index_.find(key);
+        return line == nullptr ? kNil : *line;
+    }
+    const std::uint32_t base = setIndex(key) * ways_;
+    for (std::uint32_t line = base; line < base + ways_; ++line) {
+        if (keys_[line] == key && valid(line))
+            return line;
+    }
+    return kNil;
 }
 
-bool
-SetAssocCache::contains(std::uint64_t key) const
+void
+SetAssocCache::listAppend(std::uint32_t set, std::uint32_t line)
 {
-    return findLine(key) != nullptr;
+    prev_[line] = tail_[set];
+    next_[line] = kNil;
+    if (tail_[set] != kNil)
+        next_[tail_[set]] = line;
+    else
+        head_[set] = line;
+    tail_[set] = line;
+}
+
+void
+SetAssocCache::listUnlink(std::uint32_t set, std::uint32_t line)
+{
+    if (prev_[line] != kNil)
+        next_[prev_[line]] = next_[line];
+    else
+        head_[set] = next_[line];
+    if (next_[line] != kNil)
+        prev_[next_[line]] = prev_[line];
+    else
+        tail_[set] = prev_[line];
+}
+
+void
+SetAssocCache::touch(std::uint32_t line)
+{
+    stamp_[line] = ++useClock_;
+    const std::uint32_t set = line / ways_;
+    if (indexed_ && tail_[set] != line) {
+        listUnlink(set, line);
+        listAppend(set, line);
+    }
 }
 
 bool
 SetAssocCache::lookup(std::uint64_t key, std::uint64_t *payload)
 {
-    Line *line = findLine(key);
-    if (line == nullptr)
+    const std::uint32_t line = findLine(key);
+    if (line == kNil)
         return false;
-    line->lastUse = ++useClock_;
+    touch(line);
     if (payload != nullptr)
-        *payload = line->payload;
+        *payload = payload_[line];
     return true;
-}
-
-bool
-SetAssocCache::fill(std::uint64_t key, std::uint64_t payload,
-                    std::uint64_t *evicted)
-{
-    return fillRange(key, payload, 0, ways_, evicted);
 }
 
 bool
@@ -70,67 +97,119 @@ SetAssocCache::fillRange(std::uint64_t key, std::uint64_t payload,
 {
     assert(way_lo < way_hi && way_hi <= ways_);
 
-    Line *line = findLine(key);
-    if (line != nullptr) {
+    const std::uint32_t line = findLine(key);
+    if (line != kNil) {
         // Refresh in place, even if outside the fill range: the entry
         // already lives in the cache.
-        line->payload = payload;
-        line->lastUse = ++useClock_;
+        payload_[line] = payload;
+        touch(line);
         return false;
     }
 
-    Line *set = &lines_[static_cast<std::size_t>(setIndex(key)) * ways_];
-    Line *victim = nullptr;
-    for (std::uint32_t w = way_lo; w < way_hi; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
+    const std::uint32_t set = setIndex(key);
+    const std::uint32_t base = set * ways_;
+    std::uint32_t victim = kNil;
+    if (indexed_ && way_lo == 0 && way_hi == ways_ &&
+        setValid_[set] == ways_) {
+        victim = head_[set]; // full set: the list head is the LRU way
+    } else {
+        // First invalid way, otherwise the smallest stamp.
+        for (std::uint32_t l = base + way_lo; l < base + way_hi; ++l) {
+            if (!valid(l)) {
+                victim = l;
+                break;
+            }
+            if (victim == kNil || stamp_[l] < stamp_[victim])
+                victim = l;
         }
-        if (victim == nullptr || set[w].lastUse < victim->lastUse)
-            victim = &set[w];
     }
-    assert(victim != nullptr);
+    assert(victim != kNil);
 
-    const bool displaced = victim->valid;
-    if (displaced && evicted != nullptr)
-        *evicted = victim->key;
-    if (!displaced)
-        ++occupancy_;
-
-    victim->key = key;
-    victim->payload = payload;
-    victim->lastUse = ++useClock_;
-    victim->valid = true;
+    const bool displaced = valid(victim);
+    if (displaced) {
+        if (evicted != nullptr)
+            *evicted = keys_[victim];
+        invalidate(victim);
+    }
+    ++occupancy_;
+    keys_[victim] = key;
+    payload_[victim] = payload;
+    stamp_[victim] = ++useClock_;
+    if (indexed_) {
+        index_.insert(key, victim);
+        listAppend(set, victim);
+        ++setValid_[set];
+    }
     return displaced;
+}
+
+void
+SetAssocCache::invalidate(std::uint32_t line)
+{
+    stamp_[line] = 0;
+    --occupancy_;
+    if (indexed_) {
+        const std::uint32_t set = line / ways_;
+        index_.erase(keys_[line]);
+        listUnlink(set, line);
+        --setValid_[set];
+    }
 }
 
 bool
 SetAssocCache::erase(std::uint64_t key)
 {
-    Line *line = findLine(key);
-    if (line == nullptr)
+    const std::uint32_t line = findLine(key);
+    if (line == kNil)
         return false;
-    line->valid = false;
-    --occupancy_;
+    invalidate(line);
     return true;
 }
 
 void
 SetAssocCache::flush()
 {
-    for (auto &line : lines_)
-        line.valid = false;
+    std::fill(stamp_.begin(), stamp_.end(), 0);
     occupancy_ = 0;
+    if (indexed_) {
+        index_.clear();
+        std::fill(head_.begin(), head_.end(), kNil);
+        std::fill(tail_.begin(), tail_.end(), kNil);
+        std::fill(setValid_.begin(), setValid_.end(), 0);
+    }
 }
 
 void
 SetAssocCache::flushIf(const std::function<bool(std::uint64_t)> &pred)
 {
-    for (auto &line : lines_) {
-        if (line.valid && pred(line.key)) {
-            line.valid = false;
-            --occupancy_;
+    for (std::uint32_t line = 0; line < stamp_.size(); ++line) {
+        if (valid(line) && pred(keys_[line]))
+            invalidate(line);
+    }
+}
+
+void
+SetAssocCache::rebuildRecency()
+{
+    std::fill(head_.begin(), head_.end(), kNil);
+    std::fill(tail_.begin(), tail_.end(), kNil);
+    std::vector<std::uint32_t> order;
+    for (std::uint32_t set = 0; set < sets_; ++set) {
+        order.clear();
+        const std::uint32_t base = set * ways_;
+        for (std::uint32_t line = base; line < base + ways_; ++line) {
+            if (valid(line))
+                order.push_back(line);
         }
+        // Recency order; equal stamps (only in a hand-made image)
+        // keep way order, as the victim scan would.
+        std::stable_sort(order.begin(), order.end(),
+                         [this](std::uint32_t a, std::uint32_t b) {
+                             return stamp_[a] < stamp_[b];
+                         });
+        for (const std::uint32_t line : order)
+            listAppend(set, line);
+        setValid_[set] = static_cast<std::uint32_t>(order.size());
     }
 }
 
@@ -143,16 +222,34 @@ SetAssocCache::state(Self &self, Io &io)
     io.fixed(self.ways_, "cache way count");
     io.u(self.useClock_);
     io.u(self.occupancy_);
+    if constexpr (Io::kReading) {
+        if (self.indexed_)
+            self.index_.clear();
+    }
     std::uint64_t valid = 0;
-    for (auto &line : self.lines_) {
-        if constexpr (Io::kReading)
-            line = Line{};
-        io.b(line.valid);
-        if (!line.valid)
+    for (std::uint32_t line = 0; line < self.stamp_.size(); ++line) {
+        bool is_valid = self.stamp_[line] != 0;
+        io.b(is_valid);
+        if constexpr (Io::kReading) {
+            self.keys_[line] = 0;
+            self.payload_[line] = 0;
+            self.stamp_[line] = 0;
+        }
+        if (!is_valid)
             continue;
-        io.u(line.key);
-        io.u(line.payload);
-        io.u(line.lastUse);
+        io.u(self.keys_[line]);
+        io.u(self.payload_[line]);
+        io.u(self.stamp_[line]);
+        if constexpr (Io::kReading) {
+            if (self.stamp_[line] == 0)
+                io.fail("valid cache line with a zero LRU stamp");
+            if (self.indexed_ &&
+                (self.setIndex(self.keys_[line]) != line / self.ways_ ||
+                 self.findLine(self.keys_[line]) != kNil))
+                io.fail("cache key misplaced or duplicated");
+            if (self.indexed_)
+                self.index_.insert(self.keys_[line], line);
+        }
         ++valid;
     }
     if constexpr (Io::kReading) {
@@ -160,6 +257,8 @@ SetAssocCache::state(Self &self, Io &io)
             io.fail("cache occupancy " + std::to_string(self.occupancy_) +
                     " disagrees with " + std::to_string(valid) +
                     " valid lines");
+        if (self.indexed_)
+            self.rebuildRecency();
     }
 }
 
@@ -168,14 +267,13 @@ MASK_STATE_INSTANTIATE(SetAssocCache);
 int
 SetAssocCache::lruDepth(std::uint64_t key) const
 {
-    const Line *target = findLine(key);
-    if (target == nullptr)
+    const std::uint32_t target = findLine(key);
+    if (target == kNil)
         return -1;
-    const Line *set =
-        &lines_[static_cast<std::size_t>(setIndex(key)) * ways_];
+    const std::uint32_t base = target / ways_ * ways_;
     int depth = 0;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].lastUse > target->lastUse)
+    for (std::uint32_t line = base; line < base + ways_; ++line) {
+        if (valid(line) && stamp_[line] > stamp_[target])
             ++depth;
     }
     return depth;

@@ -4,9 +4,10 @@
  *
  * Outstanding misses are keyed by line/page key; secondary misses to
  * the same key merge into the existing entry and are woken together
- * when the fill arrives. The table is a flat open-addressed map with a
- * pool of recycled waiter vectors, so the allocate/complete cycle on
- * the miss path performs no heap allocation in steady state.
+ * when the fill arrives. The table is a flat open-addressed map whose
+ * entries chain their waiters through one shared node arena with a
+ * free list, so the allocate/complete cycle on the miss path performs
+ * no heap allocation in steady state and an entry is three integers.
  */
 
 #ifndef MASK_CACHE_MSHR_HH
@@ -42,15 +43,27 @@ class MshrTable
     bool has(std::uint64_t key) const { return table_.contains(key); }
 
     /**
-     * Fill arrived for @p key: returns all waiters (primary first) and
-     * frees the entry. Key must be present. The returned vector's
-     * storage is recycled into the next allocate once the caller
-     * drains it via completeDone().
+     * Fill arrived for @p key: frees the entry, then calls
+     * @p fn(ReqId) for each waiter, primary first. Key must be
+     * present. @p fn may allocate in this table again.
      */
-    std::vector<ReqId> complete(std::uint64_t key);
+    template <typename Fn>
+    void
+    complete(std::uint64_t key, Fn &&fn)
+    {
+        const Chain chain = take(key);
+        for (std::uint32_t n = chain.head; n != kNil; n = nodes_[n].next) {
+            const ReqId waiter = nodes_[n].waiter; // fn may grow nodes_
+            fn(waiter);
+        }
+        if (chain.head != kNil) {
+            nodes_[chain.tail].next = freeNode_;
+            freeNode_ = chain.head;
+        }
+    }
 
-    /** Return a drained waiter vector's capacity to the pool. */
-    void recycle(std::vector<ReqId> &&waiters);
+    /** complete() collecting the waiters (tests, cold paths). */
+    std::vector<ReqId> complete(std::uint64_t key);
 
     std::uint32_t size() const
     {
@@ -68,16 +81,36 @@ class MshrTable
      */
     void addRejections(std::uint64_t n) { rejections_ += n; }
 
-    /** Snapshot outstanding entries and their waiter lists (the
-     *  recycled-capacity pool is a pure optimization and is skipped). */
+    /** Snapshot outstanding entries and their waiter lists (the node
+     *  arena is rebuilt from them on restore). */
     template <typename Self, typename Io>
     static void state(Self &self, Io &io);
 
   private:
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+
+    /** One entry's waiters: a list through nodes_, oldest first. */
+    struct Chain
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+        std::uint32_t count = 0;
+    };
+    struct Node
+    {
+        ReqId waiter = 0;
+        std::uint32_t next = kNil;
+    };
+
+    /** Append @p waiter to @p chain. */
+    void append(Chain &chain, ReqId waiter);
+    /** Remove @p key's entry (checked) and return its chain. */
+    Chain take(std::uint64_t key);
+
     std::uint32_t entries_;
-    FlatTable<std::vector<ReqId>> table_;
-    /** Recycled waiter vectors (retain capacity across misses). */
-    std::vector<std::vector<ReqId>> pool_;
+    FlatTable<Chain> table_;
+    std::vector<Node> nodes_;
+    std::uint32_t freeNode_ = kNil; //!< free list through Node::next
     std::uint64_t merges_ = 0;
     std::uint64_t rejections_ = 0;
 };

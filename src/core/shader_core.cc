@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/check.hh"
+
 namespace mask {
 
 ShaderCore::ShaderCore(CoreId id, const GpuConfig &cfg)
@@ -37,6 +39,7 @@ ShaderCore::assign(AppId app, Asid asid, const BenchmarkParams *program,
     readyQueue_.clear();
     readyCount_ = 0;
     greedyWarp_ = -1;
+    nextIssue_ = 0;
     for (WarpId w = 0; w < warps_.size(); ++w) {
         warps_[w].reset();
         warps_[w].computeRemaining =
@@ -54,8 +57,53 @@ ShaderCore::makeReady(WarpId w)
     ++readyCount_;
 }
 
+void
+ShaderCore::settle(Cycle upto)
+{
+    const Cycle end = std::min(upto, nextIssue_);
+    if (end <= accounted_)
+        return;
+    const Cycle n = end - accounted_;
+    accounted_ = end;
+    if (program_ == nullptr || draining_) {
+        stallCycles_ += draining_ ? n : 0;
+        return;
+    }
+    if (readyCount_ == 0) {
+        stallCycles_ += n;
+        return;
+    }
+    // Otherwise the core slept through the greedy warp's compute run.
+    SIM_CHECK(greedyWarp_ >= 0 &&
+                  warps_[greedyWarp_].status == WarpState::Ready &&
+                  warps_[greedyWarp_].computeRemaining >= n,
+              "core.issue", end, "settled past a compute run");
+    Warp &w = warps_[greedyWarp_];
+    w.instructions += n;
+    w.computeRemaining -= static_cast<std::uint32_t>(n);
+    instructions_ += n;
+}
+
 std::optional<IssuedAccess>
 ShaderCore::issue(Cycle now)
+{
+    settle(now);
+    accounted_ = now + 1;
+    std::optional<IssuedAccess> issued = issueOne(now);
+    // Plan the next cycle that can do more than count (see settle).
+    if (program_ == nullptr || draining_ || readyCount_ == 0) {
+        nextIssue_ = kNeverCycle; // accessDone or assign wakes it
+    } else if (greedyWarp_ >= 0 &&
+               warps_[greedyWarp_].status == WarpState::Ready) {
+        nextIssue_ = now + 1 + warps_[greedyWarp_].computeRemaining;
+    } else {
+        nextIssue_ = now + 1;
+    }
+    return issued;
+}
+
+std::optional<IssuedAccess>
+ShaderCore::issueOne(Cycle now)
 {
     if (program_ == nullptr || draining_) {
         stallCycles_ += draining_ ? 1 : 0;
@@ -145,9 +193,14 @@ ShaderCore::accessDone(WarpId warp_id, Cycle now)
     --outstanding_;
     if (--w.partsOutstanding > 0)
         return;
+    settle(now);
     stallCycles_ += now - w.stallStart;
     w.computeRemaining = nextComputeInterval(*program_, rng_);
     makeReady(warp_id);
+    // The first ready warp ends an all-waiting sleep; a compute run
+    // in progress is unaffected (the greedy warp stays selected).
+    if (readyCount_ == 1)
+        nextIssue_ = std::min(nextIssue_, now);
 }
 
 template <typename Self, typename Io>
@@ -191,6 +244,8 @@ ShaderCore::state(Self &self, Io &io)
     io.u(self.stallCycles_);
     io.u(self.outstanding_);
     io.b(self.draining_);
+    if constexpr (Io::kReading)
+        self.nextIssue_ = 0; // the writer settled; issue next cycle
 }
 
 MASK_STATE_INSTANTIATE(ShaderCore);

@@ -67,6 +67,21 @@ class ShaderCore
     std::optional<IssuedAccess> issue(Cycle now);
 
     /**
+     * Lazy issue (DESIGN.md §9). On most cycles issue() changes only
+     * counters: every warp waits on memory (or the core drains), so
+     * it counts one stall cycle, or the greedy warp is partway through
+     * a compute run, so it retires one compute instruction. Such
+     * cycles may be skipped: the caller must call issue() on every
+     * cycle >= nextIssue() and may skip the others, and settle()
+     * folds the skipped cycles before @p upto into the counters and
+     * the greedy warp, exactly as the skipped calls would have.
+     * Anything that reads or changes those counters or the warps
+     * settles first; accessDone() settles and wakes the core itself.
+     */
+    Cycle nextIssue() const { return nextIssue_; }
+    void settle(Cycle upto);
+
+    /**
      * One coalesced access of @p warp's memory instruction completed;
      * the warp becomes ready when all of them have.
      */
@@ -122,6 +137,7 @@ class ShaderCore
   private:
     Warp &warp(WarpId w) { return warps_[w]; }
     void makeReady(WarpId w);
+    std::optional<IssuedAccess> issueOne(Cycle now);
 
     CoreId id_;
     const GpuConfig &cfg_;
@@ -147,6 +163,12 @@ class ShaderCore
     std::uint32_t outstanding_ = 0;
     bool draining_ = false;
     bool hadProgram_ = false; //!< set by a restore (see needsRebind)
+
+    // Lazy issue bookkeeping (derived; never serialized).
+    /** First cycle whose issue-stage counters are not yet applied. */
+    Cycle accounted_ = 0;
+    /** First cycle at which issue() must run (0: next cycle). */
+    Cycle nextIssue_ = 0;
 };
 
 } // namespace mask

@@ -1,5 +1,7 @@
 #include "dram/banked_queue.hh"
 
+#include <algorithm>
+
 #include "common/check.hh"
 
 namespace mask {
@@ -135,7 +137,7 @@ std::uint32_t
 BankedRequestQueue::pick(const std::vector<DramBank> &banks, Cycle now,
                          std::uint32_t starvation_cap,
                          std::uint64_t *cap_escalations,
-                         std::uint64_t *scanned)
+                         std::uint64_t *scanned, Cycle *busy_until)
 {
     // The age-scan minima reduce to per-bank head minima: within a
     // bank the FIFO head is its oldest entry (and the hit-chain head
@@ -153,8 +155,11 @@ BankedRequestQueue::pick(const std::vector<DramBank> &banks, Cycle now,
             continue;
         if (scanned != nullptr)
             ++*scanned;
-        if (banks[b].readyAt > now)
+        if (banks[b].readyAt > now) {
+            if (busy_until != nullptr)
+                *busy_until = std::min(*busy_until, banks[b].readyAt);
             continue;
+        }
         const Node &head = nodes_[bank.head];
         if (head.seq < oldest_seq) {
             oldest = bank.head;
@@ -190,7 +195,8 @@ BankedRequestQueue::pickReference(const std::vector<DramBank> &banks,
                                   Cycle now,
                                   std::uint32_t starvation_cap,
                                   std::uint64_t *cap_escalations,
-                                  std::uint64_t *scanned)
+                                  std::uint64_t *scanned,
+                                  Cycle *busy_until)
 {
     std::uint32_t oldest = kNil;
     std::uint32_t hit = kNil;
@@ -200,8 +206,11 @@ BankedRequestQueue::pickReference(const std::vector<DramBank> &banks,
             ++*scanned;
         const DramQueueEntry &entry = nodes_[n].entry;
         const DramBank &bank = banks[entry.bank];
-        if (bank.readyAt > now)
+        if (bank.readyAt > now) {
+            if (busy_until != nullptr)
+                *busy_until = std::min(*busy_until, bank.readyAt);
             continue;
+        }
         if (oldest == kNil)
             oldest = n;
         if (hit == kNil && bank.rowValid && bank.openRow == entry.row) {

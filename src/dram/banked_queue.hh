@@ -106,24 +106,29 @@ class BankedRequestQueue
      * including the starvation-cap bookkeeping (mutates the oldest
      * serviceable entry's bypass count when a younger row hit wins,
      * escalates into @p cap_escalations past the cap). Adds the
-     * number of banks examined to @p scanned when provided.
+     * number of banks examined to @p scanned when provided. Lowers
+     * @p busy_until, when provided, to the readyAt of every busy bank
+     * with queued entries (the earliest cycle a pick can succeed when
+     * this one returns kNil).
      */
     std::uint32_t pick(const std::vector<DramBank> &banks, Cycle now,
                        std::uint32_t starvation_cap,
                        std::uint64_t *cap_escalations,
-                       std::uint64_t *scanned);
+                       std::uint64_t *scanned,
+                       Cycle *busy_until = nullptr);
 
     /**
      * Reference implementation: the original age-list rescan,
      * ignoring the per-bank indices (kept for differential tests and
      * the MASK_SCHED_REFERENCE=1 mode). Adds entries examined to
-     * @p scanned.
+     * @p scanned; @p busy_until as for pick().
      */
     std::uint32_t pickReference(const std::vector<DramBank> &banks,
                                 Cycle now,
                                 std::uint32_t starvation_cap,
                                 std::uint64_t *cap_escalations,
-                                std::uint64_t *scanned);
+                                std::uint64_t *scanned,
+                                Cycle *busy_until = nullptr);
 
     /** Any queued entry hitting @p bank's open row? O(1). */
     bool hasRowHit(std::uint32_t bank) const

@@ -135,6 +135,7 @@ DramChannel::enqueue(ReqId id, MemRequest &req, const DramCoord &coord,
     entry.type = req.type;
     entry.enqueueCycle = now;
     req.dramEnqueueCycle = now;
+    pickIdleUntil_ = std::min(pickIdleUntil_, banks_[coord.bank].readyAt);
 
     if (mode_ == DramSchedMode::MaskQueues &&
         req.type == ReqType::Translation) {
@@ -258,16 +259,18 @@ DramChannel::serviceNode(BankedRequestQueue &queue, std::uint32_t node,
 }
 
 std::uint32_t
-DramChannel::pickFrom(BankedRequestQueue &queue, Cycle now)
+DramChannel::pickFrom(BankedRequestQueue &queue, Cycle now,
+                      Cycle &busy_until)
 {
     ++schedPicks_;
     if (reference_) {
         return queue.pickReference(banks_, now, cfg_.starvationCap,
                                    &stats_.capEscalations,
-                                   &schedScanned_);
+                                   &schedScanned_, &busy_until);
     }
     return queue.pick(banks_, now, cfg_.starvationCap,
-                      &stats_.capEscalations, &schedScanned_);
+                      &stats_.capEscalations, &schedScanned_,
+                      &busy_until);
 }
 
 void
@@ -279,9 +282,22 @@ DramChannel::tick(Cycle now, RequestPool &pool)
         inService_.pop();
     }
 
-    if (busFreeAt_ > now)
+    if (busFreeAt_ > now || now < pickIdleUntil_)
         return;
+    // Pick gate: when nothing is serviced and every queued request's
+    // bank is busy, no pick can succeed before the earliest of their
+    // readyAt (bank timing changes only on a service), so the picks
+    // pause until then. A ready bank — one whose request the
+    // bandwidth guard deferred — or a pending silver rotation keeps
+    // the gate open; an enqueue lowers it to its bank's readyAt.
+    Cycle busy_until = kNeverCycle;
+    if (!schedule(now, pool, busy_until) && !rotationPending())
+        pickIdleUntil_ = busy_until;
+}
 
+bool
+DramChannel::schedule(Cycle now, RequestPool &pool, Cycle &busy_until)
+{
     // Strict priority: Golden (FIFO) > Silver > Normal (both FR-FCFS).
     if (!golden_.empty()) {
         // FIFO among serviceable golden requests: the paper notes that
@@ -289,8 +305,11 @@ DramChannel::tick(Cycle now, RequestPool &pool)
         for (std::size_t i = 0; i < golden_.size(); ++i) {
             DramQueueEntry &entry = golden_[i];
             const DramBank &bank = banks_[entry.bank];
-            if (bank.readyAt > now)
+            if (bank.readyAt > now) {
+                busy_until = std::min(busy_until, bank.readyAt);
                 continue;
+            }
+            busy_until = now; // a ready bank: keep picking
             // Bandwidth guard (Section 4.4): don't close a row that
             // still has data row-hits pending unless this request has
             // already been delayed long enough.
@@ -306,7 +325,7 @@ DramChannel::tick(Cycle now, RequestPool &pool)
                           static_cast<std::ptrdiff_t>(i));
             ++servicedFromQueue_[0];
             serviceEntry(picked, now, pool);
-            return;
+            return true;
         }
     }
 
@@ -316,8 +335,9 @@ DramChannel::tick(Cycle now, RequestPool &pool)
         if (silverCredits_ == 0 && silver_.empty())
             rotateSilverTurn();
 
-        const std::uint32_t pick = pickFrom(silver_, now);
+        const std::uint32_t pick = pickFrom(silver_, now, busy_until);
         if (pick != BankedRequestQueue::kNil) {
+            busy_until = now;
             // Bandwidth guard: a silver row-conflict defers briefly
             // to pending data row hits (same rationale as golden).
             const DramQueueEntry &entry = silver_.entry(pick);
@@ -329,16 +349,17 @@ DramChannel::tick(Cycle now, RequestPool &pool)
                 !hasPendingRowHit(entry.bank)) {
                 ++servicedFromQueue_[1];
                 serviceNode(silver_, pick, now, pool);
-                return;
+                return true;
             }
         }
     }
 
-    const std::uint32_t pick = pickFrom(normal_, now);
-    if (pick != BankedRequestQueue::kNil) {
-        ++servicedFromQueue_[2];
-        serviceNode(normal_, pick, now, pool);
-    }
+    const std::uint32_t pick = pickFrom(normal_, now, busy_until);
+    if (pick == BankedRequestQueue::kNil)
+        return false;
+    ++servicedFromQueue_[2];
+    serviceNode(normal_, pick, now, pool);
+    return true;
 }
 
 void
@@ -522,6 +543,8 @@ DramChannel::state(Self &self, Io &io)
     }
     io.uintSeq(self.completed_);
     io.obj(self.stats_);
+    if constexpr (Io::kReading)
+        self.pickIdleUntil_ = 0; // derived: the next tick re-arms it
 }
 
 template <typename Self, typename Io>

@@ -237,8 +237,16 @@ class DramChannel
     /** Any queued data request that hits @p bank_idx's open row? */
     bool hasPendingRowHit(std::uint32_t bank_idx) const;
 
-    /** FR-FCFS pick on @p queue honoring MASK_SCHED_REFERENCE. */
-    std::uint32_t pickFrom(BankedRequestQueue &queue, Cycle now);
+    /** FR-FCFS pick on @p queue honoring MASK_SCHED_REFERENCE;
+     *  lowers @p busy_until as BankedRequestQueue::pick does. */
+    std::uint32_t pickFrom(BankedRequestQueue &queue, Cycle now,
+                           Cycle &busy_until);
+
+    /** Golden, silver and normal picks for one bus-free cycle; true
+     *  when a request was serviced. Otherwise @p busy_until is the
+     *  earliest cycle a pick can succeed (<= now when a bank is
+     *  ready). */
+    bool schedule(Cycle now, RequestPool &pool, Cycle &busy_until);
 
     void serviceEntry(const DramQueueEntry &entry, Cycle now,
                       RequestPool &pool);
@@ -262,6 +270,10 @@ class DramChannel
     std::uint32_t silverCredits_ = 0;
 
     Cycle busFreeAt_ = 0;
+    /** Pick gate (derived, never serialized): no pick can succeed
+     *  before this cycle because every queued bank is busy until
+     *  then. Lowered by enqueue, reset by a restore. */
+    Cycle pickIdleUntil_ = 0;
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<>>
         inService_;

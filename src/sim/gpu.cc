@@ -436,10 +436,9 @@ Gpu::onMemResponse(ReqId id)
         // MASK L2 bypass: no L2 fill (Section 5.3), but merged
         // waiters (if this request owns an MSHR entry) complete now.
         if (req.mshrPrimary) {
-            std::vector<ReqId> waiters = l2Mshr_.complete(key);
-            for (const ReqId waiter : waiters)
+            l2Mshr_.complete(key, [this](ReqId waiter) {
                 respondUp(waiter);
-            l2Mshr_.recycle(std::move(waiters));
+            });
         } else {
             respondUp(id);
         }
@@ -458,10 +457,7 @@ Gpu::onMemResponse(ReqId id)
         l2Cache_.fill(key);
     }
 
-    std::vector<ReqId> waiters = l2Mshr_.complete(key);
-    for (const ReqId waiter : waiters)
-        respondUp(waiter);
-    l2Mshr_.recycle(std::move(waiters));
+    l2Mshr_.complete(key, [this](ReqId waiter) { respondUp(waiter); });
 }
 
 void
@@ -477,15 +473,17 @@ Gpu::respondUp(ReqId id)
         // filled key is the only line a parked entry can newly hit
         // on, and the completed MSHR entry can no longer be merged
         // into (the retry pass probes by key, DESIGN.md §12).
-        coreDataWake_[req.core] = 1;
+        if (coreDataWake_[req.core] == 0) {
+            coreDataWake_[req.core] = 1;
+            wokenCores_.push_back(req.core);
+        }
         anyCoreDataWake_ = true;
         coreFilledKeys_[req.core].push_back(key);
         dataMergeKeys_[req.core].erase(key);
         core.l1d().fill(key);
-        std::vector<ReqId> warps = core.l1Mshr().complete(key);
-        for (const ReqId warp : warps)
+        core.l1Mshr().complete(key, [this, &core](ReqId warp) {
             core.accessDone(static_cast<WarpId>(warp), now_);
-        core.l1Mshr().recycle(std::move(warps));
+        });
         pool_.release(id);
     } else {
         walkFetchReturned(id);
@@ -758,33 +756,39 @@ Gpu::stageWalker()
     // wake pass, probe only slots that can make progress: an allocate
     // needs free capacity and a merge needs the slot's key present in
     // the table, both O(1) tests against parkedTransKeys_ /
-    // parkedMergeEligible_. Slots whose probe would provably return
-    // Full rotate back unprobed, preserving FIFO order exactly.
+    // parkedMergeEligible_. A probe that runs always leaves the queue
+    // (it allocates or merges); every other slot keeps its place. So
+    // the pass is a stable removal of the probed slots, and once no
+    // probe can succeed the unvisited tail is left untouched: the
+    // work is O(slots visited), not O(parked).
     if (tlbRetryWake_) {
         tlbRetryWake_ = false;
-        for (std::size_t n = tlbMissRetry_.size(); n > 0; --n) {
-            if (tlbMshr_.size() >= tlbMshr_.capacity() &&
-                parkedMergeEligible_ == 0) {
-                // No remaining probe can succeed: rotate the rest so
-                // the deque ends up as a full pass would leave it.
-                for (; n > 0; --n) {
-                    tlbMissRetry_.push_back(tlbMissRetry_.front());
-                    tlbMissRetry_.pop_front();
-                }
-                break;
-            }
-            const std::uint32_t slot = tlbMissRetry_.front();
-            tlbMissRetry_.pop_front();
+        const std::size_t parked = tlbMissRetry_.size();
+        std::size_t visited = 0;
+        std::size_t kept = 0;
+        for (; visited < parked; ++visited) {
+            const bool full = tlbMshr_.size() >= tlbMshr_.capacity();
+            if (full && parkedMergeEligible_ == 0)
+                break; // no remaining probe can succeed
+            const std::uint32_t slot = tlbMissRetry_[visited];
             const TransSlot &s = transSlots_[slot];
-            if (tlbMshr_.size() >= tlbMshr_.capacity() &&
-                !tlbMshr_.has(s.asid, s.vpn)) {
-                tlbMissRetry_.push_back(slot); // provably Full
+            if (full && !tlbMshr_.has(s.asid, s.vpn)) {
+                tlbMissRetry_[kept++] = slot; // provably Full
                 continue;
             }
             ++tlbRetryProbes_;
             unparkTransSlot(slot);
             tlbMissToWalker(slot);
+            SIM_CHECK(tlbMissRetry_.size() == parked, "sim.gpu", now_,
+                      "a translation retry probe parked again");
         }
+        // Close the gap the probed slots left: the kept slots move up
+        // against the unvisited ones and the freed front is dropped.
+        const auto first = tlbMissRetry_.begin();
+        std::move_backward(first, first + static_cast<std::ptrdiff_t>(kept),
+                           first + static_cast<std::ptrdiff_t>(visited));
+        tlbMissRetry_.erase(
+            first, first + static_cast<std::ptrdiff_t>(visited - kept));
     }
 
     // Start queued walks as walker threads free up.
@@ -970,8 +974,9 @@ Gpu::stageCores()
     // Non-woken cores are charged entirely in closed form.
     if (dataRetryCount_ > 0 && anyCoreDataWake_) {
         dataRetryWoken_.clear();
-        for (CoreId c = 0; c < cores_.size(); ++c) {
-            if (coreDataWake_[c] != 0 && !dataRetryByCore_[c].empty())
+        std::sort(wokenCores_.begin(), wokenCores_.end());
+        for (const CoreId c : wokenCores_) {
+            if (!dataRetryByCore_[c].empty())
                 dataRetryWoken_.push_back(RetryPassCore{
                     c, dataRetryByCore_[c].size(), 0, true});
         }
@@ -1088,20 +1093,25 @@ Gpu::stageCores()
         }
     }
     if (anyCoreDataWake_) {
-        for (CoreId c = 0; c < cores_.size(); ++c) {
-            if (coreDataWake_[c] != 0) {
-                coreDataWake_[c] = 0;
-                coreFilledKeys_[c].clear();
-            }
+        for (const CoreId c : wokenCores_) {
+            coreDataWake_[c] = 0;
+            coreFilledKeys_[c].clear();
         }
+        wokenCores_.clear();
         anyCoreDataWake_ = false;
     }
 
+    // Lazy issue (DESIGN.md §9): a core whose warps all wait, or
+    // whose greedy warp is mid compute run, only counts until
+    // nextIssue(); those cycles are settled when read.
     for (auto &core : cores_) {
+        if (core->nextIssue() > now_)
+            continue;
         const std::optional<IssuedAccess> issued = core->issue(now_);
         if (issued.has_value())
             handleCoreAccess(*core, *issued);
     }
+    coresIssuedTo_ = now_ + 1;
 }
 
 void
@@ -1168,10 +1178,10 @@ Gpu::completeCoreTranslation(CoreId core, Asid asid, Vpn vpn, AppId app,
 
     auto &waiters = coreTransWaiters_[core];
     const std::uint64_t key = tlbKey(asid, vpn);
-    SIM_CHECK_CTX(waiters.contains(key), "sim.gpu", now_,
+    std::vector<StalledAccess> parked;
+    SIM_CHECK_CTX(waiters.take(key, parked), "sim.gpu", now_,
                   "translation completed with no core waiters",
                   (CheckContext{.asid = asid, .vpn = vpn, .app = app}));
-    std::vector<StalledAccess> parked = waiters.take(key);
     SIM_CHECK_CTX(stalledAccesses_[app] >= parked.size(), "sim.gpu",
                   now_, "stalled-access counter underflow on wakeup",
                   (CheckContext{.asid = asid, .vpn = vpn, .app = app}));
@@ -1363,6 +1373,7 @@ Gpu::stageSwitches()
             continue;
         }
         ShaderCore &core = *cores_[c];
+        core.settle(coresIssuedTo_);
         // A drained core must have no residual miss state: leaked L1
         // MSHR entries or parked translations would silently corrupt
         // the incoming app (drained() means outstanding == 0).
@@ -1420,8 +1431,16 @@ Gpu::freeTransSlot(std::uint32_t slot)
 }
 
 void
+Gpu::settleCores()
+{
+    for (auto &core : cores_)
+        core->settle(coresIssuedTo_);
+}
+
+void
 Gpu::creditInstructions()
 {
+    settleCores();
     for (CoreId c = 0; c < cores_.size(); ++c) {
         appInstr_[cores_[c]->app()] +=
             cores_[c]->instructions() - coreInstrCredited_[c];
@@ -1440,6 +1459,7 @@ void
 Gpu::resetStats()
 {
     statsStart_ = now_;
+    settleCores();
     std::fill(appInstr_.begin(), appInstr_.end(), 0);
     for (CoreId c = 0; c < cores_.size(); ++c) {
         cores_[c]->resetStats();
@@ -2196,6 +2216,11 @@ Gpu::state(Self &self, Io &io)
     if constexpr (Io::kReading) {
         if (self.coreDataWake_.size() != self.cores_.size())
             io.fail("core wake vector size differs from core count");
+        self.wokenCores_.clear();
+        for (CoreId c = 0; c < self.cores_.size(); ++c) {
+            if (self.coreDataWake_[c] != 0)
+                self.wokenCores_.push_back(c);
+        }
     }
     io.b(self.anyCoreDataWake_);
     io.b(self.tlbRetryWake_);
@@ -2211,6 +2236,9 @@ Gpu::state(Self &self, Io &io)
 void
 Gpu::serialize(StateWriter &w) const
 {
+    // Settling applies counts the cores already owe; it changes no
+    // value an observer of the Gpu can tell apart (logically const).
+    const_cast<Gpu *>(this)->settleCores();
     state(*this, w);
 }
 
@@ -2219,6 +2247,7 @@ Gpu::deserialize(StateReader &r)
 {
     state(*this, r);
     r.finish();
+    coresIssuedTo_ = now_;
 
     // Host-side checkpoint cadence restarts relative to the restored
     // cycle (policy state is deliberately not part of the snapshot).

@@ -221,7 +221,13 @@ class Gpu
 
     // --- Introspection (tests, benches, examples) ---
 
-    ShaderCore &core(CoreId id) { return *cores_[id]; }
+    /** Core @p id, its lazily applied issue counters settled. */
+    ShaderCore &
+    core(CoreId id)
+    {
+        cores_[id]->settle(coresIssuedTo_);
+        return *cores_[id];
+    }
     std::uint32_t numCores() const
     {
         return static_cast<std::uint32_t>(cores_.size());
@@ -407,6 +413,9 @@ class Gpu
     void parkTransSlot(std::uint32_t slot);
     void unparkTransSlot(std::uint32_t slot);
     void fillL2TlbOnWalkDone(const TlbMshrTable::Entry &entry, Pfn pfn);
+    /** Settle every core's lazy issue counters (ShaderCore::settle)
+     *  through the last issue stage that ran. */
+    void settleCores();
     void creditInstructions();
 
     std::uint64_t l2CacheKey(Addr paddr) const
@@ -528,6 +537,9 @@ class Gpu
      * counters, which the retry loop advances in closed form instead.
      */
     std::vector<std::uint8_t> coreDataWake_;
+    /** The cores whose coreDataWake_ flag is set (derived; rebuilt on
+     *  restore), so a pass visits only them. */
+    std::vector<CoreId> wokenCores_;
     bool anyCoreDataWake_ = false;
     bool tlbRetryWake_ = false;
     /** Scratch for the retry pass (reused across cycles). */
@@ -559,6 +571,9 @@ class Gpu
         coreTransWaiters_;
 
     // --- Idle-skip bookkeeping (tickOne fast paths) ---
+    /** First cycle whose issue stage has not run: now_ between
+     *  cycles, now_ + 1 after stageCores. Cores settle up to it. */
+    Cycle coresIssuedTo_ = 0;
     /** Requests in the L2 input queues or bank pipes. */
     std::size_t l2Work_ = 0;
     /** Cores with an unfinished app switch (skip stageSwitches). */

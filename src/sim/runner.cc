@@ -282,6 +282,10 @@ Evaluator::aloneIpc(const GpuConfig &arch, DesignPoint point,
     // The alone run gives this app the whole (shrunken) GPU; shares
     // sized for the shared-run app count would be stale here.
     cfg.coreShares.clear();
+    // Partitioning splits resources between apps and is inert with
+    // one (the L2 and the address mapper read it only when apps > 1):
+    // clearing it lets the Static alone runs share SharedTLB's slots.
+    cfg.partition = PartitionConfig{};
 
     // Key on the structural fingerprint of the exact config the alone
     // run would use — never on arch.name, which benches reuse across

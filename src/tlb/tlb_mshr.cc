@@ -62,10 +62,10 @@ TlbMshrTable::Entry
 TlbMshrTable::complete(Asid asid, Vpn vpn)
 {
     const std::uint64_t key = tlbKey(asid, vpn);
-    SIM_CHECK_CTX(table_.contains(key), "tlb.mshr", kUnknownCycle,
+    Entry entry;
+    SIM_CHECK_CTX(table_.take(key, entry), "tlb.mshr", kUnknownCycle,
                   "completing a TLB miss with no MSHR entry",
                   (CheckContext{.asid = asid, .vpn = vpn}));
-    Entry entry = table_.take(key);
 
     const auto waiters = static_cast<std::uint32_t>(entry.waiters.size());
     SIM_CHECK_CTX(stalledWarps_ >= waiters, "tlb.mshr", kUnknownCycle,

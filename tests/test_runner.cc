@@ -5,13 +5,16 @@
  */
 
 #include <cstdlib>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "sim/gpu.hh"
 #include "sim/presets.hh"
 #include "sim/runner.hh"
 #include "sim/time_mux.hh"
+#include "workload/suite.hh"
 
 namespace mask {
 namespace {
@@ -62,6 +65,37 @@ TEST(Runner, AloneIpcIsCached)
     const double second =
         eval.aloneIpc(smallArch(), DesignPoint::SharedTlb, "LUD", 2);
     EXPECT_DOUBLE_EQ(first, second);
+}
+
+TEST(Runner, StaticAloneRunSharesSharedTlbMemoSlot)
+{
+    // Static differs from SharedTLB only in its partition flags, which
+    // the L2 fill and the address mapper read only with more than one
+    // app. A one-app Gpu with the flags set therefore retires exactly
+    // what one without them does...
+    const BenchmarkParams &bench = findBenchmark("LUD");
+    std::vector<std::uint64_t> instructions;
+    for (const DesignPoint point :
+         {DesignPoint::Static, DesignPoint::SharedTlb}) {
+        GpuConfig cfg = applyDesignPoint(smallArch(), point);
+        cfg.numCores = 2;
+        Gpu gpu(cfg, {AppDesc{&bench}});
+        gpu.run(fastOptions().warmup);
+        gpu.resetStats();
+        gpu.run(fastOptions().measure);
+        instructions.push_back(gpu.collect().instructions[0]);
+    }
+    EXPECT_EQ(instructions[0], instructions[1]);
+
+    // ...so the alone-IPC memo keys both on one slot, and the two
+    // alone IPCs are bit-equal.
+    Evaluator eval(fastOptions());
+    const double static_ipc =
+        eval.aloneIpc(smallArch(), DesignPoint::Static, "LUD", 2);
+    const double shared_ipc =
+        eval.aloneIpc(smallArch(), DesignPoint::SharedTlb, "LUD", 2);
+    EXPECT_EQ(std::memcmp(&static_ipc, &shared_ipc, sizeof(double)), 0);
+    EXPECT_EQ(eval.aloneCacheSize(), 1u);
 }
 
 TEST(Runner, AloneIpcDependsOnCoreCount)

@@ -223,6 +223,83 @@ TEST_P(SnapshotRoundTrip, MidWarmupRestoreIsBitExact)
 }
 
 /**
+ * Lazy issue (DESIGN.md §9): a core whose warps all wait, or whose
+ * greedy warp is mid compute run, is not visited until it can do more
+ * than count, and its counters are settled when read. Snapshot every
+ * cycle of a window that covers all three ways a core sleeps — a
+ * compute run, an all-warps-waiting stall and a time-mux drain — and
+ * require each image to resume to the byte-identical end state, and
+ * the snapshotted run itself to match one that was never snapshotted.
+ */
+TEST(SnapshotEveryCycle, EachCycleResumesBitExact)
+{
+    const GpuConfig cfg = configFor(DesignPoint::Mask, false);
+    const std::uint64_t fp = configFingerprint(cfg);
+    constexpr Cycle kStart = 2000;
+    constexpr Cycle kWindow = 160;
+    constexpr Cycle kSwitchAt = 60; // time-mux switch inside the window
+    constexpr Cycle kTail = 80;
+    const Cycle end = kStart + kWindow + kTail;
+
+    auto untouched = makeGpu(cfg);
+    untouched->run(kStart + kSwitchAt);
+    untouched->switchAllCores(1, 30);
+    untouched->run(end - untouched->now());
+    const std::string want = renderSnapshot(fp, *untouched);
+
+    auto ref = makeGpu(cfg);
+    ref->run(kStart);
+    std::vector<std::string> images;
+    bool saw_compute = false;
+    bool saw_stall = false;
+    bool saw_drain = false;
+    for (Cycle i = 0; i < kWindow; ++i) {
+        if (i == kSwitchAt)
+            ref->switchAllCores(1, 30);
+        for (CoreId c = 0; c < ref->numCores(); ++c) {
+            const ShaderCore &core = ref->core(c);
+            if (core.nextIssue() <= ref->now())
+                continue; // awake: issues this cycle
+            if (core.draining())
+                saw_drain = true;
+            else if (core.readyWarps() == 0)
+                saw_stall = true;
+            else
+                saw_compute = true;
+        }
+        images.push_back(renderSnapshot(fp, *ref));
+        ref->run(1);
+    }
+    EXPECT_TRUE(saw_compute) << "no core slept through a compute run";
+    EXPECT_TRUE(saw_stall) << "no core slept with every warp waiting";
+    EXPECT_TRUE(saw_drain) << "no core slept while draining";
+
+    ref->run(end - ref->now());
+    ASSERT_EQ(renderSnapshot(fp, *ref), want)
+        << "snapshotting every cycle perturbed the run";
+
+    for (Cycle i = 0; i < kWindow; ++i) {
+        auto g = makeGpu(cfg);
+        std::uint64_t cycle = 0;
+        StateReader reader(validateSnapshotImage(images[i], fp, &cycle),
+                           cycle);
+        g->deserialize(reader);
+        ASSERT_EQ(g->now(), kStart + i);
+        ASSERT_EQ(renderSnapshot(fp, *g), images[i])
+            << "restore at cycle " << kStart + i << " re-serializes "
+            << "differently";
+        if (i < kSwitchAt) {
+            // The image predates the switch: replay it on schedule.
+            g->run(kStart + kSwitchAt - g->now());
+            g->switchAllCores(1, 30);
+        }
+        g->run(end - g->now());
+        ASSERT_EQ(renderSnapshot(fp, *g), want)
+            << "resume from cycle " << kStart + i << " diverged";
+    }
+}
+
+/**
  * Derived-index rebuild (DESIGN.md §12): snapshot a run whose
  * scheduler indices are demonstrably populated (tiny L1 MSHR tables
  * keep retries parked; the DRAM request queues stay deep), restore
