@@ -44,8 +44,10 @@ TEST(FlatTable, TakeMovesValueOut)
 {
     FlatTable<std::vector<int>> table;
     table.insert(5, std::vector<int>{1, 2, 3});
-    std::vector<int> v = table.take(5);
+    std::vector<int> v;
+    ASSERT_TRUE(table.take(5, v));
     EXPECT_EQ(v, (std::vector<int>{1, 2, 3}));
+    EXPECT_FALSE(table.take(5, v)) << "absent key";
     EXPECT_FALSE(table.contains(5));
     EXPECT_EQ(table.size(), 0u);
 }
@@ -143,12 +145,15 @@ TEST(FlatTable, DifferentialChurnAcrossWrapAroundWithTake)
             EXPECT_EQ(table.erase(key), present);
             reference.erase(key);
             break;
-          case 2: // take (requires presence)
+          case 2: { // take, present or not
+            std::string got;
+            EXPECT_EQ(table.take(key, got), present);
             if (present) {
-                EXPECT_EQ(table.take(key), reference.at(key));
+                EXPECT_EQ(got, reference.at(key));
                 reference.erase(key);
             }
             break;
+          }
         }
         const std::string *found = table.find(key);
         if (reference.count(key) != 0) {
