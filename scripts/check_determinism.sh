@@ -118,8 +118,8 @@ else
 fi
 
 # Crash mid-sweep WITH checkpointing: the re-run resumes completed
-# jobs from the journal and the interrupted job from its newest
-# checkpoint (cycle-0 fallback otherwise) — still byte-identical to a
+# jobs from the journal and the interrupted job from its checkpoint
+# file (cycle-0 fallback otherwise) — still byte-identical to a
 # fault-free serial run.
 echo "== run 8 (killed mid-sweep, checkpoints + journal resume) =="
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \

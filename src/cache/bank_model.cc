@@ -19,9 +19,9 @@ void
 LatencyPipe::state(Self &self, Io &io)
 {
     io.tag("pipe");
-    // The mutable per-cycle port counter is included so that a restore
-    // taken mid-cycle (emergency snapshots) replays identically; for
-    // boundary checkpoints it round-trips harmlessly.
+    // Every snapshot is taken between cycles, where the per-cycle port
+    // counter is stale by the next use; it stays because the pinned
+    // wire format carries it, and it round-trips harmlessly.
     io.u(self.portCycle_);
     io.u(self.usedThisCycle_);
     // The entries, oldest first (the sequence format of a queue).

@@ -12,7 +12,6 @@
 
 #include "common/env.hh"
 #include "sim/file_io.hh"
-#include "sim/snapshot.hh"
 
 namespace mask {
 
@@ -235,11 +234,6 @@ fatalSignalHandler(int sig)
             ::close(fd);
         }
     }
-    // Alongside the repro: flush the faulting thread's last complete
-    // emergency checkpoint ("<path>.sig"), so a crashed run can resume
-    // from its final published state instead of cycle 0. Uses only
-    // async-signal-safe calls (open/write/close).
-    flushEmergencySnapshotFromSignal();
     // Restore the default disposition and re-raise so the process
     // still dies by the original signal (exit status, core dump).
     ::signal(sig, SIG_DFL);

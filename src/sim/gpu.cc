@@ -1496,10 +1496,7 @@ Gpu::resetStats()
               std::uint64_t{0});
     // The reset zeroed most cumulative counters the gauges take
     // deltas of; re-capture the baselines from the post-reset values.
-    if (obsTs_ != nullptr) {
-        obsLastSample_ = now_;
-        obsCaptureBaseline();
-    }
+    obsCaptureBaseline();
 }
 
 GpuStats
@@ -1644,7 +1641,6 @@ Gpu::obsInit()
     obsTs_ = std::make_unique<obs::TimeseriesWriter>(
         opts.timeseriesPath, std::move(reg), opts.timeseriesInterval,
         obs::kTimeseriesRingRows);
-    obsLastSample_ = now_;
     obsCaptureBaseline();
 }
 
@@ -1660,80 +1656,75 @@ obsDelta(std::uint64_t cur, std::uint64_t prev)
 
 } // namespace
 
+Gpu::ObsCounters
+Gpu::obsGather()
+{
+    creditInstructions();
+    const std::size_t num_apps = apps_.size();
+    ObsCounters out;
+    out.l1Hits.resize(num_apps);
+    out.l1Misses.resize(num_apps);
+    out.l2Hits.resize(num_apps);
+    out.l2Misses.resize(num_apps);
+    out.instr.resize(num_apps);
+    for (AppId a = 0; a < num_apps; ++a) {
+        for (const CoreId c : apps_[a].cores) {
+            const HitMiss &hm = cores_[c]->l1Tlb().stats();
+            out.l1Hits[a] += hm.hits;
+            out.l1Misses[a] += hm.misses;
+        }
+        const HitMiss &l2 = l2Tlb_.statsFor(apps_[a].asid);
+        out.l2Hits[a] = l2.hits;
+        out.l2Misses[a] = l2.misses;
+        out.instr[a] = appInstr_[a];
+    }
+    const std::uint32_t channels = dram_.numChannels();
+    out.rowHits.resize(channels);
+    out.rowAcc.resize(channels);
+    for (auto &q : out.issued)
+        q.resize(channels);
+    for (std::uint32_t c = 0; c < channels; ++c) {
+        const DramChannel &ch = dram_.channel(c);
+        const DramChannelStats &s = ch.stats();
+        out.rowHits[c] = s.rowHits;
+        out.rowAcc[c] = s.rowHits + s.rowMisses + s.rowConflicts;
+        for (std::size_t q = 0; q < 3; ++q)
+            out.issued[q][c] = ch.servicedFromQueue(q);
+    }
+    out.bypasses = l2Policy_.bypasses();
+    for (std::uint32_t lvl = 1; lvl <= L2BypassPolicy::kMaxLevel;
+         ++lvl) {
+        out.walkAcc += l2Policy_
+                           .stats(static_cast<std::uint8_t>(lvl))
+                           .accesses();
+    }
+    return out;
+}
+
 void
 Gpu::obsCaptureBaseline()
 {
     if (obsTs_ == nullptr)
         return;
-    creditInstructions();
-    ObsBaseline &p = obsPrev_;
-    const std::size_t num_apps = apps_.size();
-    p.l1Hits.assign(num_apps, 0);
-    p.l1Misses.assign(num_apps, 0);
-    p.l2Hits.assign(num_apps, 0);
-    p.l2Misses.assign(num_apps, 0);
-    p.instr.assign(num_apps, 0);
-    for (AppId a = 0; a < num_apps; ++a) {
-        for (const CoreId c : apps_[a].cores) {
-            const HitMiss &hm = cores_[c]->l1Tlb().stats();
-            p.l1Hits[a] += hm.hits;
-            p.l1Misses[a] += hm.misses;
-        }
-        const HitMiss &l2 = l2Tlb_.statsFor(apps_[a].asid);
-        p.l2Hits[a] = l2.hits;
-        p.l2Misses[a] = l2.misses;
-        p.instr[a] = appInstr_[a];
-    }
-    const std::uint32_t channels = dram_.numChannels();
-    p.rowHits.assign(channels, 0);
-    p.rowAcc.assign(channels, 0);
-    for (auto &q : p.issued)
-        q.assign(channels, 0);
-    for (std::uint32_t c = 0; c < channels; ++c) {
-        const DramChannelStats &s = dram_.channel(c).stats();
-        p.rowHits[c] = s.rowHits;
-        p.rowAcc[c] = s.rowHits + s.rowMisses + s.rowConflicts;
-        for (std::size_t q = 0; q < 3; ++q)
-            p.issued[q][c] = dram_.channel(c).servicedFromQueue(q);
-    }
-    p.bypasses = l2Policy_.bypasses();
-    p.walkAcc = 0;
-    for (std::uint32_t lvl = 1; lvl <= L2BypassPolicy::kMaxLevel;
-         ++lvl) {
-        p.walkAcc += l2Policy_
-                         .stats(static_cast<std::uint8_t>(lvl))
-                         .accesses();
-    }
+    obsLastSample_ = now_;
+    obsPrev_ = obsGather();
 }
 
 void
 Gpu::obsSampleAt(Cycle cycle)
 {
-    creditInstructions();
-    ObsBaseline &p = obsPrev_;
+    ObsCounters n = obsGather();
+    const ObsCounters &p = obsPrev_;
     const Cycle dt = cycle - obsLastSample_;
     std::size_t i = 0;
 
     for (AppId a = 0; a < apps_.size(); ++a) {
-        std::uint64_t h = 0;
-        std::uint64_t m = 0;
-        for (const CoreId c : apps_[a].cores) {
-            const HitMiss &hm = cores_[c]->l1Tlb().stats();
-            h += hm.hits;
-            m += hm.misses;
-        }
-        const double dl1h = obsDelta(h, p.l1Hits[a]);
-        const double dl1m = obsDelta(m, p.l1Misses[a]);
+        const double dl1h = obsDelta(n.l1Hits[a], p.l1Hits[a]);
+        const double dl1m = obsDelta(n.l1Misses[a], p.l1Misses[a]);
         obsVals_[i++] = safeDiv(dl1h, dl1h + dl1m);
-        p.l1Hits[a] = h;
-        p.l1Misses[a] = m;
-
-        const HitMiss &l2 = l2Tlb_.statsFor(apps_[a].asid);
-        const double dl2h = obsDelta(l2.hits, p.l2Hits[a]);
-        const double dl2m = obsDelta(l2.misses, p.l2Misses[a]);
+        const double dl2h = obsDelta(n.l2Hits[a], p.l2Hits[a]);
+        const double dl2m = obsDelta(n.l2Misses[a], p.l2Misses[a]);
         obsVals_[i++] = safeDiv(dl2h, dl2h + dl2m);
-        p.l2Hits[a] = l2.hits;
-        p.l2Misses[a] = l2.misses;
 
         obsVals_[i++] = static_cast<double>(tokens_.tokens(a));
         obsVals_[i++] =
@@ -1741,28 +1732,17 @@ Gpu::obsSampleAt(Cycle cycle)
         obsVals_[i++] = static_cast<double>(quota_.silverQuota(a));
         obsVals_[i++] = quota_.pressure(a);
 
-        obsVals_[i++] = safeDiv(obsDelta(appInstr_[a], p.instr[a]),
+        obsVals_[i++] = safeDiv(obsDelta(n.instr[a], p.instr[a]),
                                 static_cast<double>(dt));
-        p.instr[a] = appInstr_[a];
     }
 
     obsVals_[i++] = static_cast<double>(walkStartQueue_.size());
 
-    std::uint64_t walk_acc = 0;
-    for (std::uint32_t lvl = 1; lvl <= L2BypassPolicy::kMaxLevel;
-         ++lvl) {
-        walk_acc += l2Policy_
-                        .stats(static_cast<std::uint8_t>(lvl))
-                        .accesses();
-    }
-    const std::uint64_t byp = l2Policy_.bypasses();
     // Bypassed lookups never probe the L2, so the stats denominators
     // exclude them; the fraction is bypasses / (lookups + bypasses).
-    const double dbyp = obsDelta(byp, p.bypasses);
-    const double dwalk = obsDelta(walk_acc, p.walkAcc);
+    const double dbyp = obsDelta(n.bypasses, p.bypasses);
+    const double dwalk = obsDelta(n.walkAcc, p.walkAcc);
     obsVals_[i++] = safeDiv(dbyp, dwalk + dbyp);
-    p.bypasses = byp;
-    p.walkAcc = walk_acc;
 
     // The live bypass decision is hitRate(level) < hitRate(0),
     // computed WITHOUT shouldBypass(): that call advances the
@@ -1778,22 +1758,15 @@ Gpu::obsSampleAt(Cycle cycle)
     }
 
     for (std::uint32_t c = 0; c < dram_.numChannels(); ++c) {
-        const DramChannel &ch = dram_.channel(c);
-        obsVals_[i++] = static_cast<double>(ch.queuedRequests());
-        const DramChannelStats &s = ch.stats();
-        const std::uint64_t acc =
-            s.rowHits + s.rowMisses + s.rowConflicts;
-        obsVals_[i++] = safeDiv(obsDelta(s.rowHits, p.rowHits[c]),
-                                obsDelta(acc, p.rowAcc[c]));
-        p.rowHits[c] = s.rowHits;
-        p.rowAcc[c] = acc;
-        for (std::size_t q = 0; q < 3; ++q) {
-            const std::uint64_t n = ch.servicedFromQueue(q);
-            obsVals_[i++] = obsDelta(n, p.issued[q][c]);
-            p.issued[q][c] = n;
-        }
+        obsVals_[i++] =
+            static_cast<double>(dram_.channel(c).queuedRequests());
+        obsVals_[i++] = safeDiv(obsDelta(n.rowHits[c], p.rowHits[c]),
+                                obsDelta(n.rowAcc[c], p.rowAcc[c]));
+        for (std::size_t q = 0; q < 3; ++q)
+            obsVals_[i++] = obsDelta(n.issued[q][c], p.issued[q][c]);
     }
 
+    obsPrev_ = std::move(n);
     obsLastSample_ = cycle;
     obsTs_->record(cycle, obsVals_);
 }
@@ -2261,7 +2234,6 @@ Gpu::deserialize(StateReader &r)
     // delta baselines from the restored counters.
     if (obsTs_ != nullptr) {
         obsTs_->rearm(now_);
-        obsLastSample_ = now_;
         obsCaptureBaseline();
     }
 }

@@ -623,14 +623,29 @@ class Gpu
     // --- Observability (DESIGN.md §13; host-side, never serialized,
     // excluded from configFingerprint) ---
 
+    /** Cumulative counters the interval-delta gauges diff. One slot
+     *  per app unless noted. */
+    struct ObsCounters
+    {
+        std::vector<std::uint64_t> l1Hits, l1Misses;
+        std::vector<std::uint64_t> l2Hits, l2Misses;
+        std::vector<std::uint64_t> instr;
+        std::vector<std::uint64_t> rowHits, rowAcc;    //!< per channel
+        std::vector<std::uint64_t> issued[3];          //!< per channel
+        std::uint64_t bypasses = 0;
+        std::uint64_t walkAcc = 0; //!< L2 lookups at walk levels 1..4
+    };
+
     /** Resolve env/override options, build the series registry, open
      *  the writers; called once at construction. */
     void obsInit();
     /** Gather every gauge and record one timeseries row stamped
      *  @p cycle (state as of the end of that cycle). */
     void obsSampleAt(Cycle cycle);
-    /** Re-capture the interval-delta baselines from the live
-     *  counters (after resetStats / restore / construction). */
+    /** Read the live counters behind the interval-delta gauges. */
+    ObsCounters obsGather();
+    /** Restart the interval at now(): gather the baseline counters
+     *  (after resetStats / restore / construction). */
     void obsCaptureBaseline();
     /** Trace/sample bookkeeping for an epoch boundary; runs inside
      *  stageEpoch around the controller updates. */
@@ -645,18 +660,7 @@ class Gpu
     std::string obsStageProfilePath_;
     std::vector<double> obsVals_;  //!< scratch row (registry order)
     Cycle obsLastSample_ = 0;      //!< previous sample/reset cycle
-    /** Interval-delta baselines (cumulative counters at the previous
-     *  sample). One slot per app unless noted. */
-    struct ObsBaseline
-    {
-        std::vector<std::uint64_t> l1Hits, l1Misses;
-        std::vector<std::uint64_t> l2Hits, l2Misses;
-        std::vector<std::uint64_t> instr;
-        std::vector<std::uint64_t> rowHits, rowAcc;    //!< per channel
-        std::vector<std::uint64_t> issued[3];          //!< per channel
-        std::uint64_t bypasses = 0;
-        std::uint64_t walkAcc = 0; //!< L2 lookups at walk levels 1..4
-    } obsPrev_;
+    ObsCounters obsPrev_; //!< at the previous sample / interval start
     /** Per-level L2 bypass decision at the last epoch boundary
      *  (levels 1..kMaxLevel; index 0 unused), for flip instants. */
     bool obsBypassOn_[5] = {};

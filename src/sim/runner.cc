@@ -133,18 +133,15 @@ runMeasureFrom(std::string_view image, const GpuConfig &cfg,
                const std::vector<std::string> &bench_names,
                Cycle warmup, Cycle measure)
 {
-    std::uint64_t cycle = SnapshotError::kNoCycle;
-    const std::string_view payload = validateSnapshotImage(
-        image, warmupFingerprint(cfg), &cycle);
+    Gpu gpu(cfg, toAppDescs(bench_names));
+    const std::uint64_t cycle =
+        restoreSnapshot(image, warmupFingerprint(cfg), gpu);
     if (cycle != warmup)
         throw SnapshotError("warm snapshot cycle " +
                                 std::to_string(cycle) +
                                 " does not match warmup window " +
                                 std::to_string(warmup),
                             "header", cycle);
-    Gpu gpu(cfg, toAppDescs(bench_names));
-    StateReader reader(payload, cycle);
-    gpu.deserialize(reader);
     gpu.resetStats();
     gpu.run(measure);
     return gpu.collect();
@@ -260,8 +257,8 @@ Evaluator::runShared(const GpuConfig &arch, DesignPoint point,
     const auto obs_override = makeJobObsOverride(point, bench_names);
     // A hard crash (SIGSEGV/SIGABRT/...) during this run flushes the
     // same repro record an invariant failure would, via the
-    // fatal-signal handlers — plus the last emergency checkpoint when
-    // MASK_CKPT_* checkpointing is on.
+    // fatal-signal handlers; with MASK_CKPT_* checkpointing on, the
+    // re-run resumes from the last periodic checkpoint file.
     const ScopedSignalRepro armed(
         makeRepro(arch, point, bench_names, options_.warmup,
                   options_.measure),

@@ -1,13 +1,8 @@
 #include "sim/snapshot.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <utility>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include "common/env.hh"
 #include "sim/gpu.hh"
@@ -18,23 +13,20 @@ namespace {
 
 constexpr const char *kMagic = "MASKSNAP";
 
-/** Parse one full base-10 token; returns false on any stray byte. */
+/**
+ * Parse one full base-10 token by the envU64 rule: from_chars into an
+ * unsigned type rejects a sign and leading space and reports overflow;
+ * a short parse is a stray byte. Tokens past 20 bytes (the width of
+ * UINT64_MAX) are rejected even when zero-padded.
+ */
 bool
 parseU64(std::string_view tok, std::uint64_t &out)
 {
-    if (tok.empty() || tok.size() > 20)
+    if (tok.size() > 20)
         return false;
-    std::uint64_t v = 0;
-    for (const char c : tok) {
-        if (c < '0' || c > '9')
-            return false;
-        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        if (v > (UINT64_MAX - digit) / 10)
-            return false;
-        v = v * 10 + digit;
-    }
-    out = v;
-    return true;
+    const char *end = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+    return ec == std::errc() && ptr == end;
 }
 
 /** Next space-separated token of @p line starting at @p pos. */
@@ -166,40 +158,27 @@ validateSnapshotImage(std::string_view data,
     return payload;
 }
 
-namespace {
-
-std::string
-readFileOrThrow(const std::string &path)
+std::uint64_t
+restoreSnapshot(std::string_view image, std::uint64_t config_fingerprint,
+                Gpu &gpu)
 {
-    std::string data;
-    if (!readFile(path, data))
-        throw SnapshotError("cannot read snapshot file: " + path, "file",
-                            SnapshotError::kNoCycle);
-    return data;
+    std::uint64_t cycle = SnapshotError::kNoCycle;
+    StateReader reader(validateSnapshotImage(image, config_fingerprint,
+                                             &cycle),
+                       cycle);
+    gpu.deserialize(reader);
+    return cycle;
 }
-
-} // namespace
 
 void
 loadSnapshotFile(const std::string &path,
                  std::uint64_t config_fingerprint, Gpu &gpu)
 {
-    const std::string data = readFileOrThrow(path);
-    std::uint64_t cycle = SnapshotError::kNoCycle;
-    const std::string_view payload =
-        validateSnapshotImage(data, config_fingerprint, &cycle);
-    StateReader reader(payload, cycle);
-    gpu.deserialize(reader);
-}
-
-std::uint64_t
-snapshotFileCycle(const std::string &path,
-                  std::uint64_t config_fingerprint)
-{
-    const std::string data = readFileOrThrow(path);
-    std::uint64_t cycle = SnapshotError::kNoCycle;
-    validateSnapshotImage(data, config_fingerprint, &cycle);
-    return cycle;
+    std::string data;
+    if (!readFile(path, data))
+        throw SnapshotError("cannot read snapshot file: " + path, "file",
+                            SnapshotError::kNoCycle);
+    restoreSnapshot(data, config_fingerprint, gpu);
 }
 
 // ---------------------------------------------------------------------
@@ -267,72 +246,31 @@ runWithCheckpoints(const std::function<std::unique_ptr<Gpu>()> &make_gpu,
         return gpu->collect();
     }
 
-    const std::string sig_path = path + ".sig";
-
-    // Resume from the newest valid checkpoint: periodic snapshots and
-    // the fatal-signal emergency flush are both candidates, newest
-    // cycle first. Each candidate is read and header-validated once;
-    // one that fails validation is skipped outright, and one that
-    // fails mid-restore poisons the half-written Gpu, so the instance
-    // is rebuilt before the next attempt (or the cycle-0 fallback).
-    struct Candidate
-    {
-        std::string file;
-        std::string image;
-        std::size_t payloadLen = 0; //!< payload is the image's tail
-        std::uint64_t cycle = 0;
-    };
-    std::vector<Candidate> candidates;
-    for (const std::string &file : {path, sig_path}) {
-        Candidate cand{file, {}};
-        if (!readFile(file, cand.image))
-            continue;
+    // Resume from the checkpoint file if one is there. A restore that
+    // fails (header or payload) may have half-written the Gpu, so the
+    // run starts over on a fresh instance from cycle 0.
+    if (std::string image; readFile(path, image)) {
         try {
-            cand.payloadLen =
-                validateSnapshotImage(cand.image, config_fingerprint,
-                                      &cand.cycle)
-                    .size();
-            candidates.push_back(std::move(cand));
-        } catch (const SnapshotError &err) {
-            std::fprintf(stderr,
-                         "mask: ignoring invalid checkpoint %s: %s\n",
-                         file.c_str(), err.what());
-        }
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate &a, const Candidate &b) {
-                  return a.cycle > b.cycle;
-              });
-    for (const Candidate &cand : candidates) {
-        try {
-            StateReader reader(
-                std::string_view(cand.image)
-                    .substr(cand.image.size() - cand.payloadLen),
-                cand.cycle);
-            gpu->deserialize(reader);
+            const std::uint64_t cycle =
+                restoreSnapshot(image, config_fingerprint, *gpu);
             std::fprintf(stderr,
                          "mask: resumed from checkpoint %s at cycle "
                          "%llu\n",
-                         cand.file.c_str(),
-                         static_cast<unsigned long long>(cand.cycle));
-            break;
+                         path.c_str(),
+                         static_cast<unsigned long long>(cycle));
         } catch (const SnapshotError &err) {
             std::fprintf(stderr,
-                         "mask: checkpoint %s rejected (%s); falling "
-                         "back\n",
-                         cand.file.c_str(), err.what());
+                         "mask: ignoring invalid checkpoint %s: %s\n",
+                         path.c_str(), err.what());
             gpu = make_gpu();
         }
     }
 
     gpu->setCheckpointHook(
         policy.intervalCycles, [path, config_fingerprint](Gpu &g) {
-            std::string image = renderSnapshot(config_fingerprint, g);
-            writeFileAtomic(path, image);
-            g.noteCheckpointBytes(image.size());
-            publishEmergencySnapshot(std::move(image));
+            g.noteCheckpointBytes(
+                saveSnapshotFile(path, config_fingerprint, g));
         });
-    const ScopedEmergencySnapshot emergency(sig_path);
 
     // The snapshot cookie records the runner phase: 0 while warming
     // up (stats not yet reset), 1 inside the measured window.
@@ -348,98 +286,9 @@ runWithCheckpoints(const std::function<std::unique_ptr<Gpu>()> &make_gpu,
 
     gpu->setCheckpointHook(0, {});
     GpuStats stats = gpu->collect();
-    if (!policy.keep) {
+    if (!policy.keep)
         std::remove(path.c_str());
-        std::remove(sig_path.c_str());
-    }
     return stats;
-}
-
-// ---------------------------------------------------------------------
-// Emergency snapshots (fatal-signal flush)
-// ---------------------------------------------------------------------
-
-namespace {
-
-/**
- * Per-thread double buffer. publishEmergencySnapshot writes the buffer
- * the handler is NOT pointed at, then flips `ready` atomically; a
- * fatal signal landing mid-publish therefore flushes the previous
- * complete image. The handler itself only reads `armed`, `path`,
- * `ready`, and the ready buffer's bytes — all stable between publish
- * calls on this thread — and calls only open/write/close.
- */
-struct EmergencySink
-{
-    std::string path;
-    std::string buf[2];
-    std::atomic<int> ready{-1};
-};
-
-thread_local EmergencySink tl_emergency;
-
-/**
- * &tl_emergency while armed, else null. Constant-initialized and
- * trivially destructible, so the handler can read it on any thread;
- * the first touch of tl_emergency itself registers a TLS destructor
- * and may allocate, so only armed threads (whose scope already
- * touched it) ever reach it from a signal.
- */
-constinit thread_local std::atomic<EmergencySink *> tl_armed_sink{nullptr};
-
-} // namespace
-
-ScopedEmergencySnapshot::ScopedEmergencySnapshot(const std::string &path)
-    : prevArmed_(tl_armed_sink.exchange(nullptr) != nullptr)
-{
-    prevPath_ = std::exchange(tl_emergency.path, path);
-    tl_emergency.ready.store(-1, std::memory_order_release);
-    tl_armed_sink.store(&tl_emergency);
-}
-
-ScopedEmergencySnapshot::~ScopedEmergencySnapshot()
-{
-    tl_armed_sink.store(nullptr);
-    tl_emergency.ready.store(-1, std::memory_order_release);
-    tl_emergency.path = std::move(prevPath_);
-    if (prevArmed_)
-        tl_armed_sink.store(&tl_emergency);
-}
-
-void
-publishEmergencySnapshot(const std::string &image)
-{
-    publishEmergencySnapshot(std::string(image));
-}
-
-void
-publishEmergencySnapshot(std::string &&image)
-{
-    EmergencySink *sink = tl_armed_sink.load();
-    if (sink == nullptr)
-        return;
-    const int current = sink->ready.load(std::memory_order_relaxed);
-    const int next = current == 0 ? 1 : 0;
-    sink->buf[next] = std::move(image);
-    sink->ready.store(next, std::memory_order_release);
-}
-
-void
-flushEmergencySnapshotFromSignal() noexcept
-{
-    const EmergencySink *sink = tl_armed_sink.load();
-    if (sink == nullptr || sink->path.empty())
-        return;
-    const int ready = sink->ready.load(std::memory_order_acquire);
-    if (ready < 0)
-        return;
-    const std::string &image = sink->buf[ready];
-    const int fd = ::open(sink->path.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        return;
-    writeAll(fd, image.data(), image.size());
-    ::close(fd);
 }
 
 } // namespace mask

@@ -28,12 +28,10 @@
  * Snapshots are deleted once a run succeeds, unless code sets
  * CheckpointPolicy::keep.
  *
- * Every periodic checkpoint also publishes its rendered bytes to a
- * thread-local double buffer; the fatal-signal handlers flush the last
- * complete buffer to "<path>.sig" with async-signal-safe calls, so a
- * SIGSEGV/SIGABRT mid-run loses at most one checkpoint interval. A
- * thread that never armed a buffer returns from the handler without
- * touching it.
+ * The checkpoint file is the one resume image. Each checkpoint is
+ * renamed into place whole, so a run killed by any signal (SIGKILL or
+ * a fatal SIGSEGV/SIGABRT alike) loses at most one checkpoint interval
+ * and resumes from that file.
  */
 
 #ifndef MASK_SIM_SNAPSHOT_HH
@@ -86,21 +84,19 @@ std::string_view validateSnapshotImage(
     std::uint64_t *cycle_out = nullptr);
 
 /**
- * Load, validate, and restore @p path into @p gpu, which must have
- * been constructed from the configuration whose fingerprint is
- * @p config_fingerprint. Throws SnapshotError on any validation or
- * decode failure (the Gpu must then be discarded, not reused).
+ * Validate @p image against @p config_fingerprint and restore its
+ * payload into @p gpu, which must have been constructed from that
+ * configuration; returns the restored cycle. Every snapshot restore
+ * goes through here. Throws SnapshotError on any validation or decode
+ * failure (the Gpu may then be half-written and must be discarded).
  */
+std::uint64_t restoreSnapshot(std::string_view image,
+                              std::uint64_t config_fingerprint, Gpu &gpu);
+
+/** Read @p path and restoreSnapshot() it into @p gpu (a missing or
+ *  unreadable file is a SnapshotError with field "file"). */
 void loadSnapshotFile(const std::string &path,
                       std::uint64_t config_fingerprint, Gpu &gpu);
-
-/**
- * Cycle recorded in the header of @p path, without restoring the
- * payload. Throws SnapshotError if the file is missing or its header
- * fails validation against @p config_fingerprint.
- */
-std::uint64_t snapshotFileCycle(const std::string &path,
-                                std::uint64_t config_fingerprint);
 
 // --- Periodic checkpoint policy (MASK_CKPT_* knobs) ------------------
 
@@ -144,13 +140,11 @@ std::string checkpointPath(const CheckpointPolicy &policy,
  * checkpointing disabled this is exactly run(warmup); resetStats();
  * run(measure). When enabled:
  *
- *  - the newest valid snapshot among {path, path + ".sig"} is
- *    restored first (an invalid candidate is skipped with a stderr
- *    warning — and the Gpu rebuilt via @p make_gpu if the restore
- *    failed mid-payload — falling back to cycle 0 when none loads);
- *  - a checkpoint is written every intervalCycles and mirrored to the
- *    emergency buffer flushed by the fatal-signal handlers;
- *  - on success the snapshot files are deleted unless policy.keep.
+ *  - @p path, if present, is read once and restored first; an invalid
+ *    one is skipped with a stderr warning, the Gpu is rebuilt via
+ *    @p make_gpu, and the run starts from cycle 0;
+ *  - a checkpoint is written to @p path every intervalCycles;
+ *  - on success the snapshot file is deleted unless policy.keep.
  *
  * Simulated results are bit-identical with checkpointing on, off, or
  * resumed mid-run — checkpoints only observe state, never change it.
@@ -161,52 +155,6 @@ runWithCheckpoints(const std::function<std::unique_ptr<Gpu>()> &make_gpu,
                    std::uint64_t config_fingerprint,
                    const std::string &path, Cycle warmup,
                    Cycle measure);
-
-// --- Emergency snapshots (fatal-signal flush) -------------------------
-
-/**
- * Arm the calling thread's emergency snapshot sink for this scope: the
- * fatal-signal handlers write the last buffer published with
- * publishEmergencySnapshot() to @p path. Scopes nest; destruction
- * restores the previous state.
- */
-class ScopedEmergencySnapshot
-{
-  public:
-    explicit ScopedEmergencySnapshot(const std::string &path);
-    ~ScopedEmergencySnapshot();
-
-    ScopedEmergencySnapshot(const ScopedEmergencySnapshot &) = delete;
-    ScopedEmergencySnapshot &
-    operator=(const ScopedEmergencySnapshot &) = delete;
-
-  private:
-    std::string prevPath_;
-    bool prevArmed_;
-};
-
-/**
- * Publish a freshly-rendered snapshot image to the calling thread's
- * double buffer. The write goes to the buffer the signal handler is
- * NOT reading, then the ready index flips atomically — a signal
- * landing mid-publish flushes the previous complete image.
- */
-void publishEmergencySnapshot(const std::string &image);
-
-/**
- * Move-publish overload for the periodic checkpoint path: the caller
- * is done with @p image, so the bytes move into the double buffer
- * instead of being copied (snapshots run to megabytes).
- */
-void publishEmergencySnapshot(std::string &&image);
-
-/**
- * Flush the calling thread's armed emergency snapshot, if any, to its
- * path with async-signal-safe calls only (open/write/close). Invoked
- * by the fatal-signal handlers in crash_repro.cc next to the repro
- * flush; safe to call from any context.
- */
-void flushEmergencySnapshotFromSignal() noexcept;
 
 } // namespace mask
 

@@ -5,13 +5,14 @@
  * corruption matrix (truncated, bit-flipped, stale-version,
  * wrong-config snapshots must raise SnapshotError — never UB, so this
  * file also runs under the ASan/UBSan build), the periodic checkpoint
- * hook, the MASK_CKPT_* policy plumbing, and the emergency
- * double-buffer the fatal-signal handlers flush.
+ * hook, the MASK_CKPT_* policy plumbing, and resume from the
+ * checkpoint file after a fatal signal.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 #include <unistd.h>
 
 #include "common/config.hh"
+#include "sim/crash_repro.hh"
 #include "sim/gpu.hh"
 #include "sim/runner.hh"
 #include "sim/snapshot.hh"
@@ -139,6 +141,23 @@ readFile(const std::string &path)
     std::string data((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     return data;
+}
+
+/** Names in @p dir other than "." and "..", sorted. */
+std::vector<std::string>
+dirEntries(const std::string &dir)
+{
+    std::vector<std::string> names;
+    if (DIR *d = ::opendir(dir.c_str()); d != nullptr) {
+        while (const dirent *entry = ::readdir(d)) {
+            const std::string name = entry->d_name;
+            if (name != "." && name != "..")
+                names.push_back(name);
+        }
+        ::closedir(d);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 // ---------------------------------------------------------------------
@@ -491,6 +510,23 @@ TEST_F(SnapshotCorruption, ValidChecksumOverTruncatedPayload)
         << "decoder errors name the last structural field reached";
 }
 
+TEST_F(SnapshotCorruption, MalformedCycleField)
+{
+    // Header numbers are digits only, at most 20 bytes, below 2^64.
+    const std::string cycle = " 2500 ";
+    const std::size_t at = image_.find(cycle);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_LT(at, image_.find('\n'));
+    for (const char *tok :
+         {"+5", "18446744073709551616", "00000000000000000002500"}) {
+        std::string bad = image_;
+        bad.replace(at + 1, cycle.size() - 2, tok);
+        const SnapshotError err = expectRejected(bad);
+        EXPECT_NE(err.reason().find("malformed cycle"), std::string::npos)
+            << tok << ": " << err.reason();
+    }
+}
+
 TEST_F(SnapshotCorruption, MissingFile)
 {
     auto gpu = makeGpu(cfg_);
@@ -582,7 +618,8 @@ TEST(RunWithCheckpoints, ResumesFromKeptCheckpoint)
     const std::string want = statsBlob(runWithCheckpoints(
         make, keep, fp, path, kWarmup, kMeasure));
     // keep=true leaves the newest periodic snapshot behind...
-    const std::uint64_t cycle = snapshotFileCycle(path, fp);
+    std::uint64_t cycle = 0;
+    validateSnapshotImage(readFile(path), fp, &cycle);
     EXPECT_GT(cycle, kWarmup);
     EXPECT_LE(cycle, kWarmup + kMeasure);
 
@@ -606,7 +643,80 @@ TEST(RunWithCheckpoints, ResumesFromKeptCheckpoint)
               want);
 
     std::remove(path.c_str());
-    std::remove((path + ".sig").c_str());
+}
+
+TEST(RunWithCheckpoints, FatalSignalMidRunResumesFromPath)
+{
+    // A forked child with the real fatal-signal handlers installed
+    // checkpoints a long run and is killed by SIGSEGV mid-window. The
+    // handler writes only the repro; the periodic checkpoint file is
+    // the one resume image, and resuming from it is bit-exact.
+    const GpuConfig cfg = configFor(DesignPoint::Mask, false);
+    const std::uint64_t fp = configFingerprint(cfg);
+    const auto make = [&cfg]() { return makeGpu(cfg); };
+    constexpr Cycle kLongMeasure = 500000;
+    const std::string dir = tmpPath("mask_sig_resume");
+    const auto clear_dir = [&dir] {
+        for (const std::string &name : dirEntries(dir))
+            std::remove((dir + "/" + name).c_str());
+    };
+    ::mkdir(dir.c_str(), 0755);
+    clear_dir();
+    const std::string path = dir + "/job.snap";
+    const std::string repro = dir + "/job.repro";
+
+    CheckpointPolicy keep;
+    keep.intervalCycles = 1024;
+    keep.dir = dir;
+    keep.keep = true;
+
+    std::fflush(stdout);
+    std::fflush(stderr);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        CrashRepro record;
+        record.benches = {benchA().name, benchB().name};
+        const ScopedSignalRepro armed(record, repro);
+        runWithCheckpoints(make, keep, fp, path, kWarmup, kLongMeasure);
+        std::_Exit(0); // finished before the signal: the parent fails
+    }
+    struct stat st = {};
+    for (int i = 0; i < 60000 && ::stat(path.c_str(), &st) != 0; ++i)
+        ::usleep(1000);
+    ASSERT_EQ(::kill(child, SIGSEGV), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(status))
+        << "child was not killed mid-run (exit status " << status << ")";
+    EXPECT_EQ(WTERMSIG(status), SIGSEGV);
+    EXPECT_NE(loadRepro(repro).detail.find("SIGSEGV"), std::string::npos);
+    // Besides a tmp file the kill may strand mid-write, the directory
+    // holds the repro and the one checkpoint: no second resume image.
+    std::vector<std::string> left = dirEntries(dir);
+    std::erase_if(left, [](const std::string &name) {
+        return name.rfind("job.snap.tmp.", 0) == 0;
+    });
+    EXPECT_EQ(left, (std::vector<std::string>{"job.repro", "job.snap"}));
+
+    std::uint64_t cycle = 0;
+    validateSnapshotImage(readFile(path), fp, &cycle);
+    EXPECT_GT(cycle, 0u);
+    ::testing::internal::CaptureStderr();
+    const std::string resumed = statsBlob(
+        runWithCheckpoints(make, keep, fp, path, kWarmup, kLongMeasure));
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("resumed from checkpoint " + path + " at cycle " +
+                       std::to_string(cycle)),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(resumed,
+              statsBlob(runWithCheckpoints(make, CheckpointPolicy{}, fp,
+                                           std::string(), kWarmup,
+                                           kLongMeasure)));
+
+    clear_dir();
+    ::rmdir(dir.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -791,92 +901,8 @@ TEST(CheckpointPolicy, PathIsDeterministicAndSanitized)
 }
 
 // ---------------------------------------------------------------------
-// Emergency snapshots
-// ---------------------------------------------------------------------
-
-TEST(EmergencySnapshot, PublishThenFlushWritesLastImage)
-{
-    const GpuConfig cfg = configFor(DesignPoint::SharedTlb, false);
-    const std::uint64_t fp = configFingerprint(cfg);
-    auto gpu = makeGpu(cfg);
-    gpu->run(1500);
-    const std::string image = renderSnapshot(fp, *gpu);
-
-    const std::string path = tmpPath("mask_emergency.sig");
-    std::remove(path.c_str());
-    {
-        ScopedEmergencySnapshot armed(path);
-        // Nothing published yet: flush is a no-op.
-        flushEmergencySnapshotFromSignal();
-        std::ifstream missing(path);
-        EXPECT_FALSE(static_cast<bool>(missing));
-
-        publishEmergencySnapshot("stale image");
-        publishEmergencySnapshot(image);
-        flushEmergencySnapshotFromSignal();
-        EXPECT_EQ(readFile(path), image)
-            << "flush writes the newest published image";
-    }
-    // The flushed image is a loadable snapshot.
-    auto fresh = makeGpu(cfg);
-    loadSnapshotFile(path, fp, *fresh);
-    EXPECT_EQ(fresh->now(), 1500u);
-    std::remove(path.c_str());
-
-    // Outside the scope the sink is disarmed: publish+flush write
-    // nothing.
-    publishEmergencySnapshot(image);
-    flushEmergencySnapshotFromSignal();
-    std::ifstream after(path);
-    EXPECT_FALSE(static_cast<bool>(after));
-}
-
-TEST(EmergencySnapshot, ScopesNest)
-{
-    const std::string outer_path = tmpPath("mask_emergency_outer.sig");
-    const std::string inner_path = tmpPath("mask_emergency_inner.sig");
-    std::remove(outer_path.c_str());
-    std::remove(inner_path.c_str());
-
-    ScopedEmergencySnapshot outer(outer_path);
-    publishEmergencySnapshot("outer image");
-    {
-        ScopedEmergencySnapshot inner(inner_path);
-        publishEmergencySnapshot("inner image");
-        flushEmergencySnapshotFromSignal();
-        EXPECT_EQ(readFile(inner_path), "inner image");
-    }
-    // Inner scope exit restored the outer path but cleared the ready
-    // buffer (the outer image was published before the inner scope and
-    // may since have been reused): a fresh publish is required.
-    publishEmergencySnapshot("outer image again");
-    flushEmergencySnapshotFromSignal();
-    EXPECT_EQ(readFile(outer_path), "outer image again");
-
-    std::remove(outer_path.c_str());
-    std::remove(inner_path.c_str());
-}
-
-// ---------------------------------------------------------------------
 // File layer (sim/file_io.hh)
 // ---------------------------------------------------------------------
-
-/** Names in @p dir other than "." and "..", sorted. */
-std::vector<std::string>
-dirEntries(const std::string &dir)
-{
-    std::vector<std::string> names;
-    if (DIR *d = ::opendir(dir.c_str()); d != nullptr) {
-        while (const dirent *entry = ::readdir(d)) {
-            const std::string name = entry->d_name;
-            if (name != "." && name != "..")
-                names.push_back(name);
-        }
-        ::closedir(d);
-    }
-    std::sort(names.begin(), names.end());
-    return names;
-}
 
 TEST(SnapshotFile, ConcurrentSaversOfOnePathNeverClobber)
 {
