@@ -96,7 +96,7 @@ BM_DramChannelTick(benchmark::State &state)
             dram.enqueue(id, pool[id], t);
         else
             pool.release(id);
-        dram.tick(t++, pool);
+        dram.tick(t++);
         auto &done = dram.completed();
         while (!done.empty()) {
             pool.release(done.front());
@@ -108,11 +108,12 @@ BENCHMARK(BM_DramChannelTick);
 
 /**
  * Steady-state FR-FCFS pick on a deep request buffer: pick, service
- * (row activate on a miss), refill. range(0) selects the indexed pick
- * vs the reference age-list rescan; range(1) the stream's row
- * locality (long open-row hit chains vs a new row nearly every
+ * (row activate on a miss), refill. range(0) selects the indexed
+ * BankedRequestQueue::pick vs the frFcfsPick rescan over an
+ * age-ordered vector (pick, erase, push_back); range(1) the stream's
+ * row locality (long open-row hit chains vs a new row nearly every
  * entry). The indexed pick should stay O(banks) regardless of depth
- * while the reference scan degrades with queue depth x miss rate.
+ * while the rescan degrades with queue depth x miss rate.
  */
 void
 BM_SchedPick(benchmark::State &state)
@@ -127,6 +128,7 @@ BM_SchedPick(benchmark::State &state)
     for (auto &b : banks)
         b.rowValid = true;
     BankedRequestQueue queue(kBanks);
+    std::vector<DramQueueEntry> flat;
     Rng rng(11);
     ReqId next_id = 0;
     const auto makeEntry = [&] {
@@ -136,30 +138,44 @@ BM_SchedPick(benchmark::State &state)
         e.row = row_local ? rng.below(2) : rng.below(1u << 20);
         return e;
     };
-    for (std::uint32_t i = 0; i < kDepth; ++i)
-        queue.push(makeEntry(), banks);
+    for (std::uint32_t i = 0; i < kDepth; ++i) {
+        if (reference)
+            flat.push_back(makeEntry());
+        else
+            queue.push(makeEntry(), banks);
+    }
 
     Cycle now = 0;
     std::uint64_t escalations = 0, scanned = 0;
     for (auto _ : state) {
-        const std::uint32_t node =
-            reference ? queue.pickReference(banks, now, kStarvationCap,
-                                            &escalations, &scanned)
-                      : queue.pick(banks, now, kStarvationCap,
-                                   &escalations, &scanned);
-        if (node != BankedRequestQueue::kNil) {
-            const DramQueueEntry e = queue.take(node);
-            if (banks[e.bank].openRow != e.row) {
+        if (reference) {
+            const int idx = frFcfsPick(flat, banks, now,
+                                       kStarvationCap, &escalations);
+            if (idx >= 0) {
+                const DramQueueEntry e = flat[idx];
+                flat.erase(flat.begin() + idx);
                 banks[e.bank].openRow = e.row;
-                queue.onRowChange(e.bank, banks);
+                flat.push_back(makeEntry());
             }
-            queue.push(makeEntry(), banks);
+        } else {
+            const std::uint32_t node = queue.pick(
+                banks, now, kStarvationCap, &escalations, &scanned);
+            if (node != BankedRequestQueue::kNil) {
+                const DramQueueEntry e = queue.take(node);
+                if (banks[e.bank].openRow != e.row) {
+                    banks[e.bank].openRow = e.row;
+                    queue.onRowChange(e.bank, banks);
+                }
+                queue.push(makeEntry(), banks);
+            }
         }
         ++now;
     }
-    state.counters["scanned_per_pick"] = benchmark::Counter(
-        static_cast<double>(scanned) /
-        static_cast<double>(state.iterations()));
+    if (!reference) {
+        state.counters["scanned_per_pick"] = benchmark::Counter(
+            static_cast<double>(scanned) /
+            static_cast<double>(state.iterations()));
+    }
 }
 BENCHMARK(BM_SchedPick)
     ->ArgNames({"reference", "rowlocal"})

@@ -157,19 +157,6 @@ if ! diff -u "$out_a" "$out_b"; then
 fi
 echo "deterministic: MASK_PROFILE_STAGES=1 byte-identical to profiler-off"
 
-# The incrementally-indexed scheduler (DESIGN.md §12) must pick the
-# same requests as the reference rescanning implementation: forcing
-# the O(banks) reference path may not change a single byte.
-echo "== run 10 (reference rescanning scheduler) =="
-MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
-    MASK_SCHED_REFERENCE=1 "$BIN" >"$out_b" 2>/dev/null
-
-if ! diff -u "$out_a" "$out_b"; then
-    echo "DETERMINISM FAILURE: indexed scheduler diverged from reference rescan" >&2
-    exit 1
-fi
-echo "deterministic: MASK_SCHED_REFERENCE=1 byte-identical to indexed scheduler"
-
 # The observability layer (DESIGN.md §13) is observation-only: with
 # per-job telemetry on (MASK_SWEEP_OBS_DIR), stdout must stay
 # byte-identical to the plain run, and the telemetry files themselves

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/config.hh"
 
@@ -44,12 +43,8 @@ envU64(const char *name, std::uint64_t fallback)
     const char *value = rawValue(name);
     if (value == nullptr)
         return fallback;
-    // from_chars into an unsigned type rejects a sign and leading
-    // space, and reports overflow; a short parse is trailing junk.
-    const char *end = value + std::strlen(value);
     std::uint64_t n = 0;
-    const auto [ptr, ec] = std::from_chars(value, end, n);
-    if (ec != std::errc() || ptr != end)
+    if (!parseU64(value, n))
         malformed(name, value, "an unsigned decimal integer below 2^64");
     return n;
 }
@@ -59,6 +54,16 @@ envString(const char *name, const char *fallback)
 {
     const char *value = rawValue(name);
     return value != nullptr ? value : fallback;
+}
+
+bool
+parseU64(std::string_view text, std::uint64_t &out)
+{
+    // from_chars into an unsigned type rejects a sign and leading
+    // space, and reports overflow; a short parse is trailing junk.
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end;
 }
 
 } // namespace mask

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace mask {
 
@@ -32,6 +33,14 @@ std::uint64_t envU64(const char *name, std::uint64_t fallback);
 
 /** Value of @p name, or @p fallback when unset or empty. */
 std::string envString(const char *name, const char *fallback = "");
+
+/**
+ * The envU64 rule for any text field: true and @p out set when all of
+ * @p text is unsigned decimal digits that fit in 64 bits; false on a
+ * sign, space, suffix, exponent, empty text or overflow. Snapshot
+ * headers, journal records and repro files parse through it too.
+ */
+bool parseU64(std::string_view text, std::uint64_t &out);
 
 } // namespace mask
 

@@ -190,66 +190,6 @@ BankedRequestQueue::pick(const std::vector<DramBank> &banks, Cycle now,
     return oldest;
 }
 
-std::uint32_t
-BankedRequestQueue::pickReference(const std::vector<DramBank> &banks,
-                                  Cycle now,
-                                  std::uint32_t starvation_cap,
-                                  std::uint64_t *cap_escalations,
-                                  std::uint64_t *scanned,
-                                  Cycle *busy_until)
-{
-    std::uint32_t oldest = kNil;
-    std::uint32_t hit = kNil;
-
-    for (std::uint32_t n = ageHead_; n != kNil; n = nodes_[n].ageNext) {
-        if (scanned != nullptr)
-            ++*scanned;
-        const DramQueueEntry &entry = nodes_[n].entry;
-        const DramBank &bank = banks[entry.bank];
-        if (bank.readyAt > now) {
-            if (busy_until != nullptr)
-                *busy_until = std::min(*busy_until, bank.readyAt);
-            continue;
-        }
-        if (oldest == kNil)
-            oldest = n;
-        if (hit == kNil && bank.rowValid && bank.openRow == entry.row) {
-            hit = n;
-            break; // age-ordered walk: first row hit is oldest
-        }
-    }
-
-    if (oldest == kNil)
-        return kNil;
-
-    if (hit != kNil && hit != oldest) {
-        DramQueueEntry &entry = nodes_[oldest].entry;
-        if (entry.bypassed >= starvation_cap) {
-            if (cap_escalations != nullptr)
-                ++*cap_escalations;
-            return oldest;
-        }
-        ++entry.bypassed;
-        return hit;
-    }
-    return oldest;
-}
-
-bool
-BankedRequestQueue::hasRowHitReference(
-    std::uint32_t bank, const std::vector<DramBank> &banks) const
-{
-    const DramBank &state = banks[bank];
-    if (!state.rowValid)
-        return false;
-    for (std::uint32_t n = ageHead_; n != kNil; n = nodes_[n].ageNext) {
-        const DramQueueEntry &entry = nodes_[n].entry;
-        if (entry.bank == bank && entry.row == state.openRow)
-            return true;
-    }
-    return false;
-}
-
 void
 BankedRequestQueue::onRowChange(std::uint32_t bank,
                                 const std::vector<DramBank> &banks)

@@ -14,10 +14,10 @@
  * age-ordered vector with frFcfsPick(): the oldest serviceable
  * entry is the minimum sequence number over ready banks'
  * FIFO heads, and the oldest row hit is the minimum over ready banks'
- * hit-chain heads (chains are kept in age order). pickReference()
- * retains the original rescan algorithm over the same storage so the
- * equivalence is enforced by tests and by a MASK_SCHED_REFERENCE=1
- * determinism leg.
+ * hit-chain heads (chains are kept in age order).
+ * tests/test_sched_index.cc drives this queue and a flat vector
+ * picked by frFcfsPick() with the same traffic and requires the same
+ * decisions, bypass counts, row-hit answers and busy_until bound.
  *
  * All index state is derived: a snapshot holds only the entries in
  * age order (byte-identical to the flat-vector format it replaces),
@@ -117,28 +117,11 @@ class BankedRequestQueue
                        std::uint64_t *scanned,
                        Cycle *busy_until = nullptr);
 
-    /**
-     * Reference implementation: the original age-list rescan,
-     * ignoring the per-bank indices (kept for differential tests and
-     * the MASK_SCHED_REFERENCE=1 mode). Adds entries examined to
-     * @p scanned; @p busy_until as for pick().
-     */
-    std::uint32_t pickReference(const std::vector<DramBank> &banks,
-                                Cycle now,
-                                std::uint32_t starvation_cap,
-                                std::uint64_t *cap_escalations,
-                                std::uint64_t *scanned,
-                                Cycle *busy_until = nullptr);
-
     /** Any queued entry hitting @p bank's open row? O(1). */
     bool hasRowHit(std::uint32_t bank) const
     {
         return banks_[bank].hitHead != kNil;
     }
-
-    /** Reference rescan of the age list for the same predicate. */
-    bool hasRowHitReference(std::uint32_t bank,
-                            const std::vector<DramBank> &banks) const;
 
     /**
      * Bank @p bank's open row changed (or became valid): rebuild its
@@ -148,7 +131,7 @@ class BankedRequestQueue
     void onRowChange(std::uint32_t bank,
                      const std::vector<DramBank> &banks);
 
-    /** Visit entries oldest-first (reference mode, serialization). */
+    /** Visit entries oldest-first (serialization, tests). */
     template <typename Fn>
     void
     forEachAge(Fn &&fn) const

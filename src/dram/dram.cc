@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hh"
-#include "common/env.hh"
 
 namespace mask {
 
@@ -91,7 +90,6 @@ DramChannel::DramChannel(const DramConfig &cfg,
       maskCfg_(mask_cfg),
       mode_(mode),
       numApps_(num_apps == 0 ? 1 : num_apps),
-      reference_(envFlag("MASK_SCHED_REFERENCE")),
       banks_(cfg.banksPerChannel),
       silver_(cfg.banksPerChannel),
       normal_(cfg.banksPerChannel)
@@ -168,10 +166,6 @@ DramChannel::rotateSilverTurn()
 bool
 DramChannel::hasPendingRowHit(std::uint32_t bank_idx) const
 {
-    if (reference_) {
-        return silver_.hasRowHitReference(bank_idx, banks_) ||
-               normal_.hasRowHitReference(bank_idx, banks_);
-    }
     return silver_.hasRowHit(bank_idx) || normal_.hasRowHit(bank_idx);
 }
 
@@ -204,8 +198,7 @@ DramChannel::onEpoch()
 }
 
 void
-DramChannel::serviceEntry(const DramQueueEntry &entry, Cycle now,
-                          RequestPool &pool)
+DramChannel::serviceEntry(const DramQueueEntry &entry, Cycle now)
 {
     DramBank &bank = banks_[entry.bank];
     const bool was_valid = bank.rowValid;
@@ -238,7 +231,6 @@ DramChannel::serviceEntry(const DramQueueEntry &entry, Cycle now,
     ++stats_.serviced[type_idx];
     stats_.latency[type_idx].add(
         static_cast<double>(done - entry.enqueueCycle));
-    (void)pool;
 
     inService_.push(Completion{done, entry.id});
 
@@ -252,10 +244,10 @@ DramChannel::serviceEntry(const DramQueueEntry &entry, Cycle now,
 
 void
 DramChannel::serviceNode(BankedRequestQueue &queue, std::uint32_t node,
-                         Cycle now, RequestPool &pool)
+                         Cycle now)
 {
     const DramQueueEntry entry = queue.take(node);
-    serviceEntry(entry, now, pool);
+    serviceEntry(entry, now);
 }
 
 std::uint32_t
@@ -263,18 +255,13 @@ DramChannel::pickFrom(BankedRequestQueue &queue, Cycle now,
                       Cycle &busy_until)
 {
     ++schedPicks_;
-    if (reference_) {
-        return queue.pickReference(banks_, now, cfg_.starvationCap,
-                                   &stats_.capEscalations,
-                                   &schedScanned_, &busy_until);
-    }
     return queue.pick(banks_, now, cfg_.starvationCap,
                       &stats_.capEscalations, &schedScanned_,
                       &busy_until);
 }
 
 void
-DramChannel::tick(Cycle now, RequestPool &pool)
+DramChannel::tick(Cycle now)
 {
     // Retire finished requests.
     while (!inService_.empty() && inService_.top().at <= now) {
@@ -291,12 +278,12 @@ DramChannel::tick(Cycle now, RequestPool &pool)
     // bandwidth guard deferred — or a pending silver rotation keeps
     // the gate open; an enqueue lowers it to its bank's readyAt.
     Cycle busy_until = kNeverCycle;
-    if (!schedule(now, pool, busy_until) && !rotationPending())
+    if (!schedule(now, busy_until) && !rotationPending())
         pickIdleUntil_ = busy_until;
 }
 
 bool
-DramChannel::schedule(Cycle now, RequestPool &pool, Cycle &busy_until)
+DramChannel::schedule(Cycle now, Cycle &busy_until)
 {
     // Strict priority: Golden (FIFO) > Silver > Normal (both FR-FCFS).
     if (!golden_.empty()) {
@@ -324,7 +311,7 @@ DramChannel::schedule(Cycle now, RequestPool &pool, Cycle &busy_until)
             golden_.erase(golden_.begin() +
                           static_cast<std::ptrdiff_t>(i));
             ++servicedFromQueue_[0];
-            serviceEntry(picked, now, pool);
+            serviceEntry(picked, now);
             return true;
         }
     }
@@ -348,7 +335,7 @@ DramChannel::schedule(Cycle now, RequestPool &pool, Cycle &busy_until)
                 now >= entry.enqueueCycle + maskCfg_.silverMaxDelay ||
                 !hasPendingRowHit(entry.bank)) {
                 ++servicedFromQueue_[1];
-                serviceNode(silver_, pick, now, pool);
+                serviceNode(silver_, pick, now);
                 return true;
             }
         }
@@ -358,7 +345,7 @@ DramChannel::schedule(Cycle now, RequestPool &pool, Cycle &busy_until)
     if (pick == BankedRequestQueue::kNil)
         return false;
     ++servicedFromQueue_[2];
-    serviceNode(normal_, pick, now, pool);
+    serviceNode(normal_, pick, now);
     return true;
 }
 
@@ -406,14 +393,14 @@ Dram::enqueue(ReqId id, MemRequest &req, Cycle now)
 }
 
 void
-Dram::tick(Cycle now, RequestPool &pool)
+Dram::tick(Cycle now)
 {
     for (auto &channel : channels_) {
         // Idle channels with no pending silver rotation have nothing
         // to retire, schedule, or drain: their tick is a no-op.
         if (!channel.busy() && !channel.rotationPending())
             continue;
-        channel.tick(now, pool);
+        channel.tick(now);
         auto &done = channel.completed();
         while (!done.empty()) {
             completed_.push_back(done.front());

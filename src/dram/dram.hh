@@ -8,9 +8,7 @@
  * Silver and Normal queues are BankedRequestQueue instances
  * (DESIGN.md §12): per-bank FIFO and open-row hit chains maintained
  * incrementally, so each per-cycle pick costs O(banks) instead of
- * O(queued requests). MASK_SCHED_REFERENCE=1 switches every pick back
- * to the original age-list rescan over the same storage, which the
- * determinism gate uses to prove the indices observationally inert.
+ * O(queued requests).
  */
 
 #ifndef MASK_DRAM_DRAM_HH
@@ -144,7 +142,7 @@ class DramChannel
                  Cycle now);
 
     /** Advance one cycle: schedule and retire. */
-    void tick(Cycle now, RequestPool &pool);
+    void tick(Cycle now);
 
     /**
      * Epoch boundary (Section 5.2/5.4): force the silver turn to
@@ -189,10 +187,7 @@ class DramChannel
     AppId silverApp() const { return silverApp_; }
 
     /** Host-side scheduler work counters (never serialized): picks
-     *  attempted and index units examined across them. In indexed mode
-     *  a unit is an occupied bank; under MASK_SCHED_REFERENCE=1 it is
-     *  a queue entry, so the ratio exposes exactly what the indices
-     *  save. */
+     *  attempted and occupied banks examined across them. */
     std::uint64_t schedPicks() const { return schedPicks_; }
     std::uint64_t schedUnitsScanned() const { return schedScanned_; }
 
@@ -237,8 +232,8 @@ class DramChannel
     /** Any queued data request that hits @p bank_idx's open row? */
     bool hasPendingRowHit(std::uint32_t bank_idx) const;
 
-    /** FR-FCFS pick on @p queue honoring MASK_SCHED_REFERENCE;
-     *  lowers @p busy_until as BankedRequestQueue::pick does. */
+    /** FR-FCFS pick on @p queue; lowers @p busy_until as
+     *  BankedRequestQueue::pick does. */
     std::uint32_t pickFrom(BankedRequestQueue &queue, Cycle now,
                            Cycle &busy_until);
 
@@ -246,19 +241,17 @@ class DramChannel
      *  when a request was serviced. Otherwise @p busy_until is the
      *  earliest cycle a pick can succeed (<= now when a bank is
      *  ready). */
-    bool schedule(Cycle now, RequestPool &pool, Cycle &busy_until);
+    bool schedule(Cycle now, Cycle &busy_until);
 
-    void serviceEntry(const DramQueueEntry &entry, Cycle now,
-                      RequestPool &pool);
+    void serviceEntry(const DramQueueEntry &entry, Cycle now);
     void serviceNode(BankedRequestQueue &queue, std::uint32_t node,
-                     Cycle now, RequestPool &pool);
+                     Cycle now);
     void rotateSilverTurn();
 
     DramConfig cfg_;
     MaskConfig maskCfg_;
     DramSchedMode mode_;
     std::uint32_t numApps_;
-    bool reference_; //!< MASK_SCHED_REFERENCE=1: rescan picks
 
     std::vector<DramBank> banks_;
     std::vector<DramQueueEntry> golden_; //!< FIFO, translation only
@@ -298,7 +291,7 @@ class Dram
 
     bool canEnqueue(const MemRequest &req) const;
     void enqueue(ReqId id, MemRequest &req, Cycle now);
-    void tick(Cycle now, RequestPool &pool);
+    void tick(Cycle now);
     void onEpoch();
 
     /** Record that @p req found its channel queue full (stats). */
@@ -356,8 +349,9 @@ class Dram
  * pick increments @p cap_escalations when the caller provides it, so
  * the cap's effect is observable in stats.
  *
- * This is the reference rescan over a flat vector; the channel hot
- * path uses BankedRequestQueue::pick, which must agree with it (see
+ * The reference rescan over a flat vector, for tests and the
+ * scheduler microbenchmark only: the channel picks through
+ * BankedRequestQueue::pick, which must agree with it (see
  * tests/test_sched_index.cc).
  */
 int frFcfsPick(std::vector<DramQueueEntry> &queue,

@@ -1,8 +1,11 @@
 /**
  * @file
- * FR-FCFS scheduling decision (Rixner et al. / Zuravleff-Robinson),
- * shared by the baseline single-queue controller and by MASK's Silver
- * and Normal queues (the paper uses FR-FCFS within both, Section 5.4).
+ * FR-FCFS scheduling decision (Rixner et al. / Zuravleff-Robinson) as
+ * a plain rescan of an age-ordered vector: the reference that tests
+ * (tests/test_sched_index.cc, tests/test_dram.cc) and the BM_SchedPick
+ * microbenchmark compare against. No simulator code calls it; the
+ * baseline controller and MASK's Silver and Normal queues (Section
+ * 5.4) pick through the equivalent BankedRequestQueue::pick.
  */
 
 #include "dram/dram.hh"

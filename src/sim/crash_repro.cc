@@ -1,10 +1,12 @@
 #include "sim/crash_repro.hh"
 
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include <fcntl.h>
@@ -20,6 +22,26 @@ reproFilePath()
 {
     return envString("MASK_REPRO_FILE", "mask_crash.repro");
 }
+
+namespace {
+
+/** Shortest text that reads back as exactly @p v. */
+std::string
+roundTrip(double v)
+{
+    char buf[32]; // ample for any double's shortest form
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+[[noreturn]] void
+badValue(const std::string &path, const std::string &key,
+         const std::string &value, const char *expected)
+{
+    throw std::runtime_error("repro file " + path + ": " + key + " '" +
+                             value + "': expected " + expected);
+}
+
+} // namespace
 
 std::string
 formatRepro(const CrashRepro &repro)
@@ -41,13 +63,13 @@ formatRepro(const CrashRepro &repro)
     const FaultInjectConfig &f = repro.harden.fault;
     out << "fault.enabled " << (f.enabled ? 1 : 0) << "\n";
     out << "fault.seed " << f.seed << "\n";
-    out << "fault.dramDelayProb " << f.dramDelayProb << "\n";
+    out << "fault.dramDelayProb " << roundTrip(f.dramDelayProb) << "\n";
     out << "fault.dramDelayCycles " << f.dramDelayCycles << "\n";
-    out << "fault.walkDropProb " << f.walkDropProb << "\n";
+    out << "fault.walkDropProb " << roundTrip(f.walkDropProb) << "\n";
     out << "fault.walkDropRetry " << (f.walkDropRetry ? 1 : 0) << "\n";
     out << "fault.walkRetryDelay " << f.walkRetryDelay << "\n";
     out << "fault.shootdownInterval " << f.shootdownInterval << "\n";
-    out << "fault.portStallProb " << f.portStallProb << "\n";
+    out << "fault.portStallProb " << roundTrip(f.portStallProb) << "\n";
     out << "fault.portStallCycles " << f.portStallCycles << "\n";
 
     out << "failCycle " << repro.failCycle << "\n";
@@ -83,6 +105,27 @@ loadRepro(const std::string &path)
         if (!rest.empty() && rest.front() == ' ')
             rest.erase(rest.begin());
 
+        const auto u64 = [&] {
+            std::uint64_t n = 0;
+            if (!parseU64(rest, n))
+                badValue(path, key, rest,
+                         "an unsigned decimal integer below 2^64");
+            return n;
+        };
+        const auto flag = [&] {
+            if (rest != "0" && rest != "1")
+                badValue(path, key, rest, "0 or 1");
+            return rest == "1";
+        };
+        const auto real = [&] {
+            double d = 0.0;
+            const char *end = rest.data() + rest.size();
+            const auto [ptr, ec] = std::from_chars(rest.data(), end, d);
+            if (ec != std::errc() || ptr != end)
+                badValue(path, key, rest, "a decimal number");
+            return d;
+        };
+
         WatchdogConfig &wd = repro.harden.watchdog;
         FaultInjectConfig &f = repro.harden.fault;
         if (key == "arch")
@@ -92,39 +135,39 @@ loadRepro(const std::string &path)
         else if (key == "bench")
             repro.benches.push_back(rest);
         else if (key == "seed")
-            repro.seed = std::stoull(rest);
+            repro.seed = u64();
         else if (key == "warmup")
-            repro.warmup = std::stoull(rest);
+            repro.warmup = u64();
         else if (key == "measure")
-            repro.measure = std::stoull(rest);
+            repro.measure = u64();
         else if (key == "watchdog.enabled")
-            wd.enabled = rest != "0";
+            wd.enabled = flag();
         else if (key == "watchdog.sweepInterval")
-            wd.sweepInterval = std::stoull(rest);
+            wd.sweepInterval = u64();
         else if (key == "watchdog.maxAge")
-            wd.maxAge = std::stoull(rest);
+            wd.maxAge = u64();
         else if (key == "fault.enabled")
-            f.enabled = rest != "0";
+            f.enabled = flag();
         else if (key == "fault.seed")
-            f.seed = std::stoull(rest);
+            f.seed = u64();
         else if (key == "fault.dramDelayProb")
-            f.dramDelayProb = std::stod(rest);
+            f.dramDelayProb = real();
         else if (key == "fault.dramDelayCycles")
-            f.dramDelayCycles = std::stoull(rest);
+            f.dramDelayCycles = u64();
         else if (key == "fault.walkDropProb")
-            f.walkDropProb = std::stod(rest);
+            f.walkDropProb = real();
         else if (key == "fault.walkDropRetry")
-            f.walkDropRetry = rest != "0";
+            f.walkDropRetry = flag();
         else if (key == "fault.walkRetryDelay")
-            f.walkRetryDelay = std::stoull(rest);
+            f.walkRetryDelay = u64();
         else if (key == "fault.shootdownInterval")
-            f.shootdownInterval = std::stoull(rest);
+            f.shootdownInterval = u64();
         else if (key == "fault.portStallProb")
-            f.portStallProb = std::stod(rest);
+            f.portStallProb = real();
         else if (key == "fault.portStallCycles")
-            f.portStallCycles = std::stoull(rest);
+            f.portStallCycles = u64();
         else if (key == "failCycle")
-            repro.failCycle = std::stoull(rest);
+            repro.failCycle = u64();
         else if (key == "module")
             repro.module = rest;
         else if (key == "detail")

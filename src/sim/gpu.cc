@@ -297,7 +297,7 @@ Gpu::tickOne()
 void
 Gpu::stageDram()
 {
-    dram_.tick(now_, pool_);
+    dram_.tick(now_);
 
     auto &done = dram_.completed();
     while (!done.empty()) {

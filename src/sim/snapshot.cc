@@ -1,7 +1,6 @@
 #include "sim/snapshot.hh"
 
 #include <cctype>
-#include <charconv>
 #include <cstdio>
 
 #include "common/env.hh"
@@ -13,22 +12,6 @@ namespace {
 
 constexpr const char *kMagic = "MASKSNAP";
 
-/**
- * Parse one full base-10 token by the envU64 rule: from_chars into an
- * unsigned type rejects a sign and leading space and reports overflow;
- * a short parse is a stray byte. Tokens past 20 bytes (the width of
- * UINT64_MAX) are rejected even when zero-padded.
- */
-bool
-parseU64(std::string_view tok, std::uint64_t &out)
-{
-    if (tok.size() > 20)
-        return false;
-    const char *end = tok.data() + tok.size();
-    const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
-    return ec == std::errc() && ptr == end;
-}
-
 /** Next space-separated token of @p line starting at @p pos. */
 std::string_view
 nextToken(std::string_view line, std::size_t &pos)
@@ -39,6 +22,15 @@ nextToken(std::string_view line, std::size_t &pos)
     while (pos < line.size() && line[pos] != ' ')
         ++pos;
     return line.substr(start, pos - start);
+}
+
+/** Next token of @p line as a header number: the parseU64 rule, and
+ *  at most 20 bytes (the width of UINT64_MAX) even when zero-padded. */
+bool
+nextU64(std::string_view line, std::size_t &pos, std::uint64_t &out)
+{
+    const std::string_view tok = nextToken(line, pos);
+    return tok.size() <= 20 && parseU64(tok, out);
 }
 
 /**
@@ -105,7 +97,7 @@ validateSnapshotImage(std::string_view data,
                             "header", kNoCycle);
 
     std::uint64_t version = 0;
-    if (!parseU64(nextToken(line, pos), version))
+    if (!nextU64(line, pos, version))
         throw SnapshotError("malformed version field", "header",
                             kNoCycle);
     if (version != kSnapshotVersion)
@@ -116,12 +108,12 @@ validateSnapshotImage(std::string_view data,
                             "header", kNoCycle);
 
     std::uint64_t fingerprint = 0;
-    if (!parseU64(nextToken(line, pos), fingerprint))
+    if (!nextU64(line, pos, fingerprint))
         throw SnapshotError("malformed fingerprint field", "header",
                             kNoCycle);
 
     std::uint64_t cycle = 0;
-    if (!parseU64(nextToken(line, pos), cycle))
+    if (!nextU64(line, pos, cycle))
         throw SnapshotError("malformed cycle field", "header",
                             kNoCycle);
     if (cycle_out != nullptr)
@@ -135,11 +127,11 @@ validateSnapshotImage(std::string_view data,
             "header", cycle);
 
     std::uint64_t length = 0;
-    if (!parseU64(nextToken(line, pos), length))
+    if (!nextU64(line, pos, length))
         throw SnapshotError("malformed payload length", "header",
                             cycle);
     std::uint64_t checksum = 0;
-    if (!parseU64(nextToken(line, pos), checksum))
+    if (!nextU64(line, pos, checksum))
         throw SnapshotError("malformed checksum field", "header",
                             cycle);
     if (pos != line.size() && nextToken(line, pos) != "")

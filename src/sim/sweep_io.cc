@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <tuple>
@@ -14,6 +14,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "sim/file_io.hh"
 
 namespace mask {
@@ -210,13 +211,12 @@ parseJournalLine(const std::string &line, JournalEntry &entry)
     jsonField(line, "repro", entry.repro);
     std::string attempts;
     if (jsonField(line, "attempts", attempts)) {
-        // The envU64 rule: digits only, no sign, space or suffix, and
-        // a value that overflows `unsigned` is malformed, not wrapped.
-        const char *end = attempts.data() + attempts.size();
-        const auto [ptr, ec] =
-            std::from_chars(attempts.data(), end, entry.attempts);
-        if (ec != std::errc() || ptr != end)
+        // A value that overflows `unsigned` is malformed, not wrapped.
+        std::uint64_t n = 0;
+        if (!parseU64(attempts, n) ||
+            n > std::numeric_limits<unsigned>::max())
             return false;
+        entry.attempts = static_cast<unsigned>(n);
     }
     return entry.status != "Ok" || jsonField(line, "result", entry.blob);
 }

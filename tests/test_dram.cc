@@ -204,7 +204,7 @@ TEST(FrFcfs, StarvationCapEscalationsAreCounted)
             if (next_line == 0)
                 next_line = 128;
         }
-        dram.tick(t, pool);
+        dram.tick(t);
         auto &done = dram.completed();
         while (!done.empty()) {
             const ReqId id = done.front();
@@ -235,7 +235,7 @@ TEST(DramChannel, RowHitFasterThanConflict)
     dram.enqueue(a, pool[a], 0);
     Cycle t = 0;
     while (dram.completed().empty())
-        dram.tick(t++, pool);
+        dram.tick(t++);
     const Cycle first = t;
     dram.completed().clear();
 
@@ -245,7 +245,7 @@ TEST(DramChannel, RowHitFasterThanConflict)
     dram.enqueue(b, pool[b], t);
     const Cycle start = t;
     while (dram.completed().empty())
-        dram.tick(t++, pool);
+        dram.tick(t++);
     const Cycle hit_latency = t - start;
     dram.completed().clear();
 
@@ -261,7 +261,7 @@ TEST(DramChannel, RowHitFasterThanConflict)
     dram.enqueue(c, pool[c], t);
     const Cycle start2 = t;
     while (dram.completed().empty())
-        dram.tick(t++, pool);
+        dram.tick(t++);
     const Cycle conflict_latency = t - start2;
 
     EXPECT_LT(hit_latency, first - 0);
@@ -291,7 +291,7 @@ TEST(Dram, EveryRequestServicedExactlyOnce)
                 pool.release(id);
             }
         }
-        dram.tick(t++, pool);
+        dram.tick(t++);
         auto &completed = dram.completed();
         while (!completed.empty()) {
             const ReqId id = completed.front();
@@ -339,7 +339,7 @@ TEST(DramChannel, GoldenQueuePrioritizesTranslations)
     int data_before_translation = 0;
     bool translation_done = false;
     while (!translation_done && t < 100000) {
-        dram.tick(t++, pool);
+        dram.tick(t++);
         auto &completed = dram.completed();
         while (!completed.empty()) {
             const ReqId id = completed.front();
@@ -429,7 +429,7 @@ TEST(Dram, LatencyStatsSplitByType)
     pool[x] = transReq(1 << 20);
     dram.enqueue(x, pool[x], 0);
     for (Cycle t = 0; t < 200; ++t)
-        dram.tick(t, pool);
+        dram.tick(t);
     const DramChannelStats stats = dram.aggregateStats();
     EXPECT_EQ(stats.latency[0].count, 1u);
     EXPECT_EQ(stats.latency[1].count, 1u);

@@ -5,8 +5,10 @@
  * injection (with recovery), and crash-repro write/load/replay.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -433,6 +435,53 @@ TEST(CrashRepro, LoadRejectsUnknownKeys)
     std::fclose(f);
     EXPECT_THROW(loadRepro(path), std::runtime_error);
     std::remove(path.c_str());
+}
+
+TEST(CrashRepro, LoadRejectsMalformedValuesNamingTheKey)
+{
+    const std::string path = "bad_value.repro";
+    for (const char *line :
+         {"seed -1", "warmup 100abc", "measure 18446744073709551616",
+          "watchdog.enabled yes", "fault.dramDelayProb 0.5x"}) {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fprintf(f, "bench 3DS\n%s\n", line);
+        std::fclose(f);
+        const std::string key(line, std::strchr(line, ' '));
+        try {
+            loadRepro(path);
+            ADD_FAILURE() << "accepted '" << line << "'";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(path), std::string::npos) << what;
+            EXPECT_NE(what.find(key + " '"), std::string::npos) << what;
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(CrashRepro, FormatLoadRoundTripsExactValues)
+{
+    CrashRepro repro;
+    repro.benches = {"3DS"};
+    repro.seed = UINT64_MAX;
+    repro.harden.fault.dramDelayProb = 0.0123456789;
+    repro.harden.fault.walkDropProb = 0.1;
+    repro.harden.fault.portStallProb = 1.0 / 3.0;
+
+    const std::string path = "exact.repro";
+    writeRepro(path, repro); // the formatRepro text
+    const CrashRepro loaded = loadRepro(path);
+    std::remove(path.c_str());
+
+    EXPECT_EQ(loaded.seed, repro.seed);
+    EXPECT_EQ(loaded.harden.fault.dramDelayProb,
+              repro.harden.fault.dramDelayProb);
+    EXPECT_EQ(loaded.harden.fault.walkDropProb,
+              repro.harden.fault.walkDropProb);
+    EXPECT_EQ(loaded.harden.fault.portStallProb,
+              repro.harden.fault.portStallProb);
+    EXPECT_EQ(formatRepro(loaded), formatRepro(repro));
 }
 
 TEST(CrashRepro, TrippedRunWritesReproAndReplaysToSameCycle)
