@@ -11,6 +11,8 @@
 #ifndef MASK_COMMON_MEMREQ_HH
 #define MASK_COMMON_MEMREQ_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,6 +22,36 @@
 #include "common/types.hh"
 
 namespace mask {
+
+/** Last pipeline location of a request, for watchdog/crash diagnostics. */
+enum class ReqStage : std::uint8_t {
+    Alloc,
+    DramQueue,
+    DramRetry,
+    FaultDelay,
+    L2Input,
+    L2MshrFullRetry,
+    L2MshrMerged,
+    PwCacheInput,
+    WalkDispatch,
+};
+
+/**
+ * The label of each ReqStage, indexed by its value. Snapshots carry
+ * the label; a restore resolves it against this table and rejects any
+ * other string.
+ */
+inline constexpr std::array<const char *, 9> kReqStageNames = {
+    "alloc",          "dram-queue",         "dram-retry",
+    "fault-delay",    "l2-input",           "l2-mshr-full-retry",
+    "l2-mshr-merged", "pwcache-input",      "walk-dispatch",
+};
+
+inline const char *
+reqStageName(ReqStage stage)
+{
+    return kReqStageNames[static_cast<std::size_t>(stage)];
+}
 
 /** One in-flight memory request below the private L1 structures. */
 struct MemRequest
@@ -47,8 +79,7 @@ struct MemRequest
     bool l2StatsCounted = false;
     /** True while the request occupies a slot in some queue. */
     bool live = false;
-    /** Last pipeline location, for watchdog/crash diagnostics. */
-    const char *where = "alloc";
+    ReqStage where = ReqStage::Alloc;
 
     Cycle issueCycle = 0;       //!< creation time
     Cycle dramEnqueueCycle = 0; //!< entry into a DRAM request buffer
@@ -71,7 +102,16 @@ struct MemRequest
         io.b(self.mshrPrimary);
         io.b(self.l2StatsCounted);
         io.b(self.live);
-        io.s(self.where);
+        if constexpr (Io::kReading) {
+            const std::string label = io.s();
+            const auto it = std::find(kReqStageNames.begin(),
+                                      kReqStageNames.end(), label);
+            if (it == kReqStageNames.end())
+                io.fail("unknown request stage label '" + label + "'");
+            self.where = static_cast<ReqStage>(it - kReqStageNames.begin());
+        } else {
+            io.s(reqStageName(self.where));
+        }
         io.u(self.issueCycle);
         io.u(self.dramEnqueueCycle);
     }

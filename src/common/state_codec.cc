@@ -2,8 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <mutex>
-#include <unordered_set>
 
 namespace mask {
 
@@ -210,14 +208,6 @@ StateReader::s()
 }
 
 void
-StateReader::s(const char *&dst)
-{
-    // Labels normally point at string literals; interning gives the
-    // restored one the same process lifetime.
-    dst = internLabel(s());
-}
-
-void
 StateReader::failWidth(const std::string &value, std::size_t bits) const
 {
     fail("value " + value + " does not fit the " + std::to_string(bits) +
@@ -254,19 +244,6 @@ StateReader::finish()
     if (pos_ < data_.size())
         fail("trailing bytes after payload (" +
              std::to_string(data_.size() - pos_) + ")");
-}
-
-// ---------------------------------------------------------------------
-// Label interning
-// ---------------------------------------------------------------------
-
-const char *
-internLabel(const std::string &label)
-{
-    static std::mutex mutex;
-    static std::unordered_set<std::string> table;
-    const std::lock_guard<std::mutex> lock(mutex);
-    return table.insert(label).first->c_str();
 }
 
 } // namespace mask

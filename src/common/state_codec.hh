@@ -238,8 +238,6 @@ class StateReader
     void b(std::vector<bool>::reference dst) { dst = b(); }
     void d(double &dst) { dst = d(); }
     void s(std::string &dst) { dst = s(); }
-    /** A diagnostic label, interned (see internLabel). */
-    void s(const char *&dst);
 
     /** Fail unless the stored value equals @p configured. */
     void fixed(std::uint64_t configured, const char *what);
@@ -315,14 +313,6 @@ class StateReader
 #define MASK_STATE_INSTANTIATE(T)                                      \
     template void T::state(const T &, StateWriter &);                   \
     template void T::state(T &, StateReader &)
-
-/**
- * Intern a diagnostic label restored from a snapshot so it can be
- * stored in `const char *` fields (MemRequest::where points at string
- * literals during normal operation). Thread-safe; storage lives for
- * the process lifetime.
- */
-const char *internLabel(const std::string &label);
 
 } // namespace mask
 

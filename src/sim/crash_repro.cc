@@ -290,8 +290,6 @@ installFatalSignalHandlers()
 {
     static std::once_flag once;
     std::call_once(once, []() {
-        if (envFlag("MASK_NO_SIGNAL_REPRO"))
-            return;
         struct sigaction action = {};
         action.sa_handler = fatalSignalHandler;
         sigemptyset(&action.sa_mask);

@@ -75,8 +75,7 @@ CrashRepro makeRepro(const GpuConfig &arch, DesignPoint point,
  * Install process-wide SIGSEGV/SIGABRT/SIGBUS/SIGFPE handlers that
  * write the faulting thread's armed repro (see ScopedSignalRepro)
  * and then re-raise with the default disposition, preserving the
- * kill signal and core dump. Idempotent; disabled entirely by
- * MASK_NO_SIGNAL_REPRO=1.
+ * kill signal and core dump. Idempotent.
  */
 void installFatalSignalHandlers();
 

@@ -49,18 +49,6 @@ Gpu::stageName(std::size_t id)
 }
 
 double
-GpuStats::megaCyclesPerSec() const
-{
-    return safeDiv(static_cast<double>(cycles) / 1e6, wallSeconds);
-}
-
-double
-GpuStats::requestsPerSec() const
-{
-    return safeDiv(static_cast<double>(requests), wallSeconds);
-}
-
-double
 GpuStats::dramBusUtil(ReqType type, std::uint32_t channels) const
 {
     const double capacity =
@@ -324,7 +312,7 @@ Gpu::stageDram()
             if (delay > 0) {
                 // Hold the response back; released by stageFaults.
                 // FIFO stays cycle-sorted because the delay is fixed.
-                pool_[id].where = "fault-delay";
+                pool_[id].where = ReqStage::FaultDelay;
                 delayedResponses_.emplace_back(now_ + delay, id);
                 continue;
             }
@@ -350,7 +338,7 @@ Gpu::stageDram()
         const std::size_t key = dramRetryKey(req);
         if (dramRetryFull_[key] == 0) {
             if (dram_.canEnqueue(req)) {
-                req.where = "dram-queue";
+                req.where = ReqStage::DramQueue;
                 dram_.enqueue(id, req, now_);
                 continue;
             }
@@ -549,12 +537,12 @@ Gpu::l2LookupDone(ReqId id)
         sendToDram(id);
         break;
       case MshrTable::Outcome::Merged:
-        req.where = "l2-mshr-merged";
+        req.where = ReqStage::L2MshrMerged;
         break;
       case MshrTable::Outcome::Full:
         // Retry the lookup next cycle through the bank input queue;
         // the line may be present (or an MSHR free) by then.
-        req.where = "l2-mshr-full-retry";
+        req.where = ReqStage::L2MshrFullRetry;
         ++l2Work_;
         l2Input_[l2Pipe_.bankFor(key)].push_back(id);
         break;
@@ -577,7 +565,7 @@ Gpu::sendToL2(ReqId id)
             sendToDram(id);
             break;
           case MshrTable::Outcome::Merged:
-            req.where = "l2-mshr-merged";
+            req.where = ReqStage::L2MshrMerged;
             break;
           case MshrTable::Outcome::Full:
             // Rare: forward unmerged rather than stall the walker.
@@ -587,7 +575,7 @@ Gpu::sendToL2(ReqId id)
         return;
     }
     const std::uint64_t key = l2CacheKey(req.paddr);
-    req.where = "l2-input";
+    req.where = ReqStage::L2Input;
     ++l2Work_;
     l2Input_[l2Pipe_.bankFor(key)].push_back(id);
 }
@@ -597,11 +585,11 @@ Gpu::sendToDram(ReqId id)
 {
     MemRequest &req = pool_[id];
     if (dram_.canEnqueue(req)) {
-        req.where = "dram-queue";
+        req.where = ReqStage::DramQueue;
         dram_.enqueue(id, req, now_);
     } else {
         dram_.noteReject(req);
-        req.where = "dram-retry";
+        req.where = ReqStage::DramRetry;
         dramRetry_.push_back(id);
     }
 }
@@ -822,7 +810,7 @@ Gpu::issueWalkFetch(WalkId walk)
     req.pwLevel = walker_.fetchLevel(walk);
     req.walkId = walk;
     req.issueCycle = now_;
-    req.where = "walk-dispatch";
+    req.where = ReqStage::WalkDispatch;
     dispatchTranslationRequest(id);
 }
 
@@ -830,7 +818,7 @@ void
 Gpu::dispatchTranslationRequest(ReqId id)
 {
     if (cfg_.design == TranslationDesign::PwCache) {
-        pool_[id].where = "pwcache-input";
+        pool_[id].where = ReqStage::PwCacheInput;
         pwInput_.push_back(id);
     } else {
         sendToL2(id);

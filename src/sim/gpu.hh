@@ -127,11 +127,6 @@ struct GpuStats
     std::vector<double> stageSeconds;
     std::vector<std::uint64_t> stageCalls;
 
-    /** Simulated mega-cycles advanced per host second. */
-    double megaCyclesPerSec() const;
-    /** Memory-hierarchy requests simulated per host second. */
-    double requestsPerSec() const;
-
     /** Weighted fraction of peak DRAM bandwidth used, by type. */
     double dramBusUtil(ReqType type, std::uint32_t channels) const;
 

@@ -201,7 +201,7 @@ class WarmStateCache
   public:
     explicit WarmStateCache(WarmPolicy policy);
 
-    /** Counters surfaced in bench footers and BENCH_throughput.json. */
+    /** Counters surfaced in bench footers and perfbench's warm.* metrics. */
     struct Stats
     {
         std::uint64_t hits = 0;       //!< restored a warmed snapshot

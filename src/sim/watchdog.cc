@@ -53,7 +53,7 @@ Watchdog::sweepPool(Cycle now, const WatchdogView &view)
         detail += " request (origin ";
         detail += originName(req.origin);
         detail += ") last seen at '";
-        detail += req.where;
+        detail += reqStageName(req.where);
         detail += "'";
         if (req.origin == ReqOrigin::PageWalk) {
             detail += ", level " + std::to_string(req.pwLevel);
@@ -109,7 +109,7 @@ Watchdog::sweepTlbMshr(Cycle now, const WatchdogView &view)
                 if (req.live && req.origin == ReqOrigin::PageWalk &&
                     req.walkId == oldest->walkId) {
                     detail += "; PTE fetch req " + std::to_string(id) +
-                              " at '" + req.where + "'";
+                              " at '" + reqStageName(req.where) + "'";
                     fetch_in_flight = true;
                     break;
                 }

@@ -11,19 +11,28 @@
  *    with hasRowHit and the kNil busy_until bound cross-checked;
  *  - DataRetryQueue vs a flat reference model under randomized
  *    park/remove churn;
- *  - a whole-GPU MASK run with a starvation cap of 1 escalates.
+ *  - a whole-GPU MASK run with a starvation cap of 1 escalates;
+ *  - the work-counter gate: scheduler picks, banks scanned and retry
+ *    probes of six fixed whole-GPU cases stay within a pinned baseline.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "dram/dram.hh"
 #include "sim/gpu.hh"
+#include "sim/presets.hh"
 #include "sim/retry_queue.hh"
+#include "sim/runner.hh"
+#include "sim/sweep.hh"
 #include "workload/suite.hh"
 
 namespace mask {
@@ -276,6 +285,143 @@ TEST(SchedReferenceEquivalence, TinyStarvationCapWholeGpu)
     gpu.run(9000);
     // A cap of 1 must actually escalate, or the cap path went untested.
     EXPECT_GT(gpu.collect().dram.capEscalations, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Work-counter gate
+// ---------------------------------------------------------------------
+
+/**
+ * Deterministic work of one fixed case. Wall-clock throughput depends
+ * on the host; these counters are exact functions of the simulated
+ * workload, so an unchanged simulator reproduces them on any host.
+ */
+struct WorkCounters
+{
+    std::string name;
+    std::uint64_t cycles = 0;
+    std::uint64_t requests = 0;
+    std::uint64_t schedPicks = 0;
+    std::uint64_t schedBanksScanned = 0;
+    std::uint64_t dataRetryProbes = 0;
+    std::uint64_t tlbRetryProbes = 0;
+
+    WorkCounters &
+    add(const GpuStats &s)
+    {
+        cycles += s.cycles;
+        requests += s.requests;
+        schedPicks += s.dramSchedPicks;
+        schedBanksScanned += s.dramSchedBanksScanned;
+        dataRetryProbes += s.dataRetryProbes;
+        tlbRetryProbes += s.tlbRetryProbes;
+        return *this;
+    }
+};
+
+/**
+ * Run the six cases on maxwell with the first workload pair and the
+ * fast bench windows (6000 warmup + 20000 measured cycles), serially:
+ * the first app alone and the pair under SharedTLB, MASK and Ideal,
+ * MASK again checkpointing every measure/8 cycles, and a cache-off
+ * MASK sweep over a 4-point measure grid that shares one long warmup,
+ * summed over the grid.
+ */
+std::vector<WorkCounters>
+runWorkCases()
+{
+    RunOptions options;
+    options.warmup = 6000;
+    options.measure = 20000;
+    Evaluator eval(options);
+    const GpuConfig arch = archByName("maxwell");
+    const WorkloadPair pair = workloadPairs().front();
+    const std::vector<std::string> names = {pair.first, pair.second};
+
+    std::vector<WorkCounters> out;
+    const auto shared = [&](const char *name, DesignPoint point,
+                            const std::vector<std::string> &benches) {
+        const GpuStats stats = eval.runShared(arch, point, benches);
+        out.push_back(WorkCounters{name}.add(stats));
+        return stats;
+    };
+    shared("alone", DesignPoint::SharedTlb, {pair.first});
+    shared("pair-sharedtlb", DesignPoint::SharedTlb, names);
+    shared("pair-mask", DesignPoint::Mask, names);
+    shared("pair-ideal", DesignPoint::Ideal, names);
+    ::setenv("MASK_CKPT_INTERVAL_CYCLES",
+             std::to_string(options.measure / 8).c_str(), 1);
+    // A private, empty directory: a checkpoint left by an earlier or
+    // concurrent run would make this run resume mid-window.
+    const std::filesystem::path ckpt_dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("sched_work_ckpt_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(ckpt_dir);
+    std::filesystem::create_directories(ckpt_dir);
+    ::setenv("MASK_CKPT_DIR", ckpt_dir.c_str(), 1);
+    EXPECT_GT(shared("pair-mask-ckpt", DesignPoint::Mask, names).ckptWrites,
+              0u);
+    ::unsetenv("MASK_CKPT_INTERVAL_CYCLES");
+    ::unsetenv("MASK_CKPT_DIR");
+    std::filesystem::remove_all(ckpt_dir);
+
+    RunOptions grid;
+    grid.warmup = options.measure;
+    grid.measure = options.measure;
+    SweepRunner sweep(grid, 1);
+    sweep.setWarmPolicy(WarmPolicy{});
+    std::vector<std::size_t> ids;
+    for (const Cycle m : {options.measure / 4, options.measure / 2,
+                          3 * options.measure / 4, options.measure}) {
+        RunOptions job_options = grid;
+        job_options.measure = m;
+        ids.push_back(sweep.submit({arch, DesignPoint::Mask, names,
+                                    SweepMode::SharedOnly, job_options}));
+    }
+    sweep.run();
+    out.push_back(WorkCounters{"warm-sweep"});
+    for (const std::size_t id : ids)
+        out.back().add(sweep.result(id).stats);
+    return out;
+}
+
+TEST(SchedWork, CountersWithinBaseline)
+{
+    // cycles and requests are simulation results: any change is a
+    // behaviour change for the determinism gate, so they match
+    // exactly. The work counters may shrink (re-pin them to lock the
+    // gain in) but not grow past 5%, nor by more than 16 for counters
+    // near zero.
+    const std::vector<WorkCounters> baseline = {
+        {"alone", 20000, 92736, 59160, 309298, 2694, 7781},
+        {"pair-sharedtlb", 20000, 92526, 58700, 299275, 13739, 7900},
+        {"pair-mask", 20000, 106710, 88916, 271184, 48115, 0},
+        {"pair-ideal", 20000, 90080, 60701, 349247, 66685, 0},
+        {"pair-mask-ckpt", 20000, 106710, 88916, 271184, 48115, 0},
+        {"warm-sweep", 50000, 270686, 228318, 678359, 122786, 0},
+    };
+    const std::vector<WorkCounters> cur = runWorkCases();
+    ASSERT_EQ(cur.size(), baseline.size());
+    for (std::size_t i = 0; i < baseline.size(); ++i) {
+        const WorkCounters &b = baseline[i];
+        const WorkCounters &c = cur[i];
+        SCOPED_TRACE("case " + b.name);
+        ASSERT_EQ(c.name, b.name);
+        EXPECT_EQ(c.cycles, b.cycles) << "simulation result changed";
+        EXPECT_EQ(c.requests, b.requests) << "simulation result changed";
+        const auto within = [](const char *what, std::uint64_t now,
+                               std::uint64_t ref) {
+            const double bound = std::max(static_cast<double>(ref) * 1.05,
+                                          static_cast<double>(ref + 16));
+            EXPECT_LE(static_cast<double>(now), bound)
+                << what << " grew: " << now << " vs baseline " << ref;
+        };
+        within("sched_picks", c.schedPicks, b.schedPicks);
+        within("sched_banks_scanned", c.schedBanksScanned,
+               b.schedBanksScanned);
+        within("data_retry_probes", c.dataRetryProbes, b.dataRetryProbes);
+        within("tlb_retry_probes", c.tlbRetryProbes, b.tlbRetryProbes);
+    }
 }
 
 } // namespace

@@ -29,6 +29,7 @@
 #include <unistd.h>
 
 #include "common/config.hh"
+#include "common/memreq.hh"
 #include "sim/crash_repro.hh"
 #include "sim/gpu.hh"
 #include "sim/runner.hh"
@@ -508,6 +509,37 @@ TEST_F(SnapshotCorruption, ValidChecksumOverTruncatedPayload)
     EXPECT_EQ(err.cycle(), 2500u);
     EXPECT_FALSE(err.field().empty())
         << "decoder errors name the last structural field reached";
+}
+
+TEST_F(SnapshotCorruption, UnknownRequestStageLabel)
+{
+    // A request's stage label replaced by a string of the same length,
+    // under a recomputed checksum, passes every header check; the
+    // decoder must still reject it and name it.
+    const std::size_t nl = image_.find('\n');
+    ASSERT_NE(nl, std::string::npos);
+    std::string payload = image_.substr(nl + 1);
+    std::size_t at = std::string::npos;
+    std::string label;
+    for (const char *name : kReqStageNames) {
+        label = name;
+        at = payload.find(static_cast<char>(label.size()) + label);
+        if (at != std::string::npos)
+            break;
+    }
+    ASSERT_NE(at, std::string::npos) << "no live request in the image";
+    const std::string bogus(label.size(), 'q');
+    payload.replace(at + 1, label.size(), bogus);
+    const std::string header = image_.substr(0, nl);
+    const std::string bad = header.substr(0, header.rfind(' ') + 1) +
+                            std::to_string(fnv1a64(payload)) + "\n" +
+                            payload;
+    const SnapshotError err = expectRejected(bad);
+    EXPECT_NE(err.reason().find("unknown request stage label '" + bogus +
+                                "'"),
+              std::string::npos)
+        << err.reason();
+    EXPECT_EQ(err.cycle(), 2500u);
 }
 
 TEST_F(SnapshotCorruption, MalformedCycleField)
