@@ -184,10 +184,8 @@ reportFailures(const SweepRunner &sweep)
         const SweepOutcome &outcome = sweep.outcome(i);
         if (outcome.status == SweepStatus::Ok)
             continue;
-        std::printf("  job %zu: FAILED(%s) after %u attempt%s — %s\n",
-                    i, sweepStatusName(outcome.status),
-                    outcome.attempts,
-                    outcome.attempts == 1 ? "" : "s",
+        std::printf("  job %zu: FAILED(%s) — %s\n", i,
+                    sweepStatusName(outcome.status),
                     outcome.error.c_str());
         if (!outcome.reproPath.empty()) {
             std::printf("    repro: %s (crash_replay --replay %s)\n",

@@ -71,7 +71,8 @@ std::string failedCell(const SweepRunner &sweep, std::size_t index);
 
 /**
  * Print one stdout line per failed job (index, status, error, repro
- * path if harvested) plus a summary; silent when every job completed.
+ * path if one was written) plus a summary; silent when every job
+ * completed.
  * Also emits the warm-cache footer (reportWarmCache). Returns the
  * number of failed jobs so benches can flag the run.
  */

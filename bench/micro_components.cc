@@ -45,8 +45,10 @@ BM_TlbFillEvict(benchmark::State &state)
     cfg.ways = 16;
     Tlb tlb(cfg);
     Vpn v = 0;
-    for (auto _ : state)
-        tlb.fill(1, ++v, v);
+    for (auto _ : state) {
+        ++v;
+        tlb.fill(1, v, v);
+    }
 }
 BENCHMARK(BM_TlbFillEvict);
 

@@ -3,8 +3,8 @@
 # MASK_BENCH_CYCLES / MASK_BENCH_FAST / MASK_BENCH_PAIRS shrink runs;
 # MASK_BENCH_JOBS parallelizes the sweeps (default: all hardware
 # threads; output is byte-identical regardless of the job count).
-# MASK_SWEEP_* (timeouts, retries, isolation, journal) harden long
-# sweeps; see README.md. MASK_SWEEP_OBS_DIR=<dir> collects per-job
+# MASK_SWEEP_JOURNAL=<path> lets a killed sweep resume with its
+# finished jobs loaded; see README.md. MASK_SWEEP_OBS_DIR=<dir> collects per-job
 # telemetry (timeseries JSONL + Chrome trace, DESIGN.md S13) from
 # every sweep into <dir>; the summary footer says where it landed.
 # MASK_SWEEP_WARM=1 (or MASK_SWEEP_WARM_DIR=<dir>) forks warmed

@@ -18,6 +18,38 @@ out_a="$(mktemp)"
 out_b="$(mktemp)"
 trap 'rm -f "$out_a" "$out_b"' EXIT
 
+# kill_mid_sweep <journal> <snap dir or ""> <env assignments...>: start
+# the bench in the background with the given environment, wait until
+# the journal holds at least one complete line (and, when a directory
+# is given, a warm .snap has landed in it), then SIGSEGV it: a crash
+# from outside, the fatal-signal handler runs and the process dies.
+# Fails unless the signal killed it (exit >= 128) with a non-empty
+# journal.
+kill_mid_sweep() {
+    local journal="$1" snaps="$2"
+    shift 2
+    env "$@" "$BIN" >/dev/null 2>&1 &
+    local pid=$! status=0
+    for _ in $(seq 1 1200); do
+        if [ "$(cat "$journal" 2>/dev/null | wc -l)" -ge 1 ] &&
+            { [ -z "$snaps" ] || ls "$snaps"/*.snap >/dev/null 2>&1; }; then
+            break
+        fi
+        kill -0 "$pid" 2>/dev/null || break
+        sleep 0.05
+    done
+    kill -SEGV "$pid" 2>/dev/null || true
+    wait "$pid" || status=$?
+    if [ "$status" -lt 128 ]; then
+        echo "DETERMINISM FAILURE: SIGSEGV did not kill the sweep (exit $status)" >&2
+        exit 1
+    fi
+    if [ ! -s "$journal" ]; then
+        echo "DETERMINISM FAILURE: no journal written before the crash" >&2
+        exit 1
+    fi
+}
+
 echo "== run 1 =="
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     "$BIN" >"$out_a" 2>/dev/null
@@ -45,7 +77,7 @@ fi
 echo "deterministic: parallel (jobs=4) byte-identical to serial"
 
 # Journal resume (DESIGN.md §10) must also be invisible: kill the
-# bench mid-sweep (an injected hard crash), resume it from the JSONL
+# bench mid-sweep (SIGSEGV from outside), resume it from the JSONL
 # journal, and require the resumed stdout byte-identical to an
 # uninterrupted run. Loaded-from-journal results are decoded from the
 # exact StateCodec result blob, so even one flipped bit would show here.
@@ -55,16 +87,9 @@ repro="$(mktemp)"
 trap 'rm -f "$out_a" "$out_b" "$journal" "$repro"' EXIT
 rm -f "$journal"
 
-if MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
-    MASK_SWEEP_JOURNAL="$journal" MASK_SWEEP_FAULT_CRASH=20 \
-    MASK_REPRO_FILE="$repro" "$BIN" >/dev/null 2>&1; then
-    echo "DETERMINISM FAILURE: injected crash did not kill the sweep" >&2
-    exit 1
-fi
-if [ ! -s "$journal" ]; then
-    echo "DETERMINISM FAILURE: no journal written before the crash" >&2
-    exit 1
-fi
+kill_mid_sweep "$journal" "" MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 \
+    MASK_BENCH_JOBS=1 MASK_SWEEP_JOURNAL="$journal" \
+    MASK_REPRO_FILE="$repro"
 
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     MASK_SWEEP_JOURNAL="$journal" "$BIN" >"$out_b" 2>/dev/null
@@ -125,13 +150,10 @@ echo "== run 8 (killed mid-sweep, checkpoints + journal resume) =="
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     "$BIN" >"$out_a" 2>/dev/null
 rm -f "$journal"
-if MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
-    MASK_SWEEP_JOURNAL="$journal" MASK_SWEEP_FAULT_CRASH=20 \
+kill_mid_sweep "$journal" "" MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 \
+    MASK_BENCH_JOBS=1 MASK_SWEEP_JOURNAL="$journal" \
     MASK_CKPT_INTERVAL_CYCLES=7000 MASK_CKPT_DIR="$ckpt_dir" \
-    MASK_REPRO_FILE="$repro" "$BIN" >/dev/null 2>&1; then
-    echo "DETERMINISM FAILURE: injected crash did not kill the sweep" >&2
-    exit 1
-fi
+    MASK_REPRO_FILE="$repro"
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     MASK_SWEEP_JOURNAL="$journal" \
     MASK_CKPT_INTERVAL_CYCLES=7000 MASK_CKPT_DIR="$ckpt_dir" \
@@ -190,9 +212,9 @@ echo "deterministic: telemetry on leaves stdout unchanged; obs files byte-identi
 # Warm-start sweep execution (DESIGN.md §14) must be a pure
 # optimization: forking warmed snapshots instead of re-running warmup
 # may not change a single simulated byte. Three variants against the
-# same baseline: in-memory warm cache, file-backed warm cache under
-# fork isolation with parallel children, and a crash-resume where both
-# the journal AND the warm files persist across the two processes.
+# same baseline: in-memory warm cache, file-backed warm cache with two
+# worker threads, and a crash-resume where both the journal AND the
+# warm files persist across the two processes.
 echo "== run 12a (warm cache, in-memory) =="
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     MASK_SWEEP_WARM=1 "$BIN" >"$out_b" 2>/dev/null
@@ -203,28 +225,24 @@ if ! diff -u "$out_a" "$out_b"; then
 fi
 echo "deterministic: MASK_SWEEP_WARM=1 byte-identical to cold sweep"
 
-echo "== run 12b (warm cache, file-backed + fork isolation) =="
+echo "== run 12b (warm cache, file-backed, 2 jobs) =="
 warm_dir="$ckpt_dir/warm"
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=2 \
-    MASK_SWEEP_ISOLATE=1 MASK_SWEEP_WARM_DIR="$warm_dir" \
+    MASK_SWEEP_WARM_DIR="$warm_dir" \
     "$BIN" >"$out_b" 2>/dev/null
 
 if ! diff -u "$out_a" "$out_b"; then
-    echo "DETERMINISM FAILURE: fork-isolated warm run diverged from cold run" >&2
+    echo "DETERMINISM FAILURE: file-backed warm run diverged from cold run" >&2
     exit 1
 fi
-echo "deterministic: warm files + isolation byte-identical to cold sweep"
+echo "deterministic: warm files (jobs=2) byte-identical to cold sweep"
 
 echo "== run 12c (killed mid-sweep, journal + warm files resume) =="
 rm -f "$journal"
 rm -rf "$warm_dir"
-if MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
-    MASK_SWEEP_JOURNAL="$journal" MASK_SWEEP_FAULT_CRASH=20 \
-    MASK_SWEEP_WARM_DIR="$warm_dir" \
-    MASK_REPRO_FILE="$repro" "$BIN" >/dev/null 2>&1; then
-    echo "DETERMINISM FAILURE: injected crash did not kill the sweep" >&2
-    exit 1
-fi
+kill_mid_sweep "$journal" "$warm_dir" MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 \
+    MASK_BENCH_JOBS=1 MASK_SWEEP_JOURNAL="$journal" \
+    MASK_SWEEP_WARM_DIR="$warm_dir" MASK_REPRO_FILE="$repro"
 if ! ls "$warm_dir"/*.snap >/dev/null 2>&1; then
     echo "DETERMINISM FAILURE: no warm snapshots written before the crash" >&2
     exit 1

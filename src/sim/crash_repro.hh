@@ -14,9 +14,8 @@
  * (SIGSEGV/SIGABRT/SIGBUS/SIGFPE) flush a pre-rendered repro for the
  * run the faulting thread had armed (ScopedSignalRepro) before
  * re-raising the signal, so a segfault loses neither the repro nor
- * the original kill signal. The sweep engine's subprocess isolation
- * mode harvests that file from the dead child and attaches its path
- * to the job's failure record.
+ * the original kill signal. The crash still ends the process; a
+ * journaled sweep resumes from its completed jobs (DESIGN.md §10).
  */
 
 #ifndef MASK_SIM_CRASH_REPRO_HH

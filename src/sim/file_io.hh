@@ -5,7 +5,7 @@
  * snapshots, dist leases and shards, and the results journal.
  *
  * - writeAll() is noexcept and allocation-free, so the fatal-signal
- *   handlers and the fork-isolated sweep child may call it.
+ *   handlers may call it.
  * - readFile() reads a whole file, or its tail from a byte offset.
  * - writeFileAtomic() publishes through a tmp file unique to the
  *   calling process and call, then rename(). Readers never see a

@@ -8,7 +8,6 @@
 #include "obs/registry.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
-#include "sim/cancel.hh"
 
 namespace mask {
 
@@ -224,11 +223,7 @@ Gpu::run(Cycle cycles)
 {
     const auto wall_start = std::chrono::steady_clock::now();
     const Cycle end = now_ + cycles;
-    // A cancelled token (sweep deadline) unwinds here with
-    // SimCancelledError; the poll is one thread-local load when no
-    // token is installed, invisible next to a tick.
     while (now_ < end) {
-        pollCancellation();
         if (now_ >= nextCkpt_)
             maybeCheckpoint();
         tickOne();

@@ -334,31 +334,6 @@ Evaluator::evaluate(const GpuConfig &arch, DesignPoint point,
     return result;
 }
 
-PairResult
-searchBestPartition(Evaluator &eval, const GpuConfig &arch,
-                    DesignPoint point,
-                    const std::vector<std::string> &pair,
-                    std::uint32_t step)
-{
-    PairResult best;
-    bool have_best = false;
-    if (step == 0)
-        step = 1;
-    for (std::uint32_t s = step; s < arch.numCores; s += step) {
-        GpuConfig cfg = arch;
-        cfg.coreShares = {s, arch.numCores - s};
-        const PairResult result = eval.evaluate(cfg, point, pair);
-        if (!have_best ||
-            result.weightedSpeedup > best.weightedSpeedup) {
-            best = result;
-            have_best = true;
-        }
-    }
-    if (!have_best)
-        best = eval.evaluate(arch, point, pair);
-    return best;
-}
-
 ReplayResult
 replayRepro(const CrashRepro &repro)
 {

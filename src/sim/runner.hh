@@ -3,8 +3,7 @@
  * Multi-programmed workload runner: builds a GPU for a workload and a
  * design point, runs warmup + measurement windows, computes weighted
  * speedup / IPC throughput / unfairness against cached alone runs
- * (Section 6 methodology), and optionally searches core partitionings
- * like the paper's oracle scheduler.
+ * (Section 6 methodology).
  */
 
 #ifndef MASK_SIM_RUNNER_HH
@@ -186,16 +185,6 @@ class Evaluator
     std::shared_ptr<AloneIpcCache> aloneCache_;
     std::shared_ptr<WarmStateCache> warm_;
 };
-
-/**
- * Oracle-style static core partition search for a two-application
- * workload (Section 6): tries splits in steps of @p step cores and
- * returns the best weighted speedup found.
- */
-PairResult searchBestPartition(Evaluator &eval, const GpuConfig &arch,
-                               DesignPoint point,
-                               const std::vector<std::string> &pair,
-                               std::uint32_t step);
 
 /** Outcome of replaying a crash-repro record. */
 struct ReplayResult

@@ -2,104 +2,20 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
-#include <fcntl.h>
-#include <poll.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/check.hh"
 #include "common/env.hh"
-#include "sim/cancel.hh"
 #include "sim/crash_repro.hh"
 #include "sim/file_io.hh"
-#include "sim/snapshot.hh"
 #include "sim/sweep_io.hh"
 
 namespace mask {
-
-namespace {
-
-/**
- * Deterministic fault injection for the resilience smoke tests:
- * MASK_SWEEP_FAULT_CRASH=<job index> segfaults that job on every
- * attempt, MASK_SWEEP_FAULT_HANG=<job index> spins it forever
- * (cancellable, so a deadline can reclaim it in-process; SIGKILL
- * reclaims it in isolation mode). Unset, this is two env reads
- * per job — invisible next to a simulation.
- */
-void
-injectSweepTestFault(std::size_t job_idx)
-{
-    constexpr std::uint64_t kNoJob = ~std::uint64_t{0};
-    if (envU64("MASK_SWEEP_FAULT_CRASH", kNoJob) == job_idx) {
-        volatile int *null_ptr = nullptr;
-        *null_ptr = 42; // deliberate SIGSEGV
-    }
-    if (envU64("MASK_SWEEP_FAULT_HANG", kNoJob) == job_idx) {
-        for (;;) {
-            pollCancellation();
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(5));
-        }
-    }
-}
-
-/** Watch a token for the scope of one attempt (no-op without a
- *  monitor or deadline). */
-struct DeadlineWatch
-{
-    DeadlineMonitor *monitor = nullptr;
-    std::uint64_t handle = 0;
-
-    DeadlineWatch(DeadlineMonitor *m, CancelToken &token,
-                  std::uint64_t timeout_ms)
-    {
-        if (m != nullptr && timeout_ms > 0) {
-            monitor = m;
-            handle = m->watch(&token, timeout_ms);
-        }
-    }
-
-    ~DeadlineWatch()
-    {
-        if (monitor != nullptr)
-            monitor->unwatch(handle);
-    }
-
-    DeadlineWatch(const DeadlineWatch &) = delete;
-    DeadlineWatch &operator=(const DeadlineWatch &) = delete;
-};
-
-const char *
-fatalSignalName(int sig)
-{
-    switch (sig) {
-      case SIGSEGV: return "SIGSEGV";
-      case SIGABRT: return "SIGABRT";
-      case SIGBUS: return "SIGBUS";
-      case SIGFPE: return "SIGFPE";
-      case SIGKILL: return "SIGKILL";
-      case SIGILL: return "SIGILL";
-      default: return "signal";
-    }
-}
-
-bool
-fileExists(const std::string &path)
-{
-    return ::access(path.c_str(), R_OK) == 0;
-}
-
-} // namespace
 
 unsigned
 sweepJobs()
@@ -118,8 +34,6 @@ sweepStatusName(SweepStatus status)
     switch (status) {
       case SweepStatus::Ok: return "Ok";
       case SweepStatus::Failed: return "Failed";
-      case SweepStatus::TimedOut: return "TimedOut";
-      case SweepStatus::Crashed: return "Crashed";
       case SweepStatus::Abandoned: return "Abandoned";
     }
     return "Unknown";
@@ -129,8 +43,7 @@ SweepStatus
 sweepStatusFromName(const std::string &name)
 {
     for (const SweepStatus status :
-         {SweepStatus::Ok, SweepStatus::Failed, SweepStatus::TimedOut,
-          SweepStatus::Crashed, SweepStatus::Abandoned}) {
+         {SweepStatus::Ok, SweepStatus::Failed, SweepStatus::Abandoned}) {
         if (name == sweepStatusName(status))
             return status;
     }
@@ -141,23 +54,8 @@ SweepPolicy
 sweepPolicyFromEnv()
 {
     SweepPolicy policy;
-    policy.timeoutMs = envU64("MASK_SWEEP_TIMEOUT_MS", 0);
-    policy.retries =
-        static_cast<unsigned>(envU64("MASK_SWEEP_RETRIES", 0));
-    policy.isolate = envFlag("MASK_SWEEP_ISOLATE");
     policy.journalPath = envString("MASK_SWEEP_JOURNAL");
     return policy;
-}
-
-std::uint64_t
-sweepBackoffMs(const SweepPolicy &policy, unsigned attempt)
-{
-    constexpr std::uint64_t kCapMs = 5000;
-    if (policy.backoffMs == 0)
-        return 0;
-    if (attempt >= 16)
-        return kCapMs;
-    return std::min(kCapMs, policy.backoffMs << attempt);
 }
 
 // ---------------------------------------------------------------------
@@ -211,7 +109,7 @@ WarmStateCache::getOrWarm(const std::string &key, Cycle warmup_cycles,
     std::string image;
     bool from_file = false;
     try {
-        // A file left by another process (fork-isolated sibling, a
+        // A file left by another process (a distributed peer, a
         // previous journal-interrupted sweep) is as good as a memory
         // hit — the consumer validates header + checksum either way.
         if (!policy_.dir.empty())
@@ -332,7 +230,6 @@ SweepRunner::setPolicy(SweepPolicy policy)
 {
     policy_ = std::move(policy);
     journal_.reset(); // re-bound (lazily) to the new path
-    monitor_.reset();
 }
 
 void
@@ -488,8 +385,7 @@ SweepRunner::finishJob(std::size_t index, const std::string &key,
         // A journal write failure must not sink the job it records.
         try {
             journal_->record(
-                key, sweepStatusName(outcome.status),
-                outcome.attempts, outcome.error,
+                key, sweepStatusName(outcome.status), outcome.error,
                 outcome.status == SweepStatus::Ok ? &result : nullptr,
                 outcome.reproPath);
         } catch (const std::exception &err) {
@@ -502,61 +398,32 @@ SweepRunner::finishJob(std::size_t index, const std::string &key,
     outcomes_[index] = std::move(outcome);
 }
 
-SweepOutcome
-SweepRunner::attemptWithPolicy(Evaluator &eval, const SweepJob &job,
-                               std::size_t job_idx, PairResult &out)
-{
-    SweepOutcome outcome;
-    for (unsigned attempt = 0;; ++attempt) {
-        outcome.attempts = attempt + 1;
-        try {
-            CancelToken token;
-            const ScopedCancelToken scoped(&token);
-            const DeadlineWatch watch(monitor_.get(), token,
-                                      policy_.timeoutMs);
-            injectSweepTestFault(job_idx);
-            out = execute(eval, job);
-            outcome.status = SweepStatus::Ok;
-            outcome.error.clear();
-            outcome.exception = nullptr;
-            return outcome;
-        } catch (const SimCancelledError &err) {
-            outcome.status = SweepStatus::TimedOut;
-            outcome.error = err.what();
-            outcome.exception = nullptr;
-        } catch (const SimInvariantError &err) {
-            outcome.status = SweepStatus::Failed;
-            outcome.error = err.what();
-            outcome.exception = std::current_exception();
-            // captureCrash persisted the repro before rethrowing.
-            outcome.reproPath = reproFilePath();
-        } catch (const std::exception &err) {
-            outcome.status = SweepStatus::Failed;
-            outcome.error = err.what();
-            outcome.exception = std::current_exception();
-        } catch (...) {
-            outcome.status = SweepStatus::Failed;
-            outcome.error = "unknown exception";
-            outcome.exception = std::current_exception();
-        }
-        if (attempt >= policy_.retries)
-            return outcome;
-        const std::uint64_t delay = sweepBackoffMs(policy_, attempt);
-        if (delay > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(delay));
-        }
-    }
-}
-
 void
 SweepRunner::runOne(Evaluator &eval, std::size_t pend_idx,
                     std::size_t base)
 {
+    // Exceptions are contained here, one job at a time; a fatal signal
+    // ends the process, and the journal resumes what finished.
     const SweepJob &job = pending_[pend_idx];
     PairResult result;
-    SweepOutcome outcome =
-        attemptWithPolicy(eval, job, base + pend_idx, result);
+    SweepOutcome outcome;
+    try {
+        result = execute(eval, job);
+    } catch (const SimInvariantError &err) {
+        outcome.status = SweepStatus::Failed;
+        outcome.error = err.what();
+        outcome.exception = std::current_exception();
+        // captureCrash persisted the repro before rethrowing.
+        outcome.reproPath = reproFilePath();
+    } catch (const std::exception &err) {
+        outcome.status = SweepStatus::Failed;
+        outcome.error = err.what();
+        outcome.exception = std::current_exception();
+    } catch (...) {
+        outcome.status = SweepStatus::Failed;
+        outcome.error = "unknown exception";
+        outcome.exception = std::current_exception();
+    }
     finishJob(base + pend_idx, jobKey(job), std::move(result),
               std::move(outcome));
 }
@@ -570,8 +437,6 @@ SweepRunner::run()
     const std::size_t batch = pending_.size();
     results_.resize(base + batch);
     outcomes_.resize(base + batch);
-    if (policy_.timeoutMs > 0 && !policy_.isolate && monitor_ == nullptr)
-        monitor_ = std::make_unique<DeadlineMonitor>();
 
     if (dist_.enabled()) {
         runDistributed(base);
@@ -595,9 +460,7 @@ SweepRunner::run()
                      batch, todo.size());
     }
 
-    if (policy_.isolate)
-        runIsolated(todo, base);
-    else if (!todo.empty())
+    if (!todo.empty())
         runBatch(todo, base);
     pending_.clear();
 }
@@ -665,7 +528,6 @@ SweepRunner::loadFromJournal(std::size_t base, bool ok_only,
         SweepOutcome &outcome = outcomes_[base + i];
         outcome = SweepOutcome{};
         outcome.status = sweepStatusFromName(entry->status);
-        outcome.attempts = entry->attempts;
         outcome.error = entry->error;
         outcome.reproPath = entry->repro;
         outcome.fromJournal = true;
@@ -729,10 +591,7 @@ SweepRunner::runDistributed(std::size_t base)
             if (claim == DistCoordinator::Claim::Busy)
                 continue;
             if (claim == DistCoordinator::Claim::Acquired) {
-                if (policy_.isolate)
-                    runIsolated(std::vector<std::size_t>{i}, base);
-                else
-                    runOne(eval, i, base);
+                runOne(eval, i, base);
                 // Release only after finishJob made the shard record
                 // durable: a lease must never vanish while the job's
                 // completion is still invisible to peers.
@@ -781,275 +640,6 @@ SweepRunner::runDistributed(std::size_t base)
         journal_->malformedLines() + journal_->partialTails();
     distStats_.abandoned += abandoned;
     distStats_.waitPolls += leases.waitPolls;
-}
-
-// ---------------------------------------------------------------------
-// Subprocess isolation (MASK_SWEEP_ISOLATE=1)
-// ---------------------------------------------------------------------
-
-void
-SweepRunner::runIsolated(const std::vector<std::size_t> &todo,
-                         std::size_t base)
-{
-    using Clock = std::chrono::steady_clock;
-
-    // One forked child per job, up to jobs_ concurrent; the parent
-    // stays single-threaded (fork from a multi-threaded process risks
-    // inheriting a held allocator lock) and enforces deadlines with
-    // SIGKILL, which reclaims even a hard-hung child. Children report
-    // over a pipe: "ok <blob>" or "err <what>"; a fatal signal leaves
-    // no payload and is classified from the wait status.
-    struct Child
-    {
-        pid_t pid = -1;
-        int fd = -1;
-        std::size_t pendIdx = 0;
-        unsigned attempt = 0;
-        Clock::time_point deadline;
-        bool hasDeadline = false;
-        bool timedOut = false;
-        std::string buf;
-        std::string reproPath;
-    };
-    struct Ready
-    {
-        std::size_t pendIdx = 0;
-        unsigned attempt = 0;
-        Clock::time_point notBefore;
-    };
-
-    std::vector<Ready> ready;
-    ready.reserve(todo.size());
-    const auto start = Clock::now();
-    for (const std::size_t pend_idx : todo)
-        ready.push_back(Ready{pend_idx, 0, start});
-    std::vector<Child> live;
-    const std::size_t width = jobs_ != 0 ? jobs_ : 1;
-
-    auto startChild = [&](const Ready &r) {
-        const SweepJob &job = pending_[r.pendIdx];
-        const std::size_t job_idx = base + r.pendIdx;
-        Child child;
-        child.pendIdx = r.pendIdx;
-        child.attempt = r.attempt;
-        child.reproPath =
-            reproFilePath() + ".job" + std::to_string(job_idx);
-        ::unlink(child.reproPath.c_str());
-
-        int fds[2];
-        if (::pipe(fds) != 0)
-            throw std::runtime_error(
-                "sweep isolation: pipe() failed");
-        std::fflush(stdout);
-        std::fflush(stderr);
-        const pid_t pid = ::fork();
-        if (pid < 0) {
-            ::close(fds[0]);
-            ::close(fds[1]);
-            throw std::runtime_error(
-                "sweep isolation: fork() failed");
-        }
-        if (pid == 0) {
-            // --- child ---
-            ::close(fds[0]);
-            // Redirect this job's crash-repro (both the invariant
-            // path and the fatal-signal path honor the env) to a
-            // per-job file the parent can harvest.
-            ::setenv("MASK_REPRO_FILE", child.reproPath.c_str(), 1);
-            int code = 0;
-            std::string payload;
-            try {
-                // Job-level arm: a hard crash anywhere in the child
-                // (even outside an evaluator run) leaves a repro.
-                const ScopedSignalRepro armed(
-                    makeRepro(job.arch, job.point, job.benches,
-                              options_.warmup, options_.measure),
-                    child.reproPath);
-                injectSweepTestFault(job_idx);
-                Evaluator eval(options_, cache_);
-                // In-memory warm state dies with this child, so only a
-                // file-backed cache (shared through the filesystem
-                // with sibling children and future resumes) is worth
-                // the snapshot-render cost here.
-                if (warm_ != nullptr && !warm_->policy().dir.empty())
-                    eval.setWarmCache(warm_);
-                payload = "ok " + encodePairResult(execute(eval, job));
-            } catch (const std::exception &err) {
-                payload = std::string("err ") + err.what();
-                code = 3;
-            } catch (...) {
-                payload = "err unknown exception";
-                code = 3;
-            }
-            // A short write (reader gone) shows up in the parent as a
-            // truncated payload.
-            writeAll(fds[1], payload.data(), payload.size());
-            ::close(fds[1]);
-            std::_Exit(code);
-        }
-        // --- parent ---
-        ::close(fds[1]);
-        ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-        child.pid = pid;
-        child.fd = fds[0];
-        if (policy_.timeoutMs > 0) {
-            child.hasDeadline = true;
-            child.deadline =
-                Clock::now() +
-                std::chrono::milliseconds(policy_.timeoutMs);
-        }
-        live.push_back(std::move(child));
-    };
-
-    auto reap = [&](Child &child) {
-        int status = 0;
-        while (::waitpid(child.pid, &status, 0) < 0 &&
-               errno == EINTR) {
-        }
-        ::close(child.fd);
-
-        const SweepJob &job = pending_[child.pendIdx];
-        const std::size_t index = base + child.pendIdx;
-        SweepOutcome outcome;
-        outcome.attempts = child.attempt + 1;
-        PairResult result;
-
-        if (child.timedOut) {
-            outcome.status = SweepStatus::TimedOut;
-            outcome.error =
-                "deadline exceeded (MASK_SWEEP_TIMEOUT_MS=" +
-                std::to_string(policy_.timeoutMs) +
-                "), child killed";
-        } else if (WIFSIGNALED(status)) {
-            const int sig = WTERMSIG(status);
-            outcome.status = SweepStatus::Crashed;
-            outcome.error = std::string("child killed by ") +
-                            fatalSignalName(sig) + " (signal " +
-                            std::to_string(sig) + ")";
-        } else if (child.buf.rfind("ok ", 0) == 0) {
-            try {
-                result = decodePairResult(child.buf.substr(3));
-                outcome.status = SweepStatus::Ok;
-            } catch (const std::exception &err) {
-                outcome.status = SweepStatus::Failed;
-                outcome.error =
-                    std::string("isolation protocol: ") + err.what();
-            }
-        } else if (child.buf.rfind("err ", 0) == 0) {
-            outcome.status = SweepStatus::Failed;
-            outcome.error = child.buf.substr(4);
-        } else {
-            outcome.status = SweepStatus::Failed;
-            outcome.error =
-                "isolation protocol: child exited " +
-                std::to_string(WIFEXITED(status)
-                                   ? WEXITSTATUS(status)
-                                   : -1) +
-                " with no payload";
-        }
-        if (outcome.status != SweepStatus::Ok &&
-            fileExists(child.reproPath)) {
-            outcome.reproPath = child.reproPath;
-        }
-
-        if (outcome.status != SweepStatus::Ok &&
-            child.attempt < policy_.retries) {
-            ready.push_back(Ready{
-                child.pendIdx, child.attempt + 1,
-                Clock::now() +
-                    std::chrono::milliseconds(
-                        sweepBackoffMs(policy_, child.attempt))});
-            return;
-        }
-        finishJob(index, jobKey(job), std::move(result),
-                  std::move(outcome));
-    };
-
-    while (!ready.empty() || !live.empty()) {
-        const auto now = Clock::now();
-
-        // Launch eligible jobs into free slots.
-        for (std::size_t i = 0;
-             i < ready.size() && live.size() < width;) {
-            if (ready[i].notBefore <= now) {
-                startChild(ready[i]);
-                ready.erase(ready.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-            } else {
-                ++i;
-            }
-        }
-
-        // Kill children past their deadline; their pipe EOF follows.
-        for (Child &child : live) {
-            if (child.hasDeadline && !child.timedOut &&
-                child.deadline <= now) {
-                ::kill(child.pid, SIGKILL);
-                child.timedOut = true;
-            }
-        }
-
-        if (live.empty()) {
-            // Only backoff waits remain: sleep to the next expiry.
-            auto next_ready = ready.front().notBefore;
-            for (const Ready &r : ready)
-                next_ready = std::min(next_ready, r.notBefore);
-            if (next_ready > now)
-                std::this_thread::sleep_until(next_ready);
-            continue;
-        }
-
-        // Sleep until data, a deadline, or a backoff expiry.
-        auto wake = now + std::chrono::milliseconds(200);
-        for (const Child &child : live) {
-            if (child.hasDeadline && !child.timedOut)
-                wake = std::min(wake, child.deadline);
-        }
-        for (const Ready &r : ready)
-            wake = std::min(wake, r.notBefore);
-        const auto wait_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                wake - now)
-                .count();
-
-        std::vector<struct pollfd> fds(live.size());
-        for (std::size_t i = 0; i < live.size(); ++i)
-            fds[i] = {live[i].fd, POLLIN, 0};
-        ::poll(fds.data(), fds.size(),
-               static_cast<int>(std::max<long long>(1, wait_ms)));
-
-        // Drain readable pipes; EOF means the child is done.
-        for (std::size_t i = 0; i < live.size();) {
-            Child &child = live[i];
-            bool done = false;
-            if (fds[i].revents != 0) {
-                char buf[4096];
-                for (;;) {
-                    const ::ssize_t n =
-                        ::read(child.fd, buf, sizeof(buf));
-                    if (n > 0) {
-                        child.buf.append(
-                            buf, static_cast<std::size_t>(n));
-                        continue;
-                    }
-                    if (n == 0)
-                        done = true; // EOF
-                    else if (errno == EINTR)
-                        continue;
-                    break; // EAGAIN or EOF
-                }
-            }
-            if (done) {
-                reap(child);
-                fds.erase(fds.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-                live.erase(live.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-            } else {
-                ++i;
-            }
-        }
-    }
 }
 
 } // namespace mask

@@ -10,15 +10,13 @@
  * submission order, so bench output is byte-identical to a serial run
  * regardless of worker count or completion order.
  *
- * A sweep survives any single job's failure (DESIGN.md §10): each job
- * finishes with a structured SweepOutcome instead of sinking the
- * fleet. Per-job wall-clock deadlines cancel stuck simulations
- * (TimedOut), transient failures retry with capped exponential
- * backoff, an opt-in fork-per-job isolation mode contains hard
- * crashes (Crashed, with the child's crash-repro file harvested), and
- * a JSONL journal lets an interrupted sweep resume with completed
- * jobs loaded instead of re-simulated. Surviving jobs' results stay
- * byte-identical to a fault-free serial run.
+ * A sweep survives a failing job (DESIGN.md §10): an exception
+ * (ConfigError, SimInvariantError, ...) ends that job with a Failed
+ * SweepOutcome, its crash-repro path attached, while every other job
+ * keeps running. A fatal signal ends the process; a JSONL journal
+ * lets the re-run load the completed jobs instead of re-simulating
+ * them. Surviving jobs' results stay byte-identical to a fault-free
+ * serial run.
  *
  * Usage is two-phase:
  *
@@ -34,17 +32,8 @@
  *     }
  *
  * The job count comes from MASK_BENCH_JOBS (default 1 = serial;
- * 0 = one per hardware thread). Resilience knobs, all env-driven:
- *
- *   MASK_SWEEP_TIMEOUT_MS=<ms>  per-attempt wall-clock deadline
- *                               (0 = none, the default)
- *   MASK_SWEEP_RETRIES=<n>      extra attempts per failed job
- *                               (backoff starts at 100 ms, doubles
- *                               per attempt, capped at 5 s)
- *   MASK_SWEEP_ISOLATE=1        fork/exec-style subprocess per job
- *   MASK_SWEEP_JOURNAL=<path>   JSONL results journal for resume
- *
- * A malformed value throws ConfigError (common/env.hh).
+ * 0 = one per hardware thread). MASK_SWEEP_JOURNAL=<path> names the
+ * JSONL results journal for resume.
  *
  * Warm-start execution (DESIGN.md §14): with MASK_SWEEP_WARM=1 (or
  * MASK_SWEEP_WARM_DIR=<dir>), jobs sharing a warmup fingerprint fork
@@ -77,7 +66,6 @@
 #include "common/config.hh"
 #include "sim/runner.hh"
 #include "sim/sweep_dist.hh"
-#include "sim/watchdog.hh"
 
 namespace mask {
 
@@ -115,47 +103,36 @@ struct SweepJob
 enum class SweepStatus : std::uint8_t {
     Ok,       //!< completed; result() is valid
     Failed,   //!< threw (ConfigError, SimInvariantError, ...)
-    TimedOut, //!< exceeded MASK_SWEEP_TIMEOUT_MS and was cancelled
-    Crashed,  //!< isolated subprocess died on a fatal signal
     Abandoned, //!< distributed job stolen DistPolicy::maxSteals (3)
                //!< times with no durable result; degraded, not run
 };
 
-/** "Ok" / "Failed" / "TimedOut" / "Crashed" / "Abandoned". */
+/** "Ok" / "Failed" / "Abandoned". */
 const char *sweepStatusName(SweepStatus status);
 
-/** Inverse of sweepStatusName (unknown names decode as Failed —
- *  shard entries from a newer writer still merge as failures). */
+/** Inverse of sweepStatusName. Unknown names decode as Failed, so
+ *  the retired "TimedOut" and "Crashed" of older journals, and shard
+ *  entries from a newer writer, still load as failures. */
 SweepStatus sweepStatusFromName(const std::string &name);
 
 /** Structured per-job outcome (valid after run() returns). */
 struct SweepOutcome
 {
     SweepStatus status = SweepStatus::Ok;
-    unsigned attempts = 0;      //!< total attempts, retries included
     std::string error;          //!< failure text ("" when Ok)
-    std::string reproPath;      //!< harvested crash-repro file, if any
+    std::string reproPath;      //!< crash-repro file, if one was written
     bool fromJournal = false;   //!< loaded from MASK_SWEEP_JOURNAL
     std::exception_ptr exception; //!< original exception (Failed only)
 };
 
-/** Resilience policy (env-driven by default; settable for tests). */
+/** Journal policy (env-driven by default; settable for tests). */
 struct SweepPolicy
 {
-    std::uint64_t timeoutMs = 0;  //!< 0 disables deadlines
-    unsigned retries = 0;         //!< extra attempts after a failure
-    std::uint64_t backoffMs = 100; //!< retry backoff base
-    bool isolate = false;         //!< fork one subprocess per job
-    std::string journalPath;      //!< "" disables the journal
+    std::string journalPath; //!< "" disables the journal
 };
 
-/** Policy from the MASK_SWEEP_* environment knobs. */
+/** Policy from MASK_SWEEP_JOURNAL. */
 SweepPolicy sweepPolicyFromEnv();
-
-/** Backoff before retry @p attempt (0-based): base << attempt,
- *  capped at 5 seconds. */
-std::uint64_t sweepBackoffMs(const SweepPolicy &policy,
-                             unsigned attempt);
 
 // --- Warm-state cache (DESIGN.md §14) --------------------------------
 
@@ -174,8 +151,9 @@ struct WarmPolicy
  *
  *   MASK_SWEEP_WARM=1            enable the in-memory warm cache
  *   MASK_SWEEP_WARM_DIR=<dir>    also persist warm snapshots as files
- *                                (implies enabled; lets fork-isolated
- *                                jobs and journal resumes share them)
+ *                                (implies enabled; lets distributed
+ *                                workers and journal resumes share
+ *                                them)
  *
  * The in-memory budget keeps its 256 MB default.
  */
@@ -188,8 +166,8 @@ WarmPolicy warmPolicyFromEnv();
  * of the same key block until it lands, so no warmup is ever simulated
  * twice in-process. Ready images live in an LRU ring capped by
  * WarmPolicy::memCapBytes and, when WarmPolicy::dir is set, as
- * snapshot files `<dir>/<key>.snap` that other processes (fork-
- * isolated jobs, journal resumes) restore instead of re-warming.
+ * snapshot files `<dir>/<key>.snap` that other processes (distributed
+ * workers, journal resumes) restore instead of re-warming.
  *
  * The cache stores opaque bytes; consumers validate via
  * runMeasureFrom(), and on any header/checksum mismatch call
@@ -269,12 +247,12 @@ class SweepRunner
 
     /**
      * Run all jobs submitted since the last run() and block until
-     * they finish. A job's failure never aborts the batch: it is
-     * recorded in outcome() (after deadline/retry/isolation handling
-     * per the policy) while every other job keeps running. Only
-     * infrastructure errors (journal I/O, fork failure) throw. The
-     * runner is reusable: submit/run again after it returns, with
-     * the alone-IPC memo carried across batches.
+     * they finish. Each job runs once, in process. A job that throws
+     * never aborts the batch: its exception is recorded in outcome()
+     * while every other job keeps running. Only infrastructure errors
+     * (journal I/O) throw. The runner is reusable: submit/run again
+     * after it returns, with the alone-IPC memo carried across
+     * batches.
      */
     void run();
 
@@ -282,8 +260,8 @@ class SweepRunner
      * Result of job @p index. For a job that did not complete, the
      * original exception is rethrown (Failed) or a
      * std::runtime_error with the outcome's reason is thrown
-     * (TimedOut/Crashed) — check outcome() first to degrade
-     * gracefully.
+     * (Abandoned, or a failure loaded from the journal) — check
+     * outcome() first to degrade gracefully.
      */
     const PairResult &result(std::size_t index) const;
 
@@ -330,7 +308,7 @@ class SweepRunner
         return warm_;
     }
 
-    /** Replace the job executor (tests: inject failures/hangs). */
+    /** Replace the job executor (tests: inject failures). */
     using Executor =
         std::function<PairResult(Evaluator &, const SweepJob &)>;
     void setExecutorForTest(Executor executor);
@@ -341,8 +319,6 @@ class SweepRunner
   private:
     void runBatch(const std::vector<std::size_t> &todo,
                   std::size_t base);
-    void runIsolated(const std::vector<std::size_t> &todo,
-                     std::size_t base);
     void runDistributed(std::size_t base);
     /**
      * Refresh the journal and load every job of the batch (except
@@ -356,9 +332,6 @@ class SweepRunner
     void applyDistWarmDefault();
     void runOne(Evaluator &eval, std::size_t pend_idx,
                 std::size_t base);
-    SweepOutcome attemptWithPolicy(Evaluator &eval, const SweepJob &job,
-                                   std::size_t job_idx,
-                                   PairResult &out);
     PairResult execute(Evaluator &eval, const SweepJob &job);
     void finishJob(std::size_t index, const std::string &key,
                    PairResult result, SweepOutcome outcome);
@@ -375,7 +348,6 @@ class SweepRunner
     std::vector<PairResult> results_;
     std::vector<SweepOutcome> outcomes_;
     std::unique_ptr<SweepJournal> journal_;
-    std::unique_ptr<DeadlineMonitor> monitor_;
     Executor executor_;
 };
 

@@ -60,10 +60,8 @@ makeDir(const std::string &path)
  * The fixed-size lease image: the record, space-padded to
  * kDistLeaseFileSize bytes with a final '\n', so an in-place heartbeat
  * rewrite fully overwrites the previous image and a reader never sees
- * a stale suffix of an older, longer record. Allocation-free: the
- * heartbeat thread calls it, and keeping that thread out of malloc
- * keeps fork-per-job isolation safe (no heap lock can be mid-flight
- * in the child's frozen image).
+ * a stale suffix of an older, longer record. Allocation-free, so a
+ * heartbeat costs no heap traffic.
  */
 void
 formatLease(char (&buf)[kDistLeaseFileSize], const char *worker,

@@ -136,7 +136,7 @@ struct DistSweepStats
  * Thread model: all claim/release calls come from the sweep driver
  * thread; the only internal thread is the heartbeat, which touches
  * nothing but the held-lease table (mutex-protected) and is
- * allocation-free per beat so fork-per-job isolation stays safe.
+ * allocation-free per beat.
  */
 class DistCoordinator
 {

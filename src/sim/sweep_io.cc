@@ -209,15 +209,15 @@ parseJournalLine(const std::string &line, JournalEntry &entry)
         return false;
     jsonField(line, "error", entry.error);
     jsonField(line, "repro", entry.repro);
+    // Writers have recorded "1" since each job runs once; older
+    // journals may hold larger counts. A value that overflows
+    // `unsigned` is malformed, not wrapped.
     std::string attempts;
-    if (jsonField(line, "attempts", attempts)) {
-        // A value that overflows `unsigned` is malformed, not wrapped.
-        std::uint64_t n = 0;
-        if (!parseU64(attempts, n) ||
-            n > std::numeric_limits<unsigned>::max())
-            return false;
-        entry.attempts = static_cast<unsigned>(n);
-    }
+    std::uint64_t n = 0;
+    if (jsonField(line, "attempts", attempts) &&
+        (!parseU64(attempts, n) ||
+         n > std::numeric_limits<unsigned>::max()))
+        return false;
     return entry.status != "Ok" || jsonField(line, "result", entry.blob);
 }
 
@@ -361,8 +361,7 @@ SweepJournal::find(const std::string &key) const
 
 void
 SweepJournal::record(const std::string &key, const char *status,
-                     unsigned attempts, const std::string &error,
-                     const PairResult *result,
+                     const std::string &error, const PairResult *result,
                      const std::string &repro)
 {
     std::string blob;
@@ -372,8 +371,7 @@ SweepJournal::record(const std::string &key, const char *status,
     const std::lock_guard<std::mutex> lock(mutex_);
     std::string line = "{\"key\":\"" + jsonEscape(key) +
                        "\",\"status\":\"" + status +
-                       "\",\"attempts\":\"" +
-                       std::to_string(attempts) + "\",\"error\":\"" +
+                       "\",\"attempts\":\"1\",\"error\":\"" +
                        jsonEscape(error) + "\"";
     if (!repro.empty())
         line += ",\"repro\":\"" + jsonEscape(repro) + "\"";

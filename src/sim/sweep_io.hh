@@ -3,12 +3,10 @@
  * Exact serialization for sweep results, and the resumable results
  * journal.
  *
- * Both fault-tolerance transports need a PairResult to survive a trip
- * through bytes without perturbing a single bit: the subprocess
- * isolation mode pipes results from a forked child back to the
- * parent, and the JSONL journal replays completed jobs into a resumed
- * sweep whose bench output must stay byte-identical to an
- * uninterrupted run.
+ * The JSONL journal (and the distributed shards built on it) replays
+ * completed jobs into a resumed sweep whose bench output must stay
+ * byte-identical to an uninterrupted run, so a PairResult has to
+ * survive a trip through bytes without perturbing a single bit.
  *
  * A result blob is "v4 " followed by the RFC 4648 base64 of a
  * StateCodec payload (common/state_codec.hh): a "pair" section, then
@@ -28,7 +26,9 @@
  *   {"key":"<job key>","status":"Ok","attempts":"1","error":"",
  *    "result":"v4 ..."}
  *
- * plus optional "repro" (harvested crash-repro path) and "worker"
+ * "attempts" is always "1" (each job runs once); readers still reject
+ * a value that is not an unsigned decimal fitting `unsigned`. Plus
+ * optional "repro" (crash-repro path) and "worker"
  * (distributed-sweep worker id, DESIGN.md §15) fields when non-empty.
  *
  * The key fingerprints everything that determines a job's result:
@@ -95,8 +95,7 @@ struct JournalEntry
     std::string status; //!< "Ok" / "Failed" / ... / "Abandoned"
     std::string blob;   //!< encodePairResult payload (Ok only)
     std::string error;
-    std::string repro;  //!< harvested crash-repro path, if any
-    unsigned attempts = 1;
+    std::string repro;  //!< crash-repro path, if any
     PairResult result;  //!< the decoded blob of a winning Ok entry
 };
 
@@ -138,13 +137,12 @@ class SweepJournal
 
     /**
      * Append one outcome as a single O_APPEND write. @p result must
-     * be non-null when @p status is "Ok"; @p repro (a harvested
-     * crash-repro path) is recorded when non-empty. Malformed I/O
-     * throws std::runtime_error.
+     * be non-null when @p status is "Ok"; @p repro (a crash-repro
+     * path) is recorded when non-empty. Malformed I/O throws
+     * std::runtime_error.
      */
     void record(const std::string &key, const char *status,
-                unsigned attempts, const std::string &error,
-                const PairResult *result,
+                const std::string &error, const PairResult *result,
                 const std::string &repro = std::string());
 
     /** Torn trailing lines truncated away on open (0 or 1). */

@@ -1,6 +1,5 @@
 #include "sim/watchdog.hh"
 
-#include <algorithm>
 #include <string>
 
 #include "common/check.hh"
@@ -168,85 +167,6 @@ Watchdog::sweepTokens(Cycle now, const WatchdogView &view)
                           std::to_string(count) + " of " +
                           std::to_string(view.warpsPerApp) + ")",
                       CheckContext{.app = a});
-    }
-}
-
-// ---------------------------------------------------------------------
-// Wall-clock deadline monitor
-// ---------------------------------------------------------------------
-
-DeadlineMonitor::DeadlineMonitor()
-    : thread_([this]() { loop(); })
-{}
-
-DeadlineMonitor::~DeadlineMonitor()
-{
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-}
-
-std::uint64_t
-DeadlineMonitor::watch(CancelToken *token, std::uint64_t timeout_ms)
-{
-    Entry entry;
-    entry.token = token;
-    entry.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(timeout_ms);
-    entry.timeoutMs = timeout_ms;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        entry.id = nextId_++;
-        entries_.push_back(entry);
-    }
-    cv_.notify_all();
-    return entry.id;
-}
-
-void
-DeadlineMonitor::unwatch(std::uint64_t handle)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                  [&](const Entry &e) {
-                                      return e.id == handle;
-                                  }),
-                   entries_.end());
-}
-
-std::uint64_t
-DeadlineMonitor::expired() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return expired_;
-}
-
-void
-DeadlineMonitor::loop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stop_) {
-        const auto now = std::chrono::steady_clock::now();
-        auto wake = now + std::chrono::seconds(60);
-        for (auto it = entries_.begin(); it != entries_.end();) {
-            if (it->deadline <= now) {
-                // The message stays wall-clock-free beyond the
-                // configured budget so bench output keeps its
-                // determinism guarantee.
-                it->token->cancel(
-                    "deadline exceeded (MASK_SWEEP_TIMEOUT_MS=" +
-                    std::to_string(it->timeoutMs) + ")");
-                ++expired_;
-                it = entries_.erase(it);
-            } else {
-                wake = std::min(wake, it->deadline);
-                ++it;
-            }
-        }
-        cv_.wait_until(lock, wake);
     }
 }
 

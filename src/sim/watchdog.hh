@@ -15,19 +15,13 @@
 #ifndef MASK_SIM_WATCHDOG_HH
 #define MASK_SIM_WATCHDOG_HH
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "common/config.hh"
 #include "common/memreq.hh"
 #include "common/types.hh"
 #include "dram/dram.hh"
 #include "mask/tokens.hh"
-#include "sim/cancel.hh"
 #include "tlb/tlb_mshr.hh"
 #include "vm/walker.hh"
 
@@ -104,56 +98,6 @@ class Watchdog
     Cycle nextSweep_ = 0;
     std::uint64_t sweepsDone_ = 0;
     Cycle maxAgeSeen_ = 0;
-};
-
-/**
- * Wall-clock companion to the simulated-cycle watchdog: one monitor
- * thread tracks the deadlines of in-flight sweep jobs and cancels the
- * CancelToken of any job that overruns its budget
- * (MASK_SWEEP_TIMEOUT_MS). The cancelled job unwinds at its next
- * pollCancellation() and the sweep engine records it as TimedOut
- * instead of blocking the pool forever.
- */
-class DeadlineMonitor
-{
-  public:
-    DeadlineMonitor();
-    ~DeadlineMonitor();
-
-    DeadlineMonitor(const DeadlineMonitor &) = delete;
-    DeadlineMonitor &operator=(const DeadlineMonitor &) = delete;
-
-    /**
-     * Watch @p token: cancel it @p timeout_ms from now unless
-     * unwatch() is called first. Returns a handle for unwatch().
-     * @p token must outlive the watch (unwatch before destroying it).
-     */
-    std::uint64_t watch(CancelToken *token, std::uint64_t timeout_ms);
-
-    /** Stop watching @p handle (idempotent). */
-    void unwatch(std::uint64_t handle);
-
-    /** Tokens cancelled because their deadline passed. */
-    std::uint64_t expired() const;
-
-  private:
-    struct Entry
-    {
-        std::uint64_t id = 0;
-        CancelToken *token = nullptr;
-        std::chrono::steady_clock::time_point deadline;
-        std::uint64_t timeoutMs = 0;
-    };
-
-    void loop();
-
-    mutable std::mutex mutex_;
-    std::condition_variable cv_;
-    std::vector<Entry> entries_;
-    std::uint64_t nextId_ = 1;
-    std::uint64_t expired_ = 0;
-    bool stop_ = false;
-    std::thread thread_;
 };
 
 } // namespace mask

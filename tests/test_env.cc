@@ -144,8 +144,8 @@ TEST(EnvErrors, MessageNamesTheKnobAndTheValue)
 TEST(EnvKnobs, MalformedValuesThrowFromThePolicies)
 {
     {
-        const ScopedEnv timeout("MASK_SWEEP_TIMEOUT_MS", "15s");
-        EXPECT_THROW(sweepPolicyFromEnv(), ConfigError);
+        const ScopedEnv cycles("MASK_BENCH_CYCLES", "15s");
+        EXPECT_THROW(bench::benchOptions(), ConfigError);
     }
     {
         const ScopedEnv dir("MASK_SWEEP_DIST_DIR", "/tmp/envdist");
@@ -157,8 +157,9 @@ TEST(EnvKnobs, MalformedValuesThrowFromThePolicies)
         EXPECT_THROW(checkpointPolicyFromEnv(), ConfigError);
     }
     {
-        const ScopedEnv isolate("MASK_SWEEP_ISOLATE", "yes");
-        EXPECT_THROW(sweepPolicyFromEnv(), ConfigError);
+        const ScopedEnv dir("MASK_SWEEP_DIST_DIR", "/tmp/envdist");
+        const ScopedEnv merge("MASK_SWEEP_DIST_MERGE", "yes");
+        EXPECT_THROW(distPolicyFromEnv(), ConfigError);
     }
     {
         const ScopedEnv warm("MASK_SWEEP_WARM", "on");
@@ -177,8 +178,9 @@ TEST(EnvKnobs, MalformedValuesThrowFromThePolicies)
 TEST(EnvKnobs, ZeroKeepsEachKnobsMeaning)
 {
     {
-        const ScopedEnv timeout("MASK_SWEEP_TIMEOUT_MS", "0");
-        EXPECT_EQ(sweepPolicyFromEnv().timeoutMs, 0u) << "0 = none";
+        const ScopedEnv dir("MASK_SWEEP_DIST_DIR", "/tmp/envdist");
+        const ScopedEnv merge("MASK_SWEEP_DIST_MERGE", "0");
+        EXPECT_FALSE(distPolicyFromEnv().mergeOnly) << "0 = off";
     }
     {
         const ScopedEnv interval("MASK_CKPT_INTERVAL_CYCLES", "0");

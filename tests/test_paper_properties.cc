@@ -242,11 +242,13 @@ TEST(PaperProperties, ShootdownsPreserveIsolationAndCorrectness)
     // from the live page table (demand-remapped on the next touch).
     const Pfn live = gpu.pageTable(0).lookup(remapped);
     Pfn cached = kInvalidPfn;
-    if (gpu.sharedTlb().lookup(1, remapped, &cached))
+    if (gpu.sharedTlb().lookup(1, remapped, &cached)) {
         EXPECT_EQ(cached, live);
+    }
     for (const CoreId c : gpu.coresOf(0)) {
-        if (gpu.core(c).l1Tlb().lookup(1, remapped, &cached))
+        if (gpu.core(c).l1Tlb().lookup(1, remapped, &cached)) {
             EXPECT_EQ(cached, live);
+        }
     }
 
     // Full isolation + correctness sweep: every translation cached

@@ -118,17 +118,6 @@ TEST(Runner, RunSharedReportsBothApps)
     EXPECT_GT(stats.ipc[1], 0.0);
 }
 
-TEST(Runner, PartitionSearchNotWorseThanEvenSplit)
-{
-    Evaluator eval(fastOptions());
-    const GpuConfig arch = smallArch();
-    const PairResult even =
-        eval.evaluate(arch, DesignPoint::Ideal, {"LUD", "GUP"});
-    const PairResult best = searchBestPartition(
-        eval, arch, DesignPoint::Ideal, {"LUD", "GUP"}, 1);
-    EXPECT_GE(best.weightedSpeedup, even.weightedSpeedup - 1e-9);
-}
-
 TEST(TimeMux, OverheadIsPositiveAndGrowsWithProcesses)
 {
     GpuConfig cfg = smallArch();

@@ -206,14 +206,16 @@ TEST(DistPolicyEnv, ParsesKnobsAndEnforcesFloors)
 TEST(SweepStatusNames, RoundTripIncludingAbandoned)
 {
     for (const SweepStatus status :
-         {SweepStatus::Ok, SweepStatus::Failed, SweepStatus::TimedOut,
-          SweepStatus::Crashed, SweepStatus::Abandoned}) {
+         {SweepStatus::Ok, SweepStatus::Failed, SweepStatus::Abandoned}) {
         EXPECT_EQ(sweepStatusFromName(sweepStatusName(status)),
                   status);
     }
     EXPECT_STREQ(sweepStatusName(SweepStatus::Abandoned), "Abandoned");
     EXPECT_EQ(sweepStatusFromName("SomethingNew"),
               SweepStatus::Failed);
+    // Retired statuses of older journals and shards load as failures.
+    EXPECT_EQ(sweepStatusFromName("TimedOut"), SweepStatus::Failed);
+    EXPECT_EQ(sweepStatusFromName("Crashed"), SweepStatus::Failed);
 }
 
 // ---------------------------------------------------------------------
@@ -699,7 +701,7 @@ TEST(SweepJournalHardening, TornFinalLineIsTruncatedAndCounted)
     const PairResult result = syntheticResult(3.0);
     {
         SweepJournal journal(path);
-        journal.record("good-key", "Ok", 1, "", &result);
+        journal.record("good-key", "Ok", "", &result);
     }
     const std::string intact = readFile(path);
     writeFile(path, intact + "{\"key\":\"half-writ");
@@ -722,7 +724,7 @@ TEST(SweepJournalHardening, MalformedCompleteLinesAreCountedNotFatal)
     const PairResult result = syntheticResult(4.0);
     {
         SweepJournal journal(path);
-        journal.record("k1", "Ok", 1, "", &result);
+        journal.record("k1", "Ok", "", &result);
     }
     // Besides plain garbage, an "attempts" field that does not fit
     // `unsigned` or is not a number makes the whole line malformed.
@@ -750,7 +752,7 @@ TEST(SweepJournalHardening, RecordsReproAndWorkerFields)
     const std::string path = tempPath("fields");
     {
         SweepJournal journal(path, "w7");
-        journal.record("kx", "Crashed", 2, "child killed", nullptr,
+        journal.record("kx", "Failed", "invariant tripped", nullptr,
                        "/tmp/repro.json");
     }
     const std::string data = readFile(path);
@@ -771,8 +773,8 @@ TEST(SweepJournalHardening, ConcurrentThreadAppendsAllSurvive)
         const PairResult result = syntheticResult(5.0);
         auto writer = [&](const char *prefix) {
             for (int i = 0; i < kPerThread; ++i) {
-                journal.record(prefix + std::to_string(i), "Ok", 1,
-                               "", &result);
+                journal.record(prefix + std::to_string(i), "Ok", "",
+                               &result);
             }
         };
         std::thread t1(writer, "a");
@@ -815,7 +817,7 @@ TEST(SweepJournalHardening, ConcurrentProcessAppendsNeverInterleave)
             const std::string filler(700, 'x');
             for (int i = 0; i < kPerProc; ++i) {
                 journal.record(prefix + std::to_string(i), "Failed",
-                               1, filler, nullptr);
+                               filler, nullptr);
             }
         }
         std::_Exit(0);

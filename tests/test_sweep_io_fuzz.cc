@@ -1,7 +1,7 @@
 /**
  * @file
  * Randomized round-trip fuzzing of the exact sweep-result codec
- * (sweep_io). The journal and the fork-isolation pipe both rely on
+ * (sweep_io). The journal and the distributed shards both rely on
  * encodePairResult/decodePairResult reproducing every bit of a
  * PairResult; here random results — including denormal, negative-zero,
  * huge and NaN-payload doubles — must survive the trip exactly, and

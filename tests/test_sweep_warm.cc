@@ -363,7 +363,7 @@ TEST(SweepWarm, WarmFilesServeAcrossRunnerInstances)
     EXPECT_EQ(first.misses, 1u);
 
     // Second runner: no in-memory state, but the file is a hit — the
-    // journal-resume and fork-isolation sharing path.
+    // journal-resume and distributed-worker sharing path.
     WarmStateCache::Stats second;
     const std::vector<std::string> reused =
         runAndEncode(jobs, file_policy, 1, &second);
