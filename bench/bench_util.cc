@@ -148,8 +148,8 @@ reportDistSweep(const SweepRunner &sweep)
         stderr,
         "[dist] worker %s: %llu job%s (%llu executed, %llu loaded "
         "from peers), %llu lease%s claimed, %llu stolen, %llu stale "
-        "seen, %llu steal retr%s, %llu duplicate%s, %llu torn "
-        "line%s, %llu abandoned, %llu wait poll%s\n",
+        "seen, %llu duplicate%s, %llu torn line%s, %llu wait "
+        "poll%s\n",
         dist.worker.c_str(),
         static_cast<unsigned long long>(dist.jobs),
         dist.jobs == 1 ? "" : "s",
@@ -159,13 +159,10 @@ reportDistSweep(const SweepRunner &sweep)
         dist.leasesClaimed == 1 ? "" : "s",
         static_cast<unsigned long long>(dist.leasesStolen),
         static_cast<unsigned long long>(dist.staleSeen),
-        static_cast<unsigned long long>(dist.stealRetries),
-        dist.stealRetries == 1 ? "y" : "ies",
         static_cast<unsigned long long>(dist.duplicates),
         dist.duplicates == 1 ? "" : "s",
         static_cast<unsigned long long>(dist.tornLines),
         dist.tornLines == 1 ? "" : "s",
-        static_cast<unsigned long long>(dist.abandoned),
         static_cast<unsigned long long>(dist.waitPolls),
         dist.waitPolls == 1 ? "" : "s");
 }

@@ -261,8 +261,8 @@ echo "deterministic: journal + warm-file resume byte-identical to uninterrupted 
 # sweep directory; worker 1 is SIGKILLed while it holds a lease
 # mid-job, worker 2 steals the stale lease, finishes the sweep, and
 # its merged stdout must be byte-identical to the serial baseline. A
-# third merge-only invocation must render the same bytes again from
-# the shards alone.
+# third plain worker started on the finished directory must execute
+# nothing and render the same bytes again from the shards alone.
 echo "== run 13 (distributed: 2 workers, worker 1 SIGKILLed mid-sweep) =="
 dist_dir="$ckpt_dir/dist"
 dist_err="$ckpt_dir/dist_w2.err"
@@ -303,12 +303,18 @@ if ! grep -q "stole stale lease" "$dist_err"; then
 fi
 echo "deterministic: distributed recovery (1 worker killed, lease stolen) byte-identical to serial"
 
+dist_w3_err="$ckpt_dir/dist_w3.err"
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     MASK_SWEEP_DIST_DIR="$dist_dir" MASK_SWEEP_DIST_WORKER=w3 \
-    MASK_SWEEP_DIST_MERGE=1 "$BIN" >"$out_b" 2>/dev/null
+    "$BIN" >"$out_b" 2>"$dist_w3_err"
 
 if ! diff -u "$out_a" "$out_b"; then
-    echo "DETERMINISM FAILURE: merge-only pass diverged from serial run" >&2
+    echo "DETERMINISM FAILURE: worker on the finished directory diverged from serial run" >&2
     exit 1
 fi
-echo "deterministic: merge-only shard pass byte-identical to serial"
+if ! grep -q '^\[dist\] worker w3: .*(0 executed,' "$dist_w3_err"; then
+    echo "DETERMINISM FAILURE: worker on the finished directory executed jobs" >&2
+    cat "$dist_w3_err" >&2
+    exit 1
+fi
+echo "deterministic: worker on the finished directory executed nothing, byte-identical to serial"

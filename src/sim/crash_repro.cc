@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <charconv>
+#include <cinttypes>
 #include <csignal>
+#include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -71,6 +73,12 @@ formatRepro(const CrashRepro &repro)
     out << "fault.shootdownInterval " << f.shootdownInterval << "\n";
     out << "fault.portStallProb " << roundTrip(f.portStallProb) << "\n";
     out << "fault.portStallCycles " << f.portStallCycles << "\n";
+
+    if (repro.fingerprint != 0) {
+        char hex[17];
+        std::snprintf(hex, sizeof(hex), "%016" PRIx64, repro.fingerprint);
+        out << "fingerprint " << hex << "\n";
+    }
 
     out << "failCycle " << repro.failCycle << "\n";
     out << "module " << repro.module << "\n";
@@ -166,7 +174,13 @@ loadRepro(const std::string &path)
             f.portStallProb = real();
         else if (key == "fault.portStallCycles")
             f.portStallCycles = u64();
-        else if (key == "failCycle")
+        else if (key == "fingerprint") {
+            const char *end = rest.data() + rest.size();
+            const auto [ptr, ec] = std::from_chars(
+                rest.data(), end, repro.fingerprint, 16);
+            if (rest.size() != 16 || ec != std::errc() || ptr != end)
+                badValue(path, key, rest, "16 hex digits");
+        } else if (key == "failCycle")
             repro.failCycle = u64();
         else if (key == "module")
             repro.module = rest;
@@ -195,6 +209,7 @@ makeRepro(const GpuConfig &arch, DesignPoint point,
     repro.warmup = warmup;
     repro.measure = measure;
     repro.harden = arch.harden;
+    repro.fingerprint = configFingerprint(applyDesignPoint(arch, point));
     repro.module = "fatal-signal";
     repro.detail = "armed (no failure recorded)";
     return repro;

@@ -6,7 +6,8 @@
  * serializes everything needed to re-execute to the failure — the
  * architecture preset, design point, workload names, RNG seeds, run
  * windows, and the hardening (watchdog + fault injection) knobs — to a
- * small key/value repro file. `replayRepro` (and the `crash_replay`
+ * small key/value repro file, with the fingerprint of the exact config
+ * that ran. `replayRepro` (and the `crash_replay`
  * binary's `--replay <file>` flag) re-runs that configuration and
  * reports whether the failure reproduces at the recorded cycle.
  *
@@ -39,6 +40,9 @@ struct CrashRepro
     Cycle warmup = 0;
     Cycle measure = 0;
     HardenConfig harden;
+    /** configFingerprint of the run's config; 0 = not recorded (files
+     *  from older writers). replayRepro refuses a mismatch. */
+    std::uint64_t fingerprint = 0;
 
     // Failure snapshot.
     Cycle failCycle = 0;

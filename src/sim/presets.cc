@@ -1,7 +1,6 @@
 #include "sim/presets.hh"
 
-#include <cstdio>
-#include <cstdlib>
+#include <string>
 
 namespace mask {
 
@@ -14,9 +13,8 @@ archByName(std::string_view name)
         return fermiConfig();
     if (name == "integrated")
         return integratedGpuConfig();
-    std::fprintf(stderr, "unknown architecture preset: %.*s\n",
-                 static_cast<int>(name.size()), name.data());
-    std::abort();
+    throw ConfigError("unknown architecture preset: " +
+                      std::string(name));
 }
 
 std::vector<std::string_view>

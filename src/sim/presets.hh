@@ -13,7 +13,8 @@
 
 namespace mask {
 
-/** "maxwell" (Table 1 default), "fermi", or "integrated". */
+/** "maxwell" (Table 1 default), "fermi", or "integrated"; any other
+ *  name throws ConfigError. */
 GpuConfig archByName(std::string_view name);
 
 /** Names of all available architecture presets. */

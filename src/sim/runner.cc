@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 
 #include <sys/stat.h>
 
@@ -340,11 +341,18 @@ replayRepro(const CrashRepro &repro)
     GpuConfig arch = archByName(repro.arch);
     arch.seed = repro.seed;
     arch.harden = repro.harden;
-    const DesignPoint point = designPointByName(repro.design);
+    const GpuConfig cfg =
+        applyDesignPoint(arch, designPointByName(repro.design));
+    if (repro.fingerprint != 0 &&
+        configFingerprint(cfg) != repro.fingerprint)
+        throw std::runtime_error(
+            "repro config fingerprint differs from preset '" +
+            repro.arch + "' with the recorded design, seed and "
+            "hardening knobs: the failed run used another config, "
+            "which a replay by name cannot rebuild");
 
     ReplayResult out;
     try {
-        const GpuConfig cfg = applyDesignPoint(arch, point);
         Gpu gpu(cfg, toAppDescs(repro.benches));
         gpu.run(repro.warmup);
         gpu.resetStats();

@@ -201,7 +201,11 @@ struct ReplayResult
  * Re-run the configuration recorded in @p repro (preset architecture,
  * design point, benches, seeds, hardening knobs) and report whether
  * the recorded failure reproduces. Deterministic: a faithful record
- * reproduces at exactly the recorded cycle.
+ * reproduces at exactly the recorded cycle. Throws, and runs nothing,
+ * when the recorded arch is not a preset (ConfigError) or the rebuilt
+ * config's fingerprint differs from the recorded one
+ * (std::runtime_error; say, an alone run's shrunken GPU, or a
+ * bench-modified preset).
  */
 ReplayResult replayRepro(const CrashRepro &repro);
 

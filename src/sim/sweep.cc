@@ -34,7 +34,6 @@ sweepStatusName(SweepStatus status)
     switch (status) {
       case SweepStatus::Ok: return "Ok";
       case SweepStatus::Failed: return "Failed";
-      case SweepStatus::Abandoned: return "Abandoned";
     }
     return "Unknown";
 }
@@ -42,12 +41,8 @@ sweepStatusName(SweepStatus status)
 SweepStatus
 sweepStatusFromName(const std::string &name)
 {
-    for (const SweepStatus status :
-         {SweepStatus::Ok, SweepStatus::Failed, SweepStatus::Abandoned}) {
-        if (name == sweepStatusName(status))
-            return status;
-    }
-    return SweepStatus::Failed;
+    return name == sweepStatusName(SweepStatus::Ok) ? SweepStatus::Ok
+                                                    : SweepStatus::Failed;
 }
 
 SweepPolicy
@@ -572,43 +567,25 @@ SweepRunner::runDistributed(std::size_t base)
     // on a load, so every job this worker did not run holds the
     // winner of the final shard bytes: winner selection depends only
     // on those bytes, so this worker's results_ — and any other
-    // worker's, and a merge-only pass's — match a single-process
-    // serial run byte for byte.
+    // worker's — match a single-process serial run byte for byte.
     std::vector<char> ran_here(batch, 0);
     std::uint64_t executed = 0;
-    std::uint64_t abandoned = 0;
-    std::vector<std::size_t> todo;
     for (;;) {
-        todo = loadFromJournal(base, /*ok_only=*/false, ran_here);
-        if (todo.empty() || dist_.mergeOnly)
+        const std::vector<std::size_t> todo =
+            loadFromJournal(base, /*ok_only=*/false, ran_here);
+        if (todo.empty())
             break;
         bool claimed = false;
         for (const std::size_t i : todo) {
             const std::string key = jobKey(pending_[i]);
-            unsigned steals = 0;
-            const DistCoordinator::Claim claim =
-                dist.tryClaim(key, &steals);
-            if (claim == DistCoordinator::Claim::Busy)
+            if (!dist.tryClaim(key))
                 continue;
-            if (claim == DistCoordinator::Claim::Acquired) {
-                runOne(eval, i, base);
-                // Release only after finishJob made the shard record
-                // durable: a lease must never vanish while the job's
-                // completion is still invisible to peers.
-                dist.release(key);
-                ++executed;
-            } else {
-                SweepOutcome outcome;
-                outcome.status = SweepStatus::Abandoned;
-                outcome.error =
-                    "lease stolen " + std::to_string(steals) +
-                    " time(s) with no durable result; job abandoned "
-                    "after " +
-                    std::to_string(dist_.maxSteals) + " steals";
-                finishJob(base + i, key, PairResult{},
-                          std::move(outcome));
-                ++abandoned;
-            }
+            runOne(eval, i, base);
+            // Release only after finishJob made the shard record
+            // durable: a lease must never vanish while the job's
+            // completion is still invisible to peers.
+            dist.release(key);
+            ++executed;
             ran_here[i] = 1;
             claimed = true;
         }
@@ -618,27 +595,18 @@ SweepRunner::runDistributed(std::size_t base)
                 std::chrono::milliseconds(dist_.pollMs));
         }
     }
-    for (const std::size_t i : todo) {
-        SweepOutcome &outcome = outcomes_[base + i];
-        outcome.status = SweepStatus::Failed;
-        outcome.error = "no shard entry for this job "
-                        "(MASK_SWEEP_DIST_MERGE=1 never executes)";
-    }
 
     const DistSweepStats &leases = dist.stats();
     distStats_.worker = leases.worker;
     distStats_.jobs += batch;
     distStats_.executed += executed;
-    distStats_.loadedRemote +=
-        batch - executed - abandoned - todo.size();
+    distStats_.loadedRemote += batch - executed;
     distStats_.leasesClaimed += leases.leasesClaimed;
     distStats_.leasesStolen += leases.leasesStolen;
     distStats_.staleSeen += leases.staleSeen;
-    distStats_.stealRetries += leases.stealRetries;
     distStats_.duplicates += journal_->duplicates();
     distStats_.tornLines +=
         journal_->malformedLines() + journal_->partialTails();
-    distStats_.abandoned += abandoned;
     distStats_.waitPolls += leases.waitPolls;
 }
 

@@ -101,18 +101,16 @@ struct SweepJob
 
 /** How one sweep job ended. */
 enum class SweepStatus : std::uint8_t {
-    Ok,       //!< completed; result() is valid
-    Failed,   //!< threw (ConfigError, SimInvariantError, ...)
-    Abandoned, //!< distributed job stolen DistPolicy::maxSteals (3)
-               //!< times with no durable result; degraded, not run
+    Ok,     //!< completed; result() is valid
+    Failed, //!< threw (ConfigError, SimInvariantError, ...)
 };
 
-/** "Ok" / "Failed" / "Abandoned". */
+/** "Ok" / "Failed". */
 const char *sweepStatusName(SweepStatus status);
 
 /** Inverse of sweepStatusName. Unknown names decode as Failed, so
- *  the retired "TimedOut" and "Crashed" of older journals, and shard
- *  entries from a newer writer, still load as failures. */
+ *  the retired statuses of older journals and shards, and entries
+ *  from a newer writer, still load as failures. */
 SweepStatus sweepStatusFromName(const std::string &name);
 
 /** Structured per-job outcome (valid after run() returns). */
@@ -259,8 +257,8 @@ class SweepRunner
     /**
      * Result of job @p index. For a job that did not complete, the
      * original exception is rethrown (Failed) or a
-     * std::runtime_error with the outcome's reason is thrown
-     * (Abandoned, or a failure loaded from the journal) — check
+     * std::runtime_error with the outcome's reason is thrown (a
+     * failure loaded from the journal) — check
      * outcome() first to degrade gracefully.
      */
     const PairResult &result(std::size_t index) const;

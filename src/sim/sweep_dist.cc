@@ -5,9 +5,10 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <stdexcept>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -22,8 +23,8 @@ namespace mask {
 
 namespace {
 
-/** Worker ids become file names and lease tokens: keep them to a
- *  conservative charset so neither role can be confused. */
+/** Worker ids become shard file names and the holder line of a
+ *  lease: keep them to a conservative charset. */
 std::string
 sanitizeWorkerId(const std::string &raw)
 {
@@ -56,59 +57,21 @@ makeDir(const std::string &path)
                                  path + ": " + std::strerror(errno));
 }
 
-/**
- * The fixed-size lease image: the record, space-padded to
- * kDistLeaseFileSize bytes with a final '\n', so an in-place heartbeat
- * rewrite fully overwrites the previous image and a reader never sees
- * a stale suffix of an older, longer record. Allocation-free, so a
- * heartbeat costs no heap traffic.
- */
-void
-formatLease(char (&buf)[kDistLeaseFileSize], const char *worker,
-            std::uint64_t pid, const char *host,
-            std::uint64_t deadline_ms, unsigned steals)
-{
-    const int n = std::snprintf(
-        buf, sizeof(buf),
-        "MASKLEASE v1 worker=%s pid=%" PRIu64 " host=%s"
-        " deadline_ms=%" PRIu64 " steals=%u",
-        worker, pid, host, deadline_ms, steals);
-    const std::size_t len =
-        std::min(n > 0 ? static_cast<std::size_t>(n) : 0,
-                 sizeof(buf) - 1);
-    std::memset(buf + len, ' ', sizeof(buf) - len);
-    buf[sizeof(buf) - 1] = '\n';
-}
-
-/** Parse "<token>=<u64>" after @p token in @p content. */
+/** The one staleness rule: the lease file at @p path was last
+ *  touched more than @p steal_after_ms ago. */
 bool
-leaseU64(const std::string &content, const char *token,
-         std::uint64_t &out)
+leaseIsStale(const std::string &path, std::uint64_t steal_after_ms)
 {
-    const std::size_t at = content.find(token);
-    if (at == std::string::npos)
-        return false;
-    const char *p = content.c_str() + at + std::strlen(token);
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(p, &end, 10);
-    return end != p && errno == 0;
-}
-
-bool
-leaseStr(const std::string &content, const char *token,
-         std::string &out)
-{
-    const std::size_t at = content.find(token);
-    if (at == std::string::npos)
-        return false;
-    const std::size_t start = at + std::strlen(token);
-    std::size_t end = start;
-    while (end < content.size() && content[end] != ' ' &&
-           content[end] != '\n')
-        ++end;
-    out = content.substr(start, end - start);
-    return !out.empty();
+    struct ::stat st = {};
+    if (::stat(path.c_str(), &st) != 0)
+        return false; // released since the claim attempt
+    struct ::timespec now = {};
+    ::clock_gettime(CLOCK_REALTIME, &now);
+    const std::int64_t age_ns =
+        (static_cast<std::int64_t>(now.tv_sec) - st.st_mtim.tv_sec) *
+            1000000000 +
+        (now.tv_nsec - st.st_mtim.tv_nsec);
+    return age_ns > static_cast<std::int64_t>(steal_after_ms) * 1000000;
 }
 
 WarnRateLimiter &
@@ -127,15 +90,6 @@ waitWarns()
 
 } // namespace
 
-std::uint64_t
-distEpochMs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
-
 DistPolicy
 distPolicyFromEnv()
 {
@@ -149,38 +103,10 @@ distPolicyFromEnv()
                         : hostName() + "-" + std::to_string(::getpid());
     policy.heartbeatMs = std::max<std::uint64_t>(
         10, envU64("MASK_SWEEP_DIST_HEARTBEAT_MS", 1000));
-    // Each refresh pushes the deadline ten heartbeats out, so
+    // A lease goes stale only after ten missed heartbeats, so
     // scheduling jitter never reads as worker death.
     policy.stealAfterMs = 10 * policy.heartbeatMs;
-    policy.mergeOnly = envFlag("MASK_SWEEP_DIST_MERGE");
     return policy;
-}
-
-std::string
-encodeLease(const DistLease &lease)
-{
-    char buf[kDistLeaseFileSize];
-    formatLease(buf, lease.worker.c_str(), lease.pid, lease.host.c_str(),
-                lease.deadlineMs, lease.steals);
-    return std::string(buf, sizeof(buf));
-}
-
-bool
-decodeLease(const std::string &content, DistLease &out)
-{
-    if (content.compare(0, 13, "MASKLEASE v1 ") != 0)
-        return false;
-    std::uint64_t pid = 0, deadline = 0, steals = 0;
-    if (!leaseStr(content, "worker=", out.worker) ||
-        !leaseU64(content, "pid=", pid) ||
-        !leaseStr(content, "host=", out.host) ||
-        !leaseU64(content, "deadline_ms=", deadline) ||
-        !leaseU64(content, "steals=", steals))
-        return false;
-    out.pid = pid;
-    out.deadlineMs = deadline;
-    out.steals = static_cast<unsigned>(steals);
-    return true;
 }
 
 std::string
@@ -207,8 +133,8 @@ DistCoordinator::DistCoordinator(DistPolicy policy)
     makeDir(leaseDir_);
     makeDir(shardDir_);
     stats_.worker = policy_.worker;
-    const std::string host = hostName();
-    std::snprintf(hostBuf_, sizeof(hostBuf_), "%s", host.c_str());
+    holderLine_ = policy_.worker + " " + std::to_string(::getpid()) +
+                  " " + hostName() + "\n";
 }
 
 DistCoordinator::~DistCoordinator()
@@ -217,10 +143,9 @@ DistCoordinator::~DistCoordinator()
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
-        for (auto &held : held_) {
-            if (held.second.fd >= 0)
-                ::close(held.second.fd);
-            leftover.push_back(held.second.path);
+        for (const auto &[name, fd] : held_) {
+            ::close(fd);
+            leftover.push_back(leasePath(name));
         }
         held_.clear();
     }
@@ -245,28 +170,21 @@ DistCoordinator::leasePath(const std::string &lease_name) const
     return leaseDir_ + "/" + lease_name;
 }
 
-void
-DistCoordinator::writeLeaseLocked(Held &held, std::uint64_t now_ms)
+bool
+DistCoordinator::acquire(const std::string &lease_name)
 {
-    // Allocation-free: this also runs on the heartbeat thread.
-    char buf[kDistLeaseFileSize];
-    formatLease(buf, policy_.worker.c_str(),
-                static_cast<std::uint64_t>(::getpid()), hostBuf_,
-                now_ms + policy_.stealAfterMs, held.steals);
-    ::ssize_t wrote;
-    do {
-        wrote = ::pwrite(held.fd, buf, sizeof(buf), 0);
-    } while (wrote < 0 && errno == EINTR);
-    // A failed heartbeat write is survivable: the lease goes stale
-    // and the job gets stolen — wasted work, never lost work.
-}
-
-void
-DistCoordinator::startHeartbeatLocked()
-{
-    if (heartbeat_.joinable())
-        return;
-    heartbeat_ = std::thread([this] { heartbeatLoop(); });
+    const int fd = ::open(leasePath(lease_name).c_str(),
+                          O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
+    if (fd < 0)
+        return false; // someone else holds it
+    // Who holds the lease, for a human reading the directory.
+    [[maybe_unused]] const ::ssize_t wrote =
+        ::write(fd, holderLine_.data(), holderLine_.size());
+    const std::lock_guard<std::mutex> lock(mutex_);
+    held_[lease_name] = fd;
+    if (!heartbeat_.joinable())
+        heartbeat_ = std::thread([this] { heartbeatLoop(); });
+    return true;
 }
 
 void
@@ -278,99 +196,25 @@ DistCoordinator::heartbeatLoop()
                        std::chrono::milliseconds(policy_.heartbeatMs));
         if (stop_)
             break;
-        const std::uint64_t now = distEpochMs();
-        for (auto &held : held_)
-            writeLeaseLocked(held.second, now);
+        // A failed touch is survivable: the lease goes stale and the
+        // job gets stolen — wasted work, never lost work.
+        for (const auto &held : held_)
+            ::futimens(held.second, nullptr);
     }
 }
 
-DistCoordinator::Claim
-DistCoordinator::tryClaim(const std::string &job_key,
-                          unsigned *steals_out)
+bool
+DistCoordinator::tryClaim(const std::string &job_key)
 {
     const std::string name = distLeaseName(job_key);
-    const std::string path = leasePath(name);
-    if (steals_out != nullptr)
-        *steals_out = 0;
-
-    unsigned inherited = 0;
-    {
-        const auto it = stealObserved_.find(name);
-        if (it != stealObserved_.end())
-            inherited = it->second;
-    }
-
-    const auto acquire = [&](unsigned steals) -> Claim {
-        const int fd = ::open(path.c_str(),
-                              O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC,
-                              0644);
-        if (fd < 0)
-            return Claim::Busy; // raced: someone else owns it now
-        const std::lock_guard<std::mutex> lock(mutex_);
-        Held &held = held_[name];
-        held.fd = fd;
-        held.steals = steals;
-        std::snprintf(held.path, sizeof(held.path), "%s",
-                      path.c_str());
-        writeLeaseLocked(held, distEpochMs());
-        startHeartbeatLocked();
-        if (steals_out != nullptr)
-            *steals_out = steals;
-        return Claim::Acquired;
-    };
-
-    if (acquire(inherited) == Claim::Acquired) {
+    if (acquire(name)) {
         ++stats_.leasesClaimed;
-        return Claim::Acquired;
+        return true;
     }
-
-    // The lease exists. Stale means its holder missed the whole
-    // steal-after window: the content deadline passed, or the content
-    // is torn/corrupt and the file has not been touched either.
-    struct ::stat st = {};
-    if (::stat(path.c_str(), &st) != 0)
-        return Claim::Busy; // released between open and stat
-    std::string content;
-    DistLease lease;
-    bool parsed = false;
-    if (readFile(path, content))
-        parsed = decodeLease(content, lease);
-    const std::uint64_t now = distEpochMs();
-    bool stale;
-    unsigned steals;
-    if (parsed) {
-        stale = now > lease.deadlineMs;
-        steals = std::max(inherited, lease.steals);
-    } else {
-        const std::uint64_t mtime_ms =
-            static_cast<std::uint64_t>(st.st_mtime) * 1000;
-        stale = mtime_ms + policy_.stealAfterMs < now;
-        steals = inherited;
-    }
-    if (!stale)
-        return Claim::Busy;
-
+    const std::string path = leasePath(name);
+    if (!leaseIsStale(path, policy_.stealAfterMs))
+        return false;
     ++stats_.staleSeen;
-    stealObserved_[name] = steals;
-    if (steals >= policy_.maxSteals) {
-        if (steals_out != nullptr)
-            *steals_out = steals;
-        return Claim::Abandoned;
-    }
-
-    // Capped exponential backoff between steal attempts on the same
-    // job: a job that keeps killing its workers should not be
-    // hammered in a tight loop.
-    StealBackoff &backoff = stealBackoff_[name];
-    if (now < backoff.notBeforeMs) {
-        ++stats_.stealRetries;
-        return Claim::Busy;
-    }
-    const std::uint64_t delay = std::min<std::uint64_t>(
-        policy_.stealAfterMs,
-        policy_.pollMs << std::min(backoff.attempts, 10u));
-    ++backoff.attempts;
-    backoff.notBeforeMs = now + delay;
 
     // Steal: rename the stale lease aside. rename() is atomic, so
     // exactly one concurrent stealer wins; the losers see ENOENT and
@@ -378,23 +222,23 @@ DistCoordinator::tryClaim(const std::string &job_key,
     const std::string tomb = path + ".steal." + policy_.worker + "." +
                              std::to_string(::getpid());
     if (::rename(path.c_str(), tomb.c_str()) != 0)
-        return Claim::Busy;
+        return false;
+    std::string holder;
+    readFile(tomb, holder);
     ::unlink(tomb.c_str());
-    stealObserved_[name] = steals + 1;
-    if (acquire(steals + 1) != Claim::Acquired)
-        return Claim::Busy; // an interloper re-claimed first
+    if (!acquire(name))
+        return false; // an interloper re-claimed first
     ++stats_.leasesStolen;
     if (const std::uint64_t n = stealWarns().tick()) {
+        holder.erase(std::min(holder.find('\n'), holder.size()));
         std::fprintf(stderr,
-                     "[dist] worker %s stole stale lease %s (holder "
-                     "%s pid %" PRIu64 ", steals now %u; occurrence "
-                     "%" PRIu64 "%s)\n",
+                     "[dist] worker %s stole stale lease %s (holder: "
+                     "%s; occurrence %" PRIu64 "%s)\n",
                      policy_.worker.c_str(), name.c_str(),
-                     parsed ? lease.worker.c_str() : "<torn>",
-                     parsed ? lease.pid : 0, steals + 1, n,
+                     holder.empty() ? "unknown" : holder.c_str(), n,
                      stealWarns().suppressNote());
     }
-    return Claim::Acquired;
+    return true;
 }
 
 void
@@ -402,19 +246,16 @@ DistCoordinator::release(const std::string &job_key)
 {
     const std::string name = distLeaseName(job_key);
     int fd = -1;
-    char path[sizeof(Held::path)] = {0};
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         const auto it = held_.find(name);
         if (it == held_.end())
             return;
-        fd = it->second.fd;
-        std::memcpy(path, it->second.path, sizeof(path));
+        fd = it->second;
         held_.erase(it);
     }
-    if (fd >= 0)
-        ::close(fd);
-    ::unlink(path);
+    ::close(fd);
+    ::unlink(leasePath(name).c_str());
 }
 
 void

@@ -92,7 +92,7 @@ bool jsonField(const std::string &line, const std::string &field,
 struct JournalEntry
 {
     std::string key;
-    std::string status; //!< "Ok" / "Failed" / ... / "Abandoned"
+    std::string status; //!< sweepStatusName: "Ok" / "Failed"
     std::string blob;   //!< encodePairResult payload (Ok only)
     std::string error;
     std::string repro;  //!< crash-repro path, if any

@@ -157,9 +157,8 @@ TEST(EnvKnobs, MalformedValuesThrowFromThePolicies)
         EXPECT_THROW(checkpointPolicyFromEnv(), ConfigError);
     }
     {
-        const ScopedEnv dir("MASK_SWEEP_DIST_DIR", "/tmp/envdist");
-        const ScopedEnv merge("MASK_SWEEP_DIST_MERGE", "yes");
-        EXPECT_THROW(distPolicyFromEnv(), ConfigError);
+        const ScopedEnv fast("MASK_BENCH_FAST", "yes");
+        EXPECT_THROW(bench::benchOptions(), ConfigError);
     }
     {
         const ScopedEnv warm("MASK_SWEEP_WARM", "on");
@@ -178,9 +177,9 @@ TEST(EnvKnobs, MalformedValuesThrowFromThePolicies)
 TEST(EnvKnobs, ZeroKeepsEachKnobsMeaning)
 {
     {
-        const ScopedEnv dir("MASK_SWEEP_DIST_DIR", "/tmp/envdist");
-        const ScopedEnv merge("MASK_SWEEP_DIST_MERGE", "0");
-        EXPECT_FALSE(distPolicyFromEnv().mergeOnly) << "0 = off";
+        const ScopedEnv warm("MASK_SWEEP_WARM", "0");
+        const ScopedEnv warm_dir("MASK_SWEEP_WARM_DIR", nullptr);
+        EXPECT_FALSE(warmPolicyFromEnv().enabled) << "0 = off";
     }
     {
         const ScopedEnv interval("MASK_CKPT_INTERVAL_CYCLES", "0");

@@ -526,5 +526,29 @@ TEST(CrashRepro, TrippedRunWritesReproAndReplaysToSameCycle)
     ::unsetenv("MASK_REPRO_FILE");
 }
 
+TEST(CrashRepro, ReplayRefusesAConfigItCannotRebuild)
+{
+    // An alone run's config, built as Evaluator::aloneIpc builds it:
+    // a preset name on a shrunken GPU with no shares or partition.
+    GpuConfig alone = archByName("maxwell");
+    alone.numCores = coreShareOf(alone, 2, 0);
+    alone.coreShares.clear();
+    alone.partition = PartitionConfig{};
+    const std::string path = "alone_run.repro";
+    writeRepro(path, makeRepro(alone, DesignPoint::SharedTlb, {"3DS"},
+                               100, 100));
+    const CrashRepro repro = loadRepro(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(repro.fingerprint,
+              configFingerprint(
+                  applyDesignPoint(alone, DesignPoint::SharedTlb)));
+    EXPECT_THROW(replayRepro(repro), std::runtime_error);
+
+    // A bench-renamed variant is not a preset at all.
+    CrashRepro renamed = repro;
+    renamed.arch = "maxwell-tlb8192";
+    EXPECT_THROW(replayRepro(renamed), std::runtime_error);
+}
+
 } // namespace
 } // namespace mask

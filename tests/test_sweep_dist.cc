@@ -1,10 +1,11 @@
 /**
  * Tests for distributed sweep execution (DESIGN.md §15): the lease
- * codec and claim/steal/abandon protocol, heartbeat liveness, torn
- * shard tolerance, duplicate-entry resolution, deterministic merge
- * (two concurrent workers must render results bit-identical to a
- * serial run), merge-only mode, journal hardening against torn tails
- * and concurrent appends, and the warning rate limiter.
+ * claim/steal protocol and its one staleness rule (file mtime),
+ * heartbeat liveness, torn shard tolerance, duplicate-entry
+ * resolution, deterministic merge (two concurrent workers must render
+ * results bit-identical to a serial run, and a worker started on a
+ * finished directory executes nothing), journal hardening against
+ * torn tails and concurrent appends, and the warning rate limiter.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +13,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -135,41 +138,36 @@ firstShardKey(const std::string &shard_path)
     return key;
 }
 
+/** Set @p path's mtime @p seconds into the past: a lease whose holder
+ *  stopped heartbeating that long ago. */
+void
+ageFile(const std::string &path, long seconds)
+{
+    struct ::timespec now = {};
+    ASSERT_EQ(::clock_gettime(CLOCK_REALTIME, &now), 0);
+    struct ::timespec times[2] = {now, now};
+    times[1].tv_sec -= seconds;
+    ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0) << path;
+}
+
+/** Milliseconds since @p path's mtime (negative if in the future). */
+std::int64_t
+mtimeAgeMs(const std::string &path)
+{
+    struct ::stat st = {};
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    struct ::timespec now = {};
+    ::clock_gettime(CLOCK_REALTIME, &now);
+    return (static_cast<std::int64_t>(now.tv_sec) - st.st_mtim.tv_sec) *
+               1000 +
+           (now.tv_nsec - st.st_mtim.tv_nsec) / 1000000;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
-// Lease codec + naming
+// Lease naming and policy
 // ---------------------------------------------------------------------
-
-TEST(DistLeaseCodec, RoundTripsAndPadsToFixedSize)
-{
-    DistLease lease;
-    lease.worker = "w1";
-    lease.pid = 4242;
-    lease.host = "hostname-a";
-    lease.deadlineMs = 1234567890123ull;
-    lease.steals = 2;
-
-    const std::string image = encodeLease(lease);
-    EXPECT_EQ(image.size(), kDistLeaseFileSize);
-    EXPECT_EQ(image.back(), '\n');
-
-    DistLease back;
-    ASSERT_TRUE(decodeLease(image, back));
-    EXPECT_EQ(back.worker, lease.worker);
-    EXPECT_EQ(back.pid, lease.pid);
-    EXPECT_EQ(back.host, lease.host);
-    EXPECT_EQ(back.deadlineMs, lease.deadlineMs);
-    EXPECT_EQ(back.steals, lease.steals);
-}
-
-TEST(DistLeaseCodec, RejectsTornOrForeignContent)
-{
-    DistLease out;
-    EXPECT_FALSE(decodeLease("", out));
-    EXPECT_FALSE(decodeLease("MASKLEASE v1 worker=w1 pid=", out));
-    EXPECT_FALSE(decodeLease("not a lease at all", out));
-}
 
 TEST(DistLeaseCodec, LeaseNameIsStableHex)
 {
@@ -185,12 +183,10 @@ TEST(DistPolicyEnv, ParsesKnobsAndEnforcesFloors)
     ::setenv("MASK_SWEEP_DIST_DIR", "/tmp/distenv", 1);
     ::setenv("MASK_SWEEP_DIST_WORKER", "worker one!", 1);
     ::setenv("MASK_SWEEP_DIST_HEARTBEAT_MS", "2000", 1);
-    ::setenv("MASK_SWEEP_DIST_MERGE", "1", 1);
     const DistPolicy policy = distPolicyFromEnv();
     ::unsetenv("MASK_SWEEP_DIST_DIR");
     ::unsetenv("MASK_SWEEP_DIST_WORKER");
     ::unsetenv("MASK_SWEEP_DIST_HEARTBEAT_MS");
-    ::unsetenv("MASK_SWEEP_DIST_MERGE");
 
     EXPECT_TRUE(policy.enabled());
     EXPECT_EQ(policy.dir, "/tmp/distenv");
@@ -198,28 +194,26 @@ TEST(DistPolicyEnv, ParsesKnobsAndEnforcesFloors)
     EXPECT_EQ(policy.heartbeatMs, 2000u);
     // The staleness window is derived: ten heartbeats.
     EXPECT_EQ(policy.stealAfterMs, 20000u);
-    EXPECT_TRUE(policy.mergeOnly);
 
     EXPECT_FALSE(distPolicyFromEnv().enabled());
 }
 
 TEST(SweepStatusNames, RoundTripIncludingAbandoned)
 {
-    for (const SweepStatus status :
-         {SweepStatus::Ok, SweepStatus::Failed, SweepStatus::Abandoned}) {
+    for (const SweepStatus status : {SweepStatus::Ok, SweepStatus::Failed}) {
         EXPECT_EQ(sweepStatusFromName(sweepStatusName(status)),
                   status);
     }
-    EXPECT_STREQ(sweepStatusName(SweepStatus::Abandoned), "Abandoned");
     EXPECT_EQ(sweepStatusFromName("SomethingNew"),
               SweepStatus::Failed);
     // Retired statuses of older journals and shards load as failures.
     EXPECT_EQ(sweepStatusFromName("TimedOut"), SweepStatus::Failed);
     EXPECT_EQ(sweepStatusFromName("Crashed"), SweepStatus::Failed);
+    EXPECT_EQ(sweepStatusFromName("Abandoned"), SweepStatus::Failed);
 }
 
 // ---------------------------------------------------------------------
-// Claim / steal / abandon protocol
+// Claim / steal protocol
 // ---------------------------------------------------------------------
 
 TEST(DistCoordinator, ClaimConflictsResolveByLease)
@@ -229,22 +223,15 @@ TEST(DistCoordinator, ClaimConflictsResolveByLease)
     DistCoordinator w1(testPolicy(dir, "w1"));
     DistCoordinator w2(testPolicy(dir, "w2"));
 
-    unsigned steals = 99;
-    EXPECT_EQ(w1.tryClaim("jobA", &steals),
-              DistCoordinator::Claim::Acquired);
-    EXPECT_EQ(steals, 0u);
-    // A fresh lease held by w1 is Busy for w2 and for a re-claim.
-    EXPECT_EQ(w2.tryClaim("jobA", nullptr),
-              DistCoordinator::Claim::Busy);
-    EXPECT_EQ(w1.tryClaim("jobA", nullptr),
-              DistCoordinator::Claim::Busy);
+    EXPECT_TRUE(w1.tryClaim("jobA"));
+    // A fresh lease held by w1 is busy for w2 and for a re-claim.
+    EXPECT_FALSE(w2.tryClaim("jobA"));
+    EXPECT_FALSE(w1.tryClaim("jobA"));
     // Different job: no conflict.
-    EXPECT_EQ(w2.tryClaim("jobB", nullptr),
-              DistCoordinator::Claim::Acquired);
+    EXPECT_TRUE(w2.tryClaim("jobB"));
 
     w1.release("jobA");
-    EXPECT_EQ(w2.tryClaim("jobA", nullptr),
-              DistCoordinator::Claim::Acquired);
+    EXPECT_TRUE(w2.tryClaim("jobA"));
     EXPECT_EQ(w2.stats().leasesClaimed, 2u);
     EXPECT_EQ(w2.stats().leasesStolen, 0u);
     removeTree(dir);
@@ -256,52 +243,21 @@ TEST(DistCoordinator, StealsProvablyStaleLease)
     removeTree(dir);
     DistCoordinator w2(testPolicy(dir, "w2"));
 
-    // A lease whose holder stopped heartbeating long ago.
-    DistLease dead;
-    dead.worker = "deadbeef";
-    dead.pid = 1;
-    dead.host = "gone";
-    dead.deadlineMs = 1000; // 1970: long past
-    dead.steals = 0;
-    writeFile(dir + "/leases/" + distLeaseName("jobX"),
-              encodeLease(dead));
+    // A lease whose holder stopped heartbeating long ago: its mtime
+    // is older than the steal-after window (60 s in testPolicy).
+    const std::string lease = dir + "/leases/" + distLeaseName("jobX");
+    writeFile(lease, "deadbeef 1 gone\n");
+    ageFile(lease, 120);
 
-    unsigned steals = 0;
-    EXPECT_EQ(w2.tryClaim("jobX", &steals),
-              DistCoordinator::Claim::Acquired);
-    EXPECT_EQ(steals, 1u);
+    EXPECT_TRUE(w2.tryClaim("jobX"));
     EXPECT_EQ(w2.stats().leasesStolen, 1u);
     EXPECT_EQ(w2.stats().staleSeen, 1u);
+    EXPECT_EQ(w2.stats().leasesClaimed, 0u);
 
-    // The stolen lease is fresh now: a peer sees Busy.
+    // The stolen lease is fresh now: a peer sees it busy.
     DistCoordinator w3(testPolicy(dir, "w3"));
-    EXPECT_EQ(w3.tryClaim("jobX", nullptr),
-              DistCoordinator::Claim::Busy);
-    removeTree(dir);
-}
-
-TEST(DistCoordinator, AbandonsAfterMaxSteals)
-{
-    const std::string dir = tempPath("abandon");
-    removeTree(dir);
-    DistPolicy policy = testPolicy(dir, "w2");
-    policy.maxSteals = 3;
-    DistCoordinator w2(policy);
-
-    DistLease dead;
-    dead.worker = "cursed";
-    dead.pid = 1;
-    dead.host = "gone";
-    dead.deadlineMs = 1000;
-    dead.steals = 3; // already changed hands maxSteals times
-    writeFile(dir + "/leases/" + distLeaseName("jobX"),
-              encodeLease(dead));
-
-    unsigned steals = 0;
-    EXPECT_EQ(w2.tryClaim("jobX", &steals),
-              DistCoordinator::Claim::Abandoned);
-    EXPECT_EQ(steals, 3u);
-    EXPECT_EQ(w2.stats().leasesStolen, 0u);
+    EXPECT_FALSE(w3.tryClaim("jobX"));
+    EXPECT_EQ(w3.stats().staleSeen, 0u);
     removeTree(dir);
 }
 
@@ -313,25 +269,26 @@ TEST(DistCoordinator, HeartbeatKeepsLeaseFresh)
     policy.heartbeatMs = 30;
     policy.stealAfterMs = 120;
     DistCoordinator w1(policy);
-    ASSERT_EQ(w1.tryClaim("jobH", nullptr),
-              DistCoordinator::Claim::Acquired);
+    ASSERT_TRUE(w1.tryClaim("jobH"));
 
     // Sleep several staleness windows: without heartbeats the lease
-    // would be stealable; with them a peer must still see Busy.
+    // would be stealable; with them a peer must still see it busy.
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
     DistPolicy peer = policy;
     peer.worker = "w2";
     DistCoordinator w2(peer);
-    EXPECT_EQ(w2.tryClaim("jobH", nullptr),
-              DistCoordinator::Claim::Busy);
+    EXPECT_FALSE(w2.tryClaim("jobH"));
     EXPECT_EQ(w2.stats().staleSeen, 0u);
 
-    // The on-disk image reflects a recent beat.
-    DistLease lease;
-    ASSERT_TRUE(decodeLease(
-        readFile(dir + "/leases/" + distLeaseName("jobH")), lease));
-    EXPECT_EQ(lease.worker, "w1");
-    EXPECT_GT(lease.deadlineMs, distEpochMs() - 1000);
+    // The heartbeat is the file's mtime, and it is recent.
+    const std::string lease = dir + "/leases/" + distLeaseName("jobH");
+    EXPECT_LE(mtimeAgeMs(lease),
+              static_cast<std::int64_t>(policy.stealAfterMs));
+    // The holder line names the holder; no code parses it.
+    EXPECT_EQ(readFile(lease).rfind("w1 " + std::to_string(::getpid()) +
+                                        " ",
+                                    0),
+              0u);
     removeTree(dir);
 }
 
@@ -467,13 +424,16 @@ TEST(SweepDist, DuplicateEntriesResolveDeterministically)
                   jsonEscape(dup_blob) + "\"}\n");
 
     SweepRunner merge(shortOptions(), 1);
-    DistPolicy policy = testPolicy(dir, "mm");
-    policy.mergeOnly = true;
-    merge.setDistPolicy(policy);
+    merge.setDistPolicy(testPolicy(dir, "mm"));
+    merge.setExecutorForTest([](Evaluator &, const SweepJob &) -> PairResult {
+        throw std::runtime_error("the job must be loaded, not run");
+    });
     merge.submit(jobs[0]);
     merge.run();
 
-    ASSERT_EQ(merge.outcome(0).status, SweepStatus::Ok);
+    ASSERT_EQ(merge.outcome(0).status, SweepStatus::Ok)
+        << merge.outcome(0).error;
+    EXPECT_EQ(merge.distStats().executed, 0u);
     // Sorted-shard-order tie-break: "aa" (the first durable entry)
     // wins over "zz" regardless of scan order.
     EXPECT_EQ(encodePairResult(merge.result(0)),
@@ -566,14 +526,12 @@ TEST(SweepDist, SerialResumeAndMergePickTheSameWinner)
     EXPECT_EQ(encodePairResult(resumed.result(0)),
               encodePairResult(syntheticResult(1.0)));
 
-    // The same bytes as a shard of a merge-only dist pass.
+    // The same bytes as a peer's shard, read by a dist worker.
     ::mkdir((dir + "/dist").c_str(), 0755);
     ::mkdir((dir + "/dist/shards").c_str(), 0755);
     writeFile(dir + "/dist/shards/aa.jsonl", text);
     SweepRunner merge(shortOptions(), 1);
-    DistPolicy dist = testPolicy(dir + "/dist", "mm");
-    dist.mergeOnly = true;
-    merge.setDistPolicy(dist);
+    merge.setDistPolicy(testPolicy(dir + "/dist", "mm"));
     merge.setExecutorForTest(poisoned);
     merge.submit(job);
     merge.run();
@@ -585,53 +543,14 @@ TEST(SweepDist, SerialResumeAndMergePickTheSameWinner)
     removeTree(dir);
 }
 
-TEST(SweepDist, MergeOnlyModeNeverExecutesAndFlagsMissingJobs)
+TEST(SweepDist, ParentFormatStaleLeaseIsStolenAndRunToOk)
 {
-    const std::string dir = tempPath("mergeonly");
-    removeTree(dir);
-    const std::vector<SweepJob> jobs = sampleJobs();
-
-    {
-        SweepRunner w1(shortOptions(), 1);
-        w1.setDistPolicy(testPolicy(dir, "w1"));
-        w1.setExecutorForTest([](Evaluator &, const SweepJob &) {
-            return syntheticResult(2.5);
-        });
-        // Populate all but the last job.
-        for (std::size_t i = 0; i + 1 < jobs.size(); ++i)
-            w1.submit(jobs[i]);
-        w1.run();
-    }
-
-    SweepRunner merge(shortOptions(), 1);
-    DistPolicy policy = testPolicy(dir, "mm");
-    policy.mergeOnly = true;
-    merge.setDistPolicy(policy);
-    merge.setExecutorForTest([](Evaluator &, const SweepJob &) -> PairResult {
-        throw std::runtime_error("merge-only must not execute");
-    });
-    for (const SweepJob &job : jobs)
-        merge.submit(job);
-    merge.run();
-
-    EXPECT_EQ(merge.distStats().executed, 0u);
-    for (std::size_t i = 0; i + 1 < jobs.size(); ++i)
-        EXPECT_EQ(merge.outcome(i).status, SweepStatus::Ok);
-    const SweepOutcome &missing = merge.outcome(jobs.size() - 1);
-    EXPECT_EQ(missing.status, SweepStatus::Failed);
-    EXPECT_NE(missing.error.find("MASK_SWEEP_DIST_MERGE"),
-              std::string::npos);
-    removeTree(dir);
-}
-
-TEST(SweepDist, MaxStealsDegradesJobToAbandoned)
-{
-    const std::string dir = tempPath("degrade");
+    const std::string dir = tempPath("oldlease");
     removeTree(dir);
     const std::vector<SweepJob> jobs = {sampleJobs().front()};
 
     // Learn the job key from a throwaway run in a scratch dir.
-    const std::string scratch = tempPath("degrade_scratch");
+    const std::string scratch = tempPath("oldlease_scratch");
     removeTree(scratch);
     {
         SweepRunner probe(shortOptions(), 1);
@@ -647,47 +566,35 @@ TEST(SweepDist, MaxStealsDegradesJobToAbandoned)
     removeTree(scratch);
     ASSERT_FALSE(key.empty());
 
-    // A stale lease that already changed hands maxSteals times, with
-    // no durable result anywhere: the poison-job shape.
-    DistPolicy policy = testPolicy(dir, "w1");
-    policy.maxSteals = 2;
+    // A stale lease in the retired record format, left by a job that
+    // already changed hands three times. Its content is not read: the
+    // old mtime alone makes it stealable, and no steal count caps it.
     ::mkdir(dir.c_str(), 0755);
     ::mkdir((dir + "/leases").c_str(), 0755);
-    DistLease cursed;
-    cursed.worker = "victim3";
-    cursed.pid = 1;
-    cursed.host = "gone";
-    cursed.deadlineMs = 1000;
-    cursed.steals = 2;
-    writeFile(dir + "/leases/" + distLeaseName(key),
-              encodeLease(cursed));
+    const std::string lease = dir + "/leases/" + distLeaseName(key);
+    std::string image = "MASKLEASE v1 worker=victim3 pid=1 host=gone "
+                        "deadline_ms=1000 steals=3";
+    image.resize(255, ' '); // the retired fixed-size, padded image
+    writeFile(lease, image + "\n");
+    ageFile(lease, 120);
 
     SweepRunner w1(shortOptions(), 1);
-    w1.setDistPolicy(policy);
-    w1.setExecutorForTest([](Evaluator &, const SweepJob &) -> PairResult {
-        throw std::runtime_error("abandoned job must not execute");
+    w1.setDistPolicy(testPolicy(dir, "w1"));
+    w1.setExecutorForTest([](Evaluator &, const SweepJob &) {
+        return syntheticResult(3.0);
     });
     w1.submit(jobs[0]);
     w1.run();
 
-    const SweepOutcome &outcome = w1.outcome(0);
-    EXPECT_EQ(outcome.status, SweepStatus::Abandoned);
-    EXPECT_NE(outcome.error.find("abandoned after 2 steals"),
-              std::string::npos);
-    EXPECT_EQ(w1.distStats().abandoned, 1u);
-    EXPECT_THROW(w1.result(0), std::runtime_error);
-
-    // The Abandoned record is durable: a later worker loads the
-    // degraded outcome instead of re-fighting the lease.
-    SweepRunner w2(shortOptions(), 1);
-    w2.setDistPolicy(testPolicy(dir, "w2"));
-    w2.setExecutorForTest([](Evaluator &, const SweepJob &) -> PairResult {
-        throw std::runtime_error("must load the Abandoned entry");
-    });
-    w2.submit(jobs[0]);
-    w2.run();
-    EXPECT_EQ(w2.outcome(0).status, SweepStatus::Abandoned);
-    EXPECT_TRUE(w2.outcome(0).fromJournal);
+    ASSERT_EQ(w1.outcome(0).status, SweepStatus::Ok)
+        << w1.outcome(0).error;
+    EXPECT_EQ(encodePairResult(w1.result(0)),
+              encodePairResult(syntheticResult(3.0)));
+    EXPECT_EQ(w1.distStats().executed, 1u);
+    EXPECT_EQ(w1.distStats().leasesStolen, 1u);
+    // Released after the shard record became durable.
+    struct ::stat st = {};
+    EXPECT_NE(::stat(lease.c_str(), &st), 0);
     removeTree(dir);
 }
 
