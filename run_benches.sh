@@ -4,9 +4,12 @@
 # MASK_BENCH_JOBS parallelizes the sweeps (default: all hardware
 # threads; output is byte-identical regardless of the job count).
 # MASK_SWEEP_JOURNAL=<path> lets a killed sweep resume with its
-# finished jobs loaded; see README.md. MASK_SWEEP_OBS_DIR=<dir> collects per-job
-# telemetry (timeseries JSONL + Chrome trace, DESIGN.md S13) from
-# every sweep into <dir>; the summary footer says where it landed.
+# finished jobs loaded; see README.md. MASK_SWEEP_OBS_DIR=<dir> collects
+# per-run telemetry (timeseries JSONL + Chrome trace, DESIGN.md S13)
+# from every sweep into <dir>: one file pair per distinct shared run,
+# named <design>_<config fingerprint>_<benches>_<windows>, so runs that
+# repeat across benches share one pair; the summary footer says where
+# it landed.
 # MASK_SWEEP_WARM=1 (or MASK_SWEEP_WARM_DIR=<dir>) forks warmed
 # snapshots across sweep jobs that share a warmup prefix instead of
 # re-simulating it (DESIGN.md S14); each sweep prints a "[warm]"

@@ -83,13 +83,13 @@ echo "deterministic: parallel (jobs=4) byte-identical to serial"
 # exact StateCodec result blob, so even one flipped bit would show here.
 echo "== run 5 (killed mid-sweep, resumed from journal) =="
 journal="$(mktemp)"
-repro="$(mktemp)"
-trap 'rm -f "$out_a" "$out_b" "$journal" "$repro"' EXIT
+repro_dir="$(mktemp -d)"
+trap 'rm -f "$out_a" "$out_b" "$journal"; rm -rf "$repro_dir"' EXIT
 rm -f "$journal"
 
 kill_mid_sweep "$journal" "" MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 \
     MASK_BENCH_JOBS=1 MASK_SWEEP_JOURNAL="$journal" \
-    MASK_REPRO_FILE="$repro"
+    MASK_REPRO_DIR="$repro_dir"
 
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     MASK_SWEEP_JOURNAL="$journal" "$BIN" >"$out_b" 2>/dev/null
@@ -105,7 +105,7 @@ echo "deterministic: journal resume byte-identical to uninterrupted run"
 # checkpoint-free run.
 echo "== run 6 (periodic checkpointing enabled) =="
 ckpt_dir="$(mktemp -d)"
-trap 'rm -f "$out_a" "$out_b" "$journal" "$repro"; rm -rf "$ckpt_dir"' EXIT
+trap 'rm -f "$out_a" "$out_b" "$journal"; rm -rf "$repro_dir" "$ckpt_dir"' EXIT
 
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     MASK_CKPT_INTERVAL_CYCLES=7000 MASK_CKPT_DIR="$ckpt_dir" \
@@ -153,7 +153,7 @@ rm -f "$journal"
 kill_mid_sweep "$journal" "" MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 \
     MASK_BENCH_JOBS=1 MASK_SWEEP_JOURNAL="$journal" \
     MASK_CKPT_INTERVAL_CYCLES=7000 MASK_CKPT_DIR="$ckpt_dir" \
-    MASK_REPRO_FILE="$repro"
+    MASK_REPRO_DIR="$repro_dir"
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     MASK_SWEEP_JOURNAL="$journal" \
     MASK_CKPT_INTERVAL_CYCLES=7000 MASK_CKPT_DIR="$ckpt_dir" \
@@ -180,13 +180,16 @@ fi
 echo "deterministic: MASK_PROFILE_STAGES=1 byte-identical to profiler-off"
 
 # The observability layer (DESIGN.md §13) is observation-only: with
-# per-job telemetry on (MASK_SWEEP_OBS_DIR), stdout must stay
+# per-run telemetry on (MASK_SWEEP_OBS_DIR), stdout must stay
 # byte-identical to the plain run, and the telemetry files themselves
 # — timeseries JSONL and Chrome traces — must be byte-identical
-# across two obs-enabled runs (same seed → same samples and events).
-echo "== run 11 (per-job telemetry enabled) =="
+# across two obs-enabled runs (same seed → same samples and events)
+# and across worker counts: each file is named by its run and
+# published whole, so 4 workers leave exactly the serial directory.
+echo "== run 11 (per-run telemetry enabled) =="
 obs_a="$ckpt_dir/obs_a"
 obs_b="$ckpt_dir/obs_b"
+obs_c="$ckpt_dir/obs_c"
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     MASK_SWEEP_OBS_DIR="$obs_a" "$BIN" >"$out_b" 2>/dev/null
 
@@ -207,7 +210,15 @@ if ! diff -ru "$obs_a" "$obs_b"; then
     echo "DETERMINISM FAILURE: telemetry files differ between identical runs" >&2
     exit 1
 fi
-echo "deterministic: telemetry on leaves stdout unchanged; obs files byte-identical across runs"
+
+MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=4 \
+    MASK_SWEEP_OBS_DIR="$obs_c" "$BIN" >/dev/null 2>/dev/null
+
+if ! diff -ru "$obs_a" "$obs_c"; then
+    echo "DETERMINISM FAILURE: telemetry files differ between 1 and 4 workers" >&2
+    exit 1
+fi
+echo "deterministic: telemetry on leaves stdout unchanged; obs files byte-identical across runs and worker counts"
 
 # Warm-start sweep execution (DESIGN.md §14) must be a pure
 # optimization: forking warmed snapshots instead of re-running warmup
@@ -242,7 +253,7 @@ rm -f "$journal"
 rm -rf "$warm_dir"
 kill_mid_sweep "$journal" "$warm_dir" MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 \
     MASK_BENCH_JOBS=1 MASK_SWEEP_JOURNAL="$journal" \
-    MASK_SWEEP_WARM_DIR="$warm_dir" MASK_REPRO_FILE="$repro"
+    MASK_SWEEP_WARM_DIR="$warm_dir" MASK_REPRO_DIR="$repro_dir"
 if ! ls "$warm_dir"/*.snap >/dev/null 2>&1; then
     echo "DETERMINISM FAILURE: no warm snapshots written before the crash" >&2
     exit 1

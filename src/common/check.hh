@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/types.hh"
 
@@ -61,11 +62,17 @@ class SimInvariantError : public std::runtime_error
     /** One fenced multi-line report suitable for stderr. */
     std::string diagnostic() const;
 
+    /** Crash-repro file the runner wrote for this failure ("" =
+     *  none). */
+    const std::string &reproPath() const { return reproPath_; }
+    void setReproPath(std::string path) { reproPath_ = std::move(path); }
+
   private:
     std::string module_;
     Cycle cycle_;
     std::string detail_;
     CheckContext ctx_;
+    std::string reproPath_;
 };
 
 namespace detail {

@@ -393,88 +393,14 @@ configFingerprint(const GpuConfig &cfg)
 std::uint64_t
 warmupFingerprint(const GpuConfig &cfg)
 {
-    // Hash over only the fields that affect cycles < warmup. Every
-    // behavioural GpuConfig field qualifies today (see the
-    // classification rules on the declaration): the measurement
-    // length and the ckpt/obs/sweep knobs live outside GpuConfig, and
-    // the one excluded field, name, is a free-form label. The seed
-    // constant differs from configFingerprint's so the two hash
-    // families can never be confused for one another (a warm snapshot
-    // header records THIS fingerprint).
+    // Every behavioural GpuConfig field affects cycles < warmup (see
+    // the classification rules on the declaration), so the warmup
+    // fingerprint covers exactly configFingerprint's fields. The
+    // seed constant differs so the two hash families can never be
+    // confused for one another (a warm snapshot header records THIS
+    // fingerprint).
     std::uint64_t h = 0x6d61736b2d77726dull; // "mask-wrm"
-
-    // Core organization & virtual memory geometry.
-    mix(h, cfg.numCores);
-    mix(h, cfg.warpsPerCore);
-    mix(h, cfg.threadsPerWarp);
-    mix(h, cfg.lsuWidth);
-    mix(h, cfg.pageBits);
-    mix(h, cfg.lineBits);
-    mix(h, static_cast<std::uint64_t>(cfg.design));
-
-    // Structure sizes and timing.
-    mixTlb(h, cfg.l1Tlb);
-    mixTlb(h, cfg.l2Tlb);
-    mixCache(h, cfg.pwCache);
-    mixCache(h, cfg.l1d);
-    mixCache(h, cfg.l2);
-
-    mix(h, cfg.dram.channels);
-    mix(h, cfg.dram.banksPerChannel);
-    mix(h, cfg.dram.rowBytes);
-    mix(h, cfg.dram.tRcd);
-    mix(h, cfg.dram.tRp);
-    mix(h, cfg.dram.tCl);
-    mix(h, cfg.dram.tBurst);
-    mix(h, cfg.dram.queueEntries);
-    mix(h, cfg.dram.starvationCap);
-
-    mix(h, cfg.walker.maxConcurrentWalks);
-    mix(h, cfg.walker.levels);
-
-    // MASK mechanisms adapt from cycle 0 — all warmup-affecting.
-    mix(h, cfg.mask.tlbTokens);
-    mix(h, cfg.mask.l2Bypass);
-    mix(h, cfg.mask.dramSched);
-    mix(h, cfg.mask.epochCycles);
-    mixDouble(h, cfg.mask.initialTokenFraction);
-    mixDouble(h, cfg.mask.missRateDelta);
-    mixDouble(h, cfg.mask.tokenStepFraction);
-    mix(h, cfg.mask.bypassCacheEntries);
-    mix(h, cfg.mask.minBypassSamples);
-    mix(h, cfg.mask.sampleProbeInterval);
-    mix(h, cfg.mask.goldenQueueEntries);
-    mix(h, cfg.mask.silverQueueEntries);
-    mix(h, cfg.mask.normalQueueEntries);
-    mix(h, cfg.mask.threshMax);
-    mix(h, cfg.mask.goldenMaxDelay);
-    mix(h, cfg.mask.silverMaxDelay);
-
-    mix(h, cfg.partition.partitionL2);
-    mix(h, cfg.partition.partitionDramChannels);
-
-    // Hardening: the watchdog can trip mid-warmup and fault injection
-    // perturbs warmup timing, so both are warmup-affecting.
-    mix(h, cfg.harden.watchdog.enabled);
-    mix(h, cfg.harden.watchdog.sweepInterval);
-    mix(h, cfg.harden.watchdog.maxAge);
-    mix(h, cfg.harden.fault.enabled);
-    mix(h, cfg.harden.fault.seed);
-    mixDouble(h, cfg.harden.fault.dramDelayProb);
-    mix(h, cfg.harden.fault.dramDelayCycles);
-    mixDouble(h, cfg.harden.fault.walkDropProb);
-    mix(h, cfg.harden.fault.walkDropRetry);
-    mix(h, cfg.harden.fault.walkRetryDelay);
-    mix(h, cfg.harden.fault.shootdownInterval);
-    mixDouble(h, cfg.harden.fault.portStallProb);
-    mix(h, cfg.harden.fault.portStallCycles);
-    mix(h, cfg.harden.poolHighWater);
-
-    mix(h, cfg.coreShares.size());
-    for (const std::uint32_t share : cfg.coreShares)
-        mix(h, share);
-
-    mix(h, cfg.seed);
+    mix(h, configFingerprint(cfg));
     return h;
 }
 

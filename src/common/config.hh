@@ -311,15 +311,20 @@ std::uint64_t configFingerprint(const GpuConfig &cfg);
  *
  * Field classification rules (enforced by the exhaustiveness test in
  * tests/test_sweep_warm.cc, which fails whenever a GpuConfig field is
- * added without being classified here):
+ * added without being classified):
  *
  *  - warmup-affecting: any field the simulated machine reads before
  *    the measurement window starts. Today that is every behavioural
  *    field — the measurement length, checkpoint, observability and
  *    sweep knobs all live OUTSIDE GpuConfig (RunOptions / MASK_CKPT_*
- *    / MASK_TIMESERIES* / MASK_SWEEP_*).
+ *    / MASK_SWEEP_* / MASK_TIMESERIES_INTERVAL / MASK_TRACE_CATS).
  *  - measure-only / behaviour-neutral: excluded. Currently only
  *    `name` (free-form label).
+ *
+ * Since configFingerprint hashes exactly the warmup-affecting fields,
+ * this is configFingerprint re-hashed under its own seed. A
+ * measure-only field added to both would only make warm hits rarer,
+ * never wrong.
  */
 std::uint64_t warmupFingerprint(const GpuConfig &cfg);
 

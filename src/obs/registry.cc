@@ -3,8 +3,14 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
+#include <sys/stat.h>
+
+#include "common/config.hh"
 #include "common/env.hh"
+#include "common/json.hh"
+#include "obs/trace.hh"
 
 namespace mask {
 namespace obs {
@@ -14,42 +20,6 @@ SeriesRegistry::add(SeriesDesc d)
 {
     series_.push_back(std::move(d));
     return series_.size() - 1;
-}
-
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 void
@@ -100,72 +70,53 @@ SeriesRegistry::schemaJson(const std::string &stream,
 
 namespace {
 
-/** Category spec ("tlb,walk,...") -> bitmask; see trace.hh for the
- *  bit assignments. Empty selects everything; unknown names are
- *  ignored so a typo degrades to fewer categories, not a crash. */
+/** MASK_TRACE_CATS ("tlb,walk,...") -> TraceCat bitmask. Empty selects
+ *  everything; an unknown name throws, so a typo cannot silently
+ *  narrow the trace. */
 std::uint32_t
-parseCatsSpec(std::string_view spec)
+parseCatsSpec(const std::string &spec)
 {
     if (spec.empty())
         return 0xffffffffu;
-    static const struct
-    {
-        std::string_view name;
-        std::uint32_t bit;
-    } kCats[] = {
-        {"tlb", 1u << 0},  {"walk", 1u << 1},      {"dram", 1u << 2},
-        {"quota", 1u << 3}, {"shootdown", 1u << 4},
-    };
     std::uint32_t mask = 0;
+    std::string_view rest = spec;
     for (;;) {
-        const std::size_t comma = spec.find(',');
-        const std::string_view name = spec.substr(0, comma);
-        for (const auto &c : kCats) {
-            if (c.name == name)
-                mask |= c.bit;
+        const std::size_t comma = rest.find(',');
+        const std::string_view name = rest.substr(0, comma);
+        std::uint32_t bit = 0;
+        for (std::uint32_t b = 1; b <= kLastTraceCat; b <<= 1) {
+            if (name == traceCatName(static_cast<TraceCat>(b)))
+                bit = b;
         }
+        if (bit == 0)
+            throw ConfigError("MASK_TRACE_CATS='" + spec +
+                              "': unknown category '" +
+                              std::string(name) +
+                              "' (expected tlb, walk, dram, quota or "
+                              "shootdown)");
+        mask |= bit;
         if (comma == std::string_view::npos)
-            break;
-        spec.remove_prefix(comma + 1);
+            return mask;
+        rest.remove_prefix(comma + 1);
     }
-    return mask;
 }
-
-thread_local const ObsOptions *g_override = nullptr;
 
 } // namespace
 
 ObsOptions
-obsOptionsFromEnv()
+obsOptionsFromEnv(const std::string &run_name)
 {
     ObsOptions o;
-    o.timeseriesPath = envString("MASK_TIMESERIES");
     // 0 keeps the default: an interval of 0 would never sample.
     if (const std::uint64_t n = envU64("MASK_TIMESERIES_INTERVAL", 0))
         o.timeseriesInterval = n;
-    o.tracePath = envString("MASK_TRACE");
     o.traceCats = parseCatsSpec(envString("MASK_TRACE_CATS"));
-    o.stageProfilePath = envString("MASK_PROFILE_STAGES_OUT");
+    const std::string dir = envString("MASK_SWEEP_OBS_DIR");
+    if (!dir.empty()) {
+        ::mkdir(dir.c_str(), 0777); // best-effort; the writers warn
+        o.prefix = dir + "/" + run_name;
+    }
     return o;
-}
-
-ObsOptions
-resolveObsOptions()
-{
-    if (g_override != nullptr)
-        return *g_override;
-    return obsOptionsFromEnv();
-}
-
-ScopedObsOverride::ScopedObsOverride(ObsOptions opts)
-    : opts_(std::move(opts)), prev_(g_override)
-{
-    g_override = &opts_;
-}
-
-ScopedObsOverride::~ScopedObsOverride()
-{
-    g_override = prev_;
 }
 
 } // namespace obs

@@ -6,12 +6,11 @@
  * Every exported time series carries name/unit/app/kind metadata, and
  * the whole column set is emitted as a schema header line at the top
  * of each JSONL stream, so downstream tools (scripts/obs_report.py)
- * never hard-code column positions. The registry also resolves the
- * obs knobs (MASK_TIMESERIES, MASK_TIMESERIES_INTERVAL, MASK_TRACE,
- * MASK_TRACE_CATS, MASK_PROFILE_STAGES_OUT) through common/env.hh,
- * and owns the thread-local override the sweep runner installs to
- * give every job its own output paths (MASK_SWEEP_OBS_DIR). The
- * in-memory rings are fixed: kTimeseriesRingRows and kTraceRingEvents.
+ * never hard-code column positions. ObsOptions says which files one
+ * run writes; the Gpu takes it at construction, and the runner builds
+ * it per run from MASK_SWEEP_OBS_DIR, MASK_TIMESERIES_INTERVAL and
+ * MASK_TRACE_CATS. The in-memory rings are fixed:
+ * kTimeseriesRingRows and kTraceRingEvents.
  *
  * The entire obs layer is observation-only: nothing in it feeds back
  * into the simulated machine, nothing is serialized into snapshots,
@@ -24,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace mask {
@@ -65,65 +63,46 @@ class SeriesRegistry
     std::vector<SeriesDesc> series_;
 };
 
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-std::string jsonEscape(std::string_view s);
-
 /** Deterministic number formatting shared by all obs writers:
  *  integral values in [-2^53, 2^53] print as integers, everything
  *  else as %.9g. */
 void appendJsonNumber(std::string &out, double v);
 
 // ---------------------------------------------------------------------
-// Options resolution (env knobs + per-job override)
+// Per-run options
 // ---------------------------------------------------------------------
 
-/** Resolved obs configuration; captured once per Gpu construction. */
+/** The telemetry files of one run; the Gpu takes them at
+ *  construction. Default: telemetry off. */
 struct ObsOptions
 {
-    std::string timeseriesPath;           //!< MASK_TIMESERIES ("" = off)
-    std::uint64_t timeseriesInterval = 10000; //!< MASK_TIMESERIES_INTERVAL
+    /** Path of the run's files without suffix ("" = off): the run
+     *  writes <prefix>.timeseries.jsonl and <prefix>.trace.json, and
+     *  with MASK_PROFILE_STAGES=1 also <prefix>.stages.jsonl. */
+    std::string prefix;
+    std::uint64_t timeseriesInterval = 10000; //!< cycles per sample
+    std::uint32_t traceCats = 0xffffffffu;    //!< TraceCat bitmask
 
-    std::string tracePath;                //!< MASK_TRACE ("" = off)
-    std::uint32_t traceCats = 0xffffffffu; //!< MASK_TRACE_CATS bitmask
-
-    /** MASK_PROFILE_STAGES_OUT: registry-schema JSONL for the stage
-     *  profiler (wall-clock — deliberately a separate file from the
-     *  deterministic timeseries). */
-    std::string stageProfilePath;
-
-    bool timeseriesOn() const { return !timeseriesPath.empty(); }
-    bool traceOn() const { return !tracePath.empty(); }
+    bool on() const { return !prefix.empty(); }
+    std::string timeseriesPath() const
+    {
+        return prefix + ".timeseries.jsonl";
+    }
+    std::string tracePath() const { return prefix + ".trace.json"; }
+    /** Stage profile: wall-clock, so deliberately a separate file
+     *  from the deterministic timeseries. */
+    std::string stagesPath() const { return prefix + ".stages.jsonl"; }
 };
 
-/** Read the obs knobs from the environment (throws ConfigError on a
- *  malformed MASK_TIMESERIES_INTERVAL). */
-ObsOptions obsOptionsFromEnv();
-
 /**
- * Options a Gpu constructed on this thread should use: the innermost
- * ScopedObsOverride if one is installed, else the environment.
+ * Options for the run named @p run_name: prefix
+ * <MASK_SWEEP_OBS_DIR>/<run_name> (the directory is created; unset
+ * means off), interval MASK_TIMESERIES_INTERVAL (0 keeps the
+ * default), categories MASK_TRACE_CATS (a comma list of traceCatName
+ * values; unset means all). Every knob is read even when telemetry is
+ * off: a malformed interval or an unknown category throws ConfigError.
  */
-ObsOptions resolveObsOptions();
-
-/**
- * Thread-local options override. The sweep runner wraps each job's
- * Gpu construction in one of these so concurrent jobs write to
- * per-job paths (or, for memoized alone-IPC runs, nowhere at all)
- * instead of fighting over the global env paths.
- */
-class ScopedObsOverride
-{
-  public:
-    explicit ScopedObsOverride(ObsOptions opts);
-    ~ScopedObsOverride();
-
-    ScopedObsOverride(const ScopedObsOverride &) = delete;
-    ScopedObsOverride &operator=(const ScopedObsOverride &) = delete;
-
-  private:
-    ObsOptions opts_;
-    const ObsOptions *prev_;
-};
+ObsOptions obsOptionsFromEnv(const std::string &run_name);
 
 } // namespace obs
 } // namespace mask

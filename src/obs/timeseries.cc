@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "common/file_io.hh"
+
 namespace mask {
 namespace obs {
 
@@ -17,16 +19,17 @@ TimeseriesWriter::TimeseriesWriter(std::string path,
                                    const std::string &stream)
     : registry_(std::move(registry)),
       path_(std::move(path)),
+      tmpPath_(uniqueTmpPath(path_)),
       interval_(interval),
       nextDue_(interval == 0 ? kNever : interval),
       ringRows_(ring_rows == 0 ? 1 : ring_rows)
 {
-    file_ = std::fopen(path_.c_str(), "w");
+    file_ = std::fopen(tmpPath_.c_str(), "w");
     if (file_ == nullptr) {
         std::fprintf(stderr,
-                     "warning: MASK_TIMESERIES: cannot open %s; "
+                     "warning: timeseries: cannot open %s; "
                      "timeseries disabled\n",
-                     path_.c_str());
+                     tmpPath_.c_str());
         return;
     }
     const std::string header =
@@ -38,9 +41,14 @@ TimeseriesWriter::TimeseriesWriter(std::string path,
 
 TimeseriesWriter::~TimeseriesWriter()
 {
-    if (file_ != nullptr) {
-        flush();
-        std::fclose(file_);
+    if (file_ == nullptr)
+        return;
+    flush();
+    std::fclose(file_);
+    if (std::rename(tmpPath_.c_str(), path_.c_str()) != 0) {
+        std::fprintf(stderr, "warning: timeseries: cannot publish %s\n",
+                     path_.c_str());
+        std::remove(tmpPath_.c_str());
     }
 }
 

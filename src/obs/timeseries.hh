@@ -5,7 +5,10 @@
  * Rows are sampled at fixed multiples of the interval (cycle k·I for
  * k >= 1) and buffered in a bounded in-memory ring that flushes to a
  * JSONL file when full — the file starts with the SeriesRegistry
- * schema header, then one {"cycle":N,"v":[...]} row per sample.
+ * schema header, then one {"cycle":N,"v":[...]} row per sample. The
+ * file streams to a tmp name unique to the process and the writer and
+ * is renamed to its path on destruction, so that path only ever holds
+ * a whole stream, even when identical runs publish it concurrently.
  * Nothing in a row depends on the host (no wall-clock, no pointers),
  * so same-seed runs produce byte-identical files.
  *
@@ -36,7 +39,8 @@ class TimeseriesWriter
 {
   public:
     /**
-     * Open @p path and write the schema header for @p registry.
+     * Open a tmp file beside @p path and write the schema header for
+     * @p registry; the destructor publishes it at @p path.
      * @p interval 0 means aperiodic (nextDue() never fires; rows are
      * recorded only by explicit record() calls — the stage-profile
      * export uses this). On open failure the writer disables itself
@@ -67,7 +71,7 @@ class TimeseriesWriter
     void record(std::uint64_t cycle,
                 const std::vector<double> &values);
 
-    /** Write buffered rows to the file. */
+    /** Write buffered rows to the tmp file. */
     void flush();
 
     std::uint64_t interval() const { return interval_; }
@@ -78,6 +82,7 @@ class TimeseriesWriter
   private:
     SeriesRegistry registry_;
     std::string path_;
+    std::string tmpPath_;
     std::uint64_t interval_;
     std::uint64_t nextDue_;
     std::size_t ringRows_;

@@ -2,6 +2,8 @@
 
 #include <cinttypes>
 
+#include "common/file_io.hh"
+
 namespace mask {
 namespace obs {
 
@@ -26,15 +28,16 @@ traceCatName(TraceCat c)
 TraceWriter::TraceWriter(std::string path, std::uint32_t cat_mask,
                          std::size_t ring_events)
     : path_(std::move(path)),
+      tmpPath_(uniqueTmpPath(path_)),
       catMask_(cat_mask),
       ringEvents_(ring_events == 0 ? 1 : ring_events)
 {
-    file_ = std::fopen(path_.c_str(), "w");
+    file_ = std::fopen(tmpPath_.c_str(), "w");
     if (file_ == nullptr) {
         std::fprintf(stderr,
-                     "warning: MASK_TRACE: cannot open %s; "
+                     "warning: trace: cannot open %s; "
                      "tracing disabled\n",
-                     path_.c_str());
+                     tmpPath_.c_str());
         return;
     }
     // 1 ts unit = 1 GPU cycle; displayTimeUnit keeps chrome://tracing
@@ -147,6 +150,11 @@ TraceWriter::close()
     closed_ = true;
     std::fclose(file_);
     file_ = nullptr;
+    if (std::rename(tmpPath_.c_str(), path_.c_str()) != 0) {
+        std::fprintf(stderr, "warning: trace: cannot publish %s\n",
+                     path_.c_str());
+        std::remove(tmpPath_.c_str());
+    }
 }
 
 } // namespace obs

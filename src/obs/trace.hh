@@ -13,9 +13,11 @@
  * span crosses a snapshot boundary appears exactly once, in the
  * resumed process, with its full duration.
  *
- * Events buffer in a bounded ring and flush to the file when the ring
- * fills; close() (or destruction) writes the closing bracket so the
- * file is always valid JSON.
+ * Events buffer in a bounded ring and flush to a tmp file unique to
+ * the process and the writer when the ring fills; close() (or
+ * destruction) writes the closing bracket and renames the tmp file to
+ * the final path, so that path only ever holds a whole, valid JSON
+ * document, even when identical runs publish it concurrently.
  */
 
 #ifndef MASK_OBS_TRACE_HH
@@ -31,8 +33,8 @@
 namespace mask {
 namespace obs {
 
-/** Event categories selectable via MASK_TRACE_CATS. Bit values must
- *  match parseCatsSpec() in registry.cc. */
+/** Event categories selectable via MASK_TRACE_CATS, one bit each;
+ *  traceCatName() gives the knob's spelling. */
 enum class TraceCat : std::uint32_t
 {
     kTlb = 1u << 0,       //!< token adjustments
@@ -43,6 +45,10 @@ enum class TraceCat : std::uint32_t
 };
 
 const char *traceCatName(TraceCat c);
+
+/** The highest TraceCat bit. */
+constexpr std::uint32_t kLastTraceCat =
+    static_cast<std::uint32_t>(TraceCat::kShootdown);
 
 /** Event ring size of the Gpu's tracer. */
 constexpr std::size_t kTraceRingEvents = 4096;
@@ -60,9 +66,9 @@ class TraceWriter
 {
   public:
     /**
-     * Open @p path, write the preamble, and accept events whose
-     * category bit is set in @p cat_mask. On open failure the writer
-     * disables itself with a warning on stderr.
+     * Open a tmp file beside @p path, write the preamble, and accept
+     * events whose category bit is set in @p cat_mask. On open
+     * failure the writer disables itself with a warning on stderr.
      */
     TraceWriter(std::string path, std::uint32_t cat_mask,
                 std::size_t ring_events);
@@ -95,8 +101,9 @@ class TraceWriter
     /** Write buffered events to the file. */
     void flush();
 
-    /** Flush and write the closing bracket; further events are
-     *  dropped. Idempotent; also run by the destructor. */
+    /** Flush, write the closing bracket and publish the file at its
+     *  path; further events are dropped. Idempotent; also run by the
+     *  destructor. */
     void close();
 
     std::uint64_t eventsRecorded() const { return eventsRecorded_; }
@@ -122,6 +129,7 @@ class TraceWriter
               std::initializer_list<TraceArg> args);
 
     std::string path_;
+    std::string tmpPath_;
     std::uint32_t catMask_;
     std::size_t ringEvents_;
     std::FILE *file_ = nullptr;

@@ -12,17 +12,20 @@
 #include <utility>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/env.hh"
-#include "sim/file_io.hh"
+#include "common/file_io.hh"
 
 namespace mask {
 
 std::string
-reproFilePath()
+reproPath(const std::string &run_name)
 {
-    return envString("MASK_REPRO_FILE", "mask_crash.repro");
+    const std::string dir = envString("MASK_REPRO_DIR", ".");
+    ::mkdir(dir.c_str(), 0777); // best-effort; the writers report
+    return dir + "/" + run_name + ".repro";
 }
 
 namespace {

@@ -7,7 +7,8 @@
  * architecture preset, design point, workload names, RNG seeds, run
  * windows, and the hardening (watchdog + fault injection) knobs — to a
  * small key/value repro file, with the fingerprint of the exact config
- * that ran. `replayRepro` (and the `crash_replay`
+ * that ran. Each run has its own file, named by the run (reproPath),
+ * so the failures of one sweep never overwrite each other. `replayRepro` (and the `crash_replay`
  * binary's `--replay <file>` flag) re-runs that configuration and
  * reports whether the failure reproduces at the recorded cycle.
  *
@@ -50,8 +51,10 @@ struct CrashRepro
     std::string detail;
 };
 
-/** Repro output path: MASK_REPRO_FILE, default "mask_crash.repro". */
-std::string reproFilePath();
+/** Repro path of the run named @p run_name:
+ *  <MASK_REPRO_DIR>/<run_name>.repro, MASK_REPRO_DIR defaulting to
+ *  "." (created if missing). */
+std::string reproPath(const std::string &run_name);
 
 /** Render @p repro to its key/value file format. */
 std::string formatRepro(const CrashRepro &repro);

@@ -108,7 +108,8 @@ GpuStats::state(Self &self, Io &io)
 
 MASK_STATE_INSTANTIATE(GpuStats);
 
-Gpu::Gpu(const GpuConfig &cfg, const std::vector<AppDesc> &apps)
+Gpu::Gpu(const GpuConfig &cfg, const std::vector<AppDesc> &apps,
+         const obs::ObsOptions &obs)
     : cfg_(validatedRef(cfg)),
       frames_(cfg.pageBits),
       l2Tlb_(cfg.l2Tlb),
@@ -206,7 +207,7 @@ Gpu::Gpu(const GpuConfig &cfg, const std::vector<AppDesc> &apps)
     if (cfg_.mask.dramSched)
         dram_.setQuotaProvider(&quota_);
 
-    obsInit();
+    obsInit(obs);
 }
 
 Gpu::~Gpu()
@@ -1556,24 +1557,19 @@ Gpu::collect()
 //
 // Everything below is observation-only: it reads the simulated
 // machine, never feeds back into it, is never serialized, and its
-// knobs (resolved from the environment, or from the sweep runner's
-// per-job thread-local override, at construction) take no part in
+// options (passed to the constructor) take no part in
 // configFingerprint. Rows are sampled at the end of tickOne(), after
 // every stage of the cycle has run.
 
 void
-Gpu::obsInit()
+Gpu::obsInit(const obs::ObsOptions &opts)
 {
-    const obs::ObsOptions opts = obs::resolveObsOptions();
-    obsStageProfilePath_ = opts.stageProfilePath;
-
-    if (opts.traceOn()) {
-        obsTrace_ = std::make_unique<obs::TraceWriter>(
-            opts.tracePath, opts.traceCats, obs::kTraceRingEvents);
-    }
-
-    if (!opts.timeseriesOn())
+    if (!opts.on())
         return;
+    if (profileStages_)
+        obsStagesPath_ = opts.stagesPath();
+    obsTrace_ = std::make_unique<obs::TraceWriter>(
+        opts.tracePath(), opts.traceCats, obs::kTraceRingEvents);
 
     // Column registry. obsSampleAt() fills obsVals_ in EXACTLY this
     // order — keep the two in sync.
@@ -1622,7 +1618,7 @@ Gpu::obsInit()
 
     obsVals_.assign(reg.size(), 0.0);
     obsTs_ = std::make_unique<obs::TimeseriesWriter>(
-        opts.timeseriesPath, std::move(reg), opts.timeseriesInterval,
+        opts.timeseriesPath(), std::move(reg), opts.timeseriesInterval,
         obs::kTimeseriesRingRows);
     obsCaptureBaseline();
 }
@@ -1803,22 +1799,11 @@ Gpu::obsEpochPost()
 }
 
 void
-Gpu::obsFlush()
-{
-    if (obsTs_ != nullptr)
-        obsTs_->flush();
-    if (obsTrace_ != nullptr)
-        obsTrace_->flush();
-}
-
-void
 Gpu::obsFinish()
 {
-    if (obsTs_ != nullptr)
-        obsTs_->flush();
-    if (obsTrace_ != nullptr)
-        obsTrace_->close();
-    if (profileStages_ && !obsStageProfilePath_.empty())
+    obsTs_.reset();
+    obsTrace_.reset();
+    if (!obsStagesPath_.empty())
         obsWriteStageProfile();
 }
 
@@ -1838,7 +1823,7 @@ Gpu::obsWriteStageProfile()
         reg.add({std::string("stage_calls.") + stageName(s), "count",
                  -1, "counter", "invocations of the tickOne stage"});
     }
-    obs::TimeseriesWriter w(obsStageProfilePath_, std::move(reg), 0,
+    obs::TimeseriesWriter w(obsStagesPath_, std::move(reg), 0,
                             4, "mask-stage-profile");
     std::vector<double> vals;
     vals.reserve(2 * kNumStages);

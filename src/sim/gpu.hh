@@ -32,6 +32,7 @@
 #include "mask/dram_sched.hh"
 #include "mask/l2_bypass.hh"
 #include "mask/tokens.hh"
+#include "obs/registry.hh"
 #include "sim/fault_inject.hh"
 #include "sim/retry_queue.hh"
 #include "sim/watchdog.hh"
@@ -165,7 +166,10 @@ class Gpu
     /** Label for stage @p id (bench/report output). */
     static const char *stageName(std::size_t id);
 
-    Gpu(const GpuConfig &cfg, const std::vector<AppDesc> &apps);
+    /** @p obs names the run's telemetry files (DESIGN.md §13); the
+     *  default writes none. */
+    Gpu(const GpuConfig &cfg, const std::vector<AppDesc> &apps,
+        const obs::ObsOptions &obs = {});
     ~Gpu();
 
     Gpu(const Gpu &) = delete;
@@ -291,17 +295,6 @@ class Gpu
     {
         ckptBytes_ += bytes;
     }
-
-    // --- Observability (DESIGN.md §13) ---
-
-    /** Flush the timeseries ring and trace ring to their files (the
-     *  destructor also does this; tests use it to read mid-run). */
-    void obsFlush();
-
-    /** The timeseries writer, if MASK_TIMESERIES is active. */
-    obs::TimeseriesWriter *timeseries() { return obsTs_.get(); }
-    /** The event tracer, if MASK_TRACE is active. */
-    obs::TraceWriter *tracer() { return obsTrace_.get(); }
 
   private:
     struct AppContext
@@ -631,9 +624,9 @@ class Gpu
         std::uint64_t walkAcc = 0; //!< L2 lookups at walk levels 1..4
     };
 
-    /** Resolve env/override options, build the series registry, open
-     *  the writers; called once at construction. */
-    void obsInit();
+    /** Build the series registry and open the writers @p opts names;
+     *  called once at construction. */
+    void obsInit(const obs::ObsOptions &opts);
     /** Gather every gauge and record one timeseries row stamped
      *  @p cycle (state as of the end of that cycle). */
     void obsSampleAt(Cycle cycle);
@@ -646,13 +639,14 @@ class Gpu
      *  stageEpoch around the controller updates. */
     void obsEpochPre();
     void obsEpochPost();
-    /** Flush writers and export the stage profile (destructor). */
+    /** Publish the writers' files and export the stage profile
+     *  (destructor). */
     void obsFinish();
     void obsWriteStageProfile();
 
     std::unique_ptr<obs::TimeseriesWriter> obsTs_;
     std::unique_ptr<obs::TraceWriter> obsTrace_;
-    std::string obsStageProfilePath_;
+    std::string obsStagesPath_; //!< "" = no stage-profile file
     std::vector<double> obsVals_;  //!< scratch row (registry order)
     Cycle obsLastSample_ = 0;      //!< previous sample/reset cycle
     ObsCounters obsPrev_; //!< at the previous sample / interval start

@@ -1,13 +1,9 @@
 #include "sim/runner.hh"
 
-#include <cctype>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
 
-#include <sys/stat.h>
-
-#include "common/env.hh"
 #include "common/rate_limit.hh"
 #include "metrics/metrics.hh"
 #include "obs/registry.hh"
@@ -43,21 +39,38 @@ toAppDescs(const std::vector<std::string> &bench_names)
 }
 
 /**
+ * Name of one simulated run: design point, fingerprint of the final
+ * config, benches and windows. Identical runs share it. It is the
+ * basename of the run's telemetry files and of its crash repro.
+ */
+std::string
+runName(const GpuConfig &cfg, DesignPoint point,
+        const std::vector<std::string> &benches,
+        const RunOptions &options)
+{
+    return stateFileName(designPointName(point), configFingerprint(cfg),
+                         benches, {options.warmup, options.measure});
+}
+
+/**
  * A hard invariant tripped mid-run: persist a deterministic repro
- * record, print the diagnostic block, and rethrow for the caller.
+ * record at @p path, print the diagnostic block, and rethrow for the
+ * caller with the path attached when the write succeeded.
  */
 [[noreturn]] void
 captureCrash(const GpuConfig &arch, DesignPoint point,
              const std::vector<std::string> &benches,
-             const RunOptions &options, const SimInvariantError &err)
+             const RunOptions &options, const std::string &path,
+             const SimInvariantError &err)
 {
     const CrashRepro repro = makeRepro(arch, point, benches,
                                        options.warmup,
                                        options.measure, err);
-    const std::string path = reproFilePath();
     std::fputs(err.diagnostic().c_str(), stderr);
+    SimInvariantError out = err;
     try {
         writeRepro(path, repro);
+        out.setReproPath(path);
         std::fprintf(stderr,
                      "repro written to %s (re-run with: crash_replay "
                      "--replay %s)\n",
@@ -66,56 +79,7 @@ captureCrash(const GpuConfig &arch, DesignPoint point,
         std::fprintf(stderr, "failed to write repro file: %s\n",
                      io.what());
     }
-    throw err;
-}
-
-/**
- * Per-job observability override (DESIGN.md §13): when
- * MASK_SWEEP_OBS_DIR is set, every shared run writes its timeseries
- * and trace to <dir>/<design>+<benches>.{timeseries.jsonl,trace.json}
- * instead of the global MASK_TIMESERIES/MASK_TRACE paths, so
- * concurrent sweep jobs never clobber each other. Interval and
- * category filter still come from the environment. Returns null
- * (no override) when the knob is unset.
- */
-std::unique_ptr<obs::ScopedObsOverride>
-makeJobObsOverride(DesignPoint point,
-                   const std::vector<std::string> &benches)
-{
-    const std::string dir = envString("MASK_SWEEP_OBS_DIR");
-    if (dir.empty())
-        return nullptr;
-    ::mkdir(dir.c_str(), 0777); // best-effort; fopen reports real failures
-
-    std::string tag = designPointName(point);
-    for (const auto &b : benches) {
-        tag += "+";
-        tag += b;
-    }
-    for (char &c : tag) {
-        if (!(std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-              c == '-' || c == '_' || c == '.' || c == '+'))
-            c = '_';
-    }
-
-    obs::ObsOptions opts = obs::obsOptionsFromEnv();
-    const std::string base = dir + "/" + tag;
-    opts.timeseriesPath = base + ".timeseries.jsonl";
-    opts.tracePath = base + ".trace.json";
-    return std::make_unique<obs::ScopedObsOverride>(std::move(opts));
-}
-
-/**
- * True when the effective observability options would write any file
- * during this run. Warm starts skip the warmup window, which would
- * silently truncate those outputs — warm-eligible runs must be
- * obs-silent (alone runs always are: they install an empty override).
- */
-bool
-obsSinksActive()
-{
-    const obs::ObsOptions opts = obs::resolveObsOptions();
-    return opts.timeseriesOn() || opts.traceOn();
+    throw out;
 }
 
 } // namespace
@@ -201,15 +165,16 @@ AloneIpcCache::size() const
 GpuStats
 Evaluator::runWindows(const GpuConfig &cfg,
                       const std::vector<std::string> &bench_names,
-                      const std::vector<std::string> &ckpt_label)
+                      const std::vector<std::string> &ckpt_label,
+                      const obs::ObsOptions &obs)
 {
     const CheckpointPolicy ckpt = checkpointPolicyFromEnv();
     if (warm_ != nullptr) {
         // Warm-eligible runs fork a shared warmed snapshot and
         // simulate only the measure window. Checkpointed or
-        // obs-instrumented runs bypass: checkpoint resume owns the
-        // snapshot files, and obs sinks must cover warmup too.
-        if (ckpt.enabled() || obsSinksActive()) {
+        // telemetry-writing runs bypass: checkpoint resume owns the
+        // snapshot files, and telemetry must cover warmup too.
+        if (ckpt.enabled() || obs.on()) {
             warm_->noteBypass();
         } else {
             const std::string key = warmStateKey(
@@ -243,7 +208,8 @@ Evaluator::runWindows(const GpuConfig &cfg,
                        : std::string();
     return runWithCheckpoints(
         [&]() {
-            return std::make_unique<Gpu>(cfg, toAppDescs(bench_names));
+            return std::make_unique<Gpu>(cfg, toAppDescs(bench_names),
+                                         obs);
         },
         ckpt, fp, path, options_.warmup, options_.measure);
 }
@@ -253,9 +219,8 @@ Evaluator::runShared(const GpuConfig &arch, DesignPoint point,
                      const std::vector<std::string> &bench_names)
 {
     const GpuConfig cfg = applyDesignPoint(arch, point);
-    // Alive for the whole run: the Gpu resolves its obs options at
-    // construction, including rebuilds inside runWithCheckpoints.
-    const auto obs_override = makeJobObsOverride(point, bench_names);
+    const std::string name = runName(cfg, point, bench_names, options_);
+    const std::string repro_path = reproPath(name);
     // A hard crash (SIGSEGV/SIGABRT/...) during this run flushes the
     // same repro record an invariant failure would, via the
     // fatal-signal handlers; with MASK_CKPT_* checkpointing on, the
@@ -263,11 +228,13 @@ Evaluator::runShared(const GpuConfig &arch, DesignPoint point,
     const ScopedSignalRepro armed(
         makeRepro(arch, point, bench_names, options_.warmup,
                   options_.measure),
-        reproFilePath());
+        repro_path);
     try {
-        return runWindows(cfg, bench_names, bench_names);
+        return runWindows(cfg, bench_names, bench_names,
+                          obs::obsOptionsFromEnv(name));
     } catch (const SimInvariantError &err) {
-        captureCrash(arch, point, bench_names, options_, err);
+        captureCrash(arch, point, bench_names, options_, repro_path,
+                     err);
     }
 }
 
@@ -295,19 +262,20 @@ Evaluator::aloneIpc(const GpuConfig &arch, DesignPoint point,
                             std::to_string(options_.warmup) + "/" +
                             std::to_string(options_.measure);
     return aloneCache_->getOrCompute(key, [&]() {
-        // Alone runs are memoized across jobs and threads; their
-        // telemetry would race the shared runs' files, so the obs
-        // layer is disabled for them (empty paths = everything off,
-        // which also keeps them warm-eligible).
-        const obs::ScopedObsOverride no_obs{obs::ObsOptions{}};
+        // Alone runs are memoized across jobs and threads and write
+        // no telemetry, which also keeps them warm-eligible.
+        const std::string repro_path =
+            reproPath(runName(cfg, point, {bench}, options_));
         const ScopedSignalRepro armed(
             makeRepro(cfg, point, {bench}, options_.warmup,
                       options_.measure),
-            reproFilePath());
+            repro_path);
         try {
-            return runWindows(cfg, {bench}, {"alone-" + bench}).ipc[0];
+            return runWindows(cfg, {bench}, {"alone-" + bench}, {})
+                .ipc[0];
         } catch (const SimInvariantError &err) {
-            captureCrash(cfg, point, {bench}, options_, err);
+            captureCrash(cfg, point, {bench}, options_, repro_path,
+                         err);
         }
     });
 }

@@ -154,8 +154,8 @@ class Evaluator
     /**
      * Share @p warm across evaluations: shared and alone runs then
      * fork warmed snapshots instead of re-running warmup whenever the
-     * run is warm-eligible (no MASK_CKPT_* checkpointing, no active
-     * observability sinks). Null (the default) disables warm starts —
+     * run is warm-eligible (no MASK_CKPT_* checkpointing, no
+     * telemetry files). Null (the default) disables warm starts —
      * every run then simulates from cycle 0, exactly as before.
      */
     void setWarmCache(std::shared_ptr<WarmStateCache> warm)
@@ -171,15 +171,16 @@ class Evaluator
 
   private:
     /**
-     * Warmup + measure of @p bench_names on the final config @p cfg:
-     * forked from the warm cache when one is set and the run is
-     * warm-eligible (no checkpointing, no active obs sinks), else via
-     * runWithCheckpoints with checkpoint files named after
-     * @p ckpt_label.
+     * Warmup + measure of @p bench_names on the final config @p cfg,
+     * writing the telemetry files @p obs names: forked from the warm
+     * cache when one is set and the run is warm-eligible (no
+     * checkpointing, no telemetry), else via runWithCheckpoints with
+     * checkpoint files named after @p ckpt_label.
      */
     GpuStats runWindows(const GpuConfig &cfg,
                         const std::vector<std::string> &bench_names,
-                        const std::vector<std::string> &ckpt_label);
+                        const std::vector<std::string> &ckpt_label,
+                        const obs::ObsOptions &obs);
 
     RunOptions options_;
     std::shared_ptr<AloneIpcCache> aloneCache_;

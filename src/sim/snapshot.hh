@@ -47,7 +47,7 @@
 
 #include "common/state_codec.hh"
 #include "common/types.hh"
-#include "sim/file_io.hh"
+#include "common/file_io.hh"
 
 namespace mask {
 

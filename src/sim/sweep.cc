@@ -12,7 +12,7 @@
 #include "common/check.hh"
 #include "common/env.hh"
 #include "sim/crash_repro.hh"
-#include "sim/file_io.hh"
+#include "common/file_io.hh"
 #include "sim/sweep_io.hh"
 
 namespace mask {
@@ -408,8 +408,8 @@ SweepRunner::runOne(Evaluator &eval, std::size_t pend_idx,
         outcome.status = SweepStatus::Failed;
         outcome.error = err.what();
         outcome.exception = std::current_exception();
-        // captureCrash persisted the repro before rethrowing.
-        outcome.reproPath = reproFilePath();
+        // The failing run's own repro, if captureCrash wrote one.
+        outcome.reproPath = err.reproPath();
     } catch (const std::exception &err) {
         outcome.status = SweepStatus::Failed;
         outcome.error = err.what();

@@ -17,7 +17,7 @@
 
 #include "common/env.hh"
 #include "common/rate_limit.hh"
-#include "sim/file_io.hh"
+#include "common/file_io.hh"
 
 namespace mask {
 

@@ -1,6 +1,7 @@
 #include "sim/sweep_io.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -15,7 +16,7 @@
 #include <unistd.h>
 
 #include "common/env.hh"
-#include "sim/file_io.hh"
+#include "common/file_io.hh"
 
 namespace mask {
 
@@ -143,24 +144,6 @@ decodePairResult(const std::string &blob)
 // JSONL journal
 // ---------------------------------------------------------------------
 
-std::string
-jsonEscape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (const char c : raw) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c; break;
-        }
-    }
-    return out;
-}
-
 bool
 jsonField(const std::string &line, const std::string &field,
           std::string &out)
@@ -186,6 +169,18 @@ jsonField(const std::string &line, const std::string &field,
           case 'n': out += '\n'; break;
           case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
+          case 'u': {
+            // jsonEscape writes the other control bytes as \u00XX.
+            unsigned byte = 0;
+            const char *hex = line.data() + i + 1;
+            if (line.size() - i <= 4 || hex[0] != '0' || hex[1] != '0' ||
+                std::from_chars(hex + 2, hex + 4, byte, 16).ptr !=
+                    hex + 4)
+                return false;
+            out += static_cast<char>(byte);
+            i += 4;
+            break;
+          }
           default: return false;
         }
     }

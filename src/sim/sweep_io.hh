@@ -67,6 +67,7 @@
 #include <string>
 #include <tuple>
 
+#include "common/json.hh"
 #include "sim/runner.hh"
 
 namespace mask {
@@ -77,13 +78,11 @@ std::string encodePairResult(const PairResult &result);
 /** Inverse of encodePairResult (throws std::runtime_error). */
 PairResult decodePairResult(const std::string &blob);
 
-/** Minimal JSON string escaping for journal fields. */
-std::string jsonEscape(const std::string &raw);
-
 /**
  * Extract and unescape the string value of @p field from a
- * single-line JSON object written by this module. Returns false when
- * the field is absent or the line is malformed.
+ * single-line JSON object written by this module (escaped with
+ * common/json.hh's jsonEscape). Returns false when the field is
+ * absent or the line is malformed.
  */
 bool jsonField(const std::string &line, const std::string &field,
                std::string &out);

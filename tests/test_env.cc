@@ -166,7 +166,21 @@ TEST(EnvKnobs, MalformedValuesThrowFromThePolicies)
     }
     {
         const ScopedEnv interval("MASK_TIMESERIES_INTERVAL", "1k");
-        EXPECT_THROW(obs::obsOptionsFromEnv(), ConfigError);
+        EXPECT_THROW(obs::obsOptionsFromEnv("run"), ConfigError);
+    }
+    {
+        // An unknown trace category must not silently narrow the
+        // trace: the error names the knob and the token.
+        const ScopedEnv cats("MASK_TRACE_CATS", "tlb,dram,nonsense");
+        try {
+            obs::obsOptionsFromEnv("run");
+            ADD_FAILURE() << "unknown category accepted";
+        } catch (const ConfigError &err) {
+            const std::string what = err.what();
+            EXPECT_NE(what.find("MASK_TRACE_CATS"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("'nonsense'"), std::string::npos) << what;
+        }
     }
     {
         const ScopedEnv jobs("MASK_BENCH_JOBS", "-1");
@@ -187,7 +201,7 @@ TEST(EnvKnobs, ZeroKeepsEachKnobsMeaning)
     }
     {
         const ScopedEnv interval("MASK_TIMESERIES_INTERVAL", "0");
-        EXPECT_EQ(obs::obsOptionsFromEnv().timeseriesInterval, 10000u)
+        EXPECT_EQ(obs::obsOptionsFromEnv("run").timeseriesInterval, 10000u)
             << "0 keeps the default";
     }
     {

@@ -9,7 +9,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,7 @@
 #include "sim/gpu.hh"
 #include "sim/presets.hh"
 #include "sim/runner.hh"
+#include "sim/sweep.hh"
 #include "tlb/tlb_mshr.hh"
 #include "workload/suite.hh"
 
@@ -484,35 +489,50 @@ TEST(CrashRepro, FormatLoadRoundTripsExactValues)
     EXPECT_EQ(formatRepro(loaded), formatRepro(repro));
 }
 
-TEST(CrashRepro, TrippedRunWritesReproAndReplaysToSameCycle)
+/** The integrated preset with an injected unrecoverable fault:
+ *  every walk completion is dropped, so the watchdog must trip during
+ *  the warmup window. A preset is required for name-based replay. */
+GpuConfig
+trippingArch()
 {
-    const std::string path = "watchdog_trip.repro";
-    ::setenv("MASK_REPRO_FILE", path.c_str(), 1);
-
-    // A preset arch (required for name-based replay) with an injected
-    // unrecoverable fault: every walk completion is dropped, so the
-    // watchdog must trip during the warmup window.
     GpuConfig arch = archByName("integrated");
     arch.harden.watchdog.maxAge = 2000;
     arch.harden.watchdog.sweepInterval = 500;
     arch.harden.fault.enabled = true;
     arch.harden.fault.walkDropProb = 1.0;
     arch.harden.fault.walkDropRetry = false;
+    return arch;
+}
 
-    Evaluator eval(RunOptions{6000, 6000});
-    Cycle fail_cycle = 0;
-    try {
-        eval.runShared(arch, DesignPoint::SharedTlb,
-                       {"3DS", "HISTO"});
-        FAIL() << "expected the watchdog to trip";
-    } catch (const SimInvariantError &err) {
-        fail_cycle = err.cycle();
-        EXPECT_EQ(err.module(), "watchdog");
+/** A fresh MASK_REPRO_DIR under the gtest temp dir for this scope. */
+struct ScopedReproDir
+{
+    std::string dir;
+
+    explicit ScopedReproDir(const std::string &leaf)
+        : dir(::testing::TempDir() + leaf)
+    {
+        std::filesystem::remove_all(dir);
+        ::setenv("MASK_REPRO_DIR", dir.c_str(), 1);
     }
+    ~ScopedReproDir()
+    {
+        ::unsetenv("MASK_REPRO_DIR");
+        std::filesystem::remove_all(dir);
+    }
+};
 
+/** Load @p path, expect @p benches and @p fail_cycle, and replay it to
+ *  that cycle. */
+void
+expectReplaysToCycle(const std::string &path,
+                     const std::vector<std::string> &benches,
+                     Cycle fail_cycle)
+{
     const CrashRepro repro = loadRepro(path);
     EXPECT_EQ(repro.arch, "integrated");
-    EXPECT_EQ(repro.failCycle, fail_cycle);
+    EXPECT_EQ(repro.benches, benches) << path;
+    EXPECT_EQ(repro.failCycle, fail_cycle) << path;
     EXPECT_EQ(repro.module, "watchdog");
 
     const ReplayResult replay = replayRepro(repro);
@@ -521,9 +541,56 @@ TEST(CrashRepro, TrippedRunWritesReproAndReplaysToSameCycle)
     EXPECT_TRUE(replay.sameCycle)
         << "recorded cycle " << repro.failCycle << ", replay hit "
         << replay.failCycle;
+}
 
-    std::remove(path.c_str());
-    ::unsetenv("MASK_REPRO_FILE");
+TEST(CrashRepro, TrippedRunWritesReproAndReplaysToSameCycle)
+{
+    const ScopedReproDir repro_dir("watchdog_trip_repros");
+
+    Evaluator eval(RunOptions{6000, 6000});
+    Cycle fail_cycle = 0;
+    std::string path;
+    try {
+        eval.runShared(trippingArch(), DesignPoint::SharedTlb,
+                       {"3DS", "HISTO"});
+        FAIL() << "expected the watchdog to trip";
+    } catch (const SimInvariantError &err) {
+        fail_cycle = err.cycle();
+        path = err.reproPath();
+        EXPECT_EQ(err.module(), "watchdog");
+    }
+    // Named by the run, inside the repro directory.
+    EXPECT_EQ(path.rfind(repro_dir.dir + "/SharedTLB_", 0), 0u) << path;
+    const std::string tail = "_3DS_HISTO_6000_6000.repro";
+    ASSERT_GT(path.size(), tail.size());
+    EXPECT_EQ(path.substr(path.size() - tail.size()), tail) << path;
+    expectReplaysToCycle(path, {"3DS", "HISTO"}, fail_cycle);
+}
+
+TEST(CrashRepro, EachFailedSweepJobRecordsItsOwnRepro)
+{
+    const ScopedReproDir repro_dir("sweep_job_repros");
+
+    const std::vector<std::vector<std::string>> pairs = {
+        {"3DS", "HISTO"}, {"LPS", "RED"}};
+    SweepRunner sweep(RunOptions{6000, 6000}, 2);
+    for (const auto &benches : pairs)
+        sweep.submit({trippingArch(), DesignPoint::SharedTlb, benches});
+    sweep.run();
+
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const SweepOutcome &outcome = sweep.outcome(i);
+        ASSERT_EQ(outcome.status, SweepStatus::Failed) << i;
+        ASSERT_FALSE(outcome.reproPath.empty()) << i;
+        Cycle fail_cycle = 0;
+        try {
+            std::rethrow_exception(outcome.exception);
+        } catch (const SimInvariantError &err) {
+            fail_cycle = err.cycle();
+        }
+        expectReplaysToCycle(outcome.reproPath, pairs[i], fail_cycle);
+    }
+    EXPECT_NE(sweep.outcome(0).reproPath, sweep.outcome(1).reproPath);
 }
 
 TEST(CrashRepro, ReplayRefusesAConfigItCannotRebuild)

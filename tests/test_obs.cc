@@ -6,7 +6,8 @@
  * change a single bit of GpuStats across design points and fault
  * injection; and a snapshot save/resume pair must emit exactly
  * the reference trace-event stream, split across two files with no
- * duplicate or missing duration events. Plus unit coverage for the
+ * duplicate or missing duration events; and concurrent sweep workers
+ * publish one whole file pair per distinct run. Plus unit coverage for the
  * registry schema, JSON formatting, env-knob parsing, due/rearm
  * arithmetic, and the pinned tickOne() stage-name order.
  */
@@ -17,19 +18,24 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/config.hh"
+#include "common/json.hh"
 #include "obs/registry.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
 #include "sim/gpu.hh"
 #include "sim/runner.hh"
 #include "sim/snapshot.hh"
+#include "sim/sweep.hh"
 #include "sim/sweep_io.hh"
 #include "workload/suite.hh"
 
@@ -88,10 +94,11 @@ benchB()
 }
 
 std::unique_ptr<Gpu>
-makeGpu(const GpuConfig &cfg)
+makeGpu(const GpuConfig &cfg, const obs::ObsOptions &opts = {})
 {
     return std::make_unique<Gpu>(
-        cfg, std::vector<AppDesc>{AppDesc{&benchA()}, AppDesc{&benchB()}});
+        cfg, std::vector<AppDesc>{AppDesc{&benchA()}, AppDesc{&benchB()}},
+        opts);
 }
 
 GpuConfig
@@ -138,9 +145,8 @@ obs::ObsOptions
 optsFor(const std::string &tag, std::uint64_t interval = 1000)
 {
     obs::ObsOptions opts;
-    opts.timeseriesPath = tmpPath("obs_" + tag + ".timeseries.jsonl");
+    opts.prefix = tmpPath("obs_" + tag);
     opts.timeseriesInterval = interval;
-    opts.tracePath = tmpPath("obs_" + tag + ".trace.json");
     return opts;
 }
 
@@ -175,13 +181,12 @@ std::string
 runWithObs(const GpuConfig &cfg, const obs::ObsOptions &opts,
            Cycle measure = kMeasure)
 {
-    const obs::ScopedObsOverride ov{opts};
-    auto gpu = makeGpu(cfg);
+    auto gpu = makeGpu(cfg, opts);
     gpu->run(kWarmup);
     gpu->resetStats();
     gpu->run(measure);
     return statsBlob(gpu->collect());
-    // ~Gpu flushes the timeseries and closes the trace file.
+    // ~Gpu publishes the timeseries and trace files.
 }
 
 // ---------------------------------------------------------------------
@@ -205,10 +210,10 @@ TEST(ObsRegistry, SchemaHeaderListsColumnsInOrder)
 
 TEST(ObsRegistry, JsonEscapeAndNumberFormatting)
 {
-    EXPECT_EQ(obs::jsonEscape("plain"), "plain");
-    EXPECT_EQ(obs::jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
-    EXPECT_EQ(obs::jsonEscape(std::string("x\ny")), "x\\ny");
-    EXPECT_EQ(obs::jsonEscape(std::string("x\001y")), "x\\u0001y");
+    EXPECT_EQ(jsonEscape("plain"), "plain");
+    EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(jsonEscape(std::string("x\ny")), "x\\ny");
+    EXPECT_EQ(jsonEscape(std::string("x\001y")), "x\\u0001y");
 
     std::string out;
     obs::appendJsonNumber(out, 42.0);
@@ -223,52 +228,43 @@ TEST(ObsRegistry, JsonEscapeAndNumberFormatting)
 
 TEST(ObsRegistry, EnvKnobsParse)
 {
-    ::setenv("MASK_TIMESERIES", "/tmp/x.jsonl", 1);
+    const std::string dir = tmpPath("obs_env_dir");
+    ::setenv("MASK_SWEEP_OBS_DIR", dir.c_str(), 1);
     ::setenv("MASK_TIMESERIES_INTERVAL", "1234", 1);
-    ::setenv("MASK_TRACE", "/tmp/x.json", 1);
-    ::setenv("MASK_TRACE_CATS", "tlb,dram,nonsense", 1);
-    const obs::ObsOptions opts = obs::obsOptionsFromEnv();
-    ::unsetenv("MASK_TIMESERIES");
+    ::setenv("MASK_TRACE_CATS", "tlb,dram", 1);
+    const obs::ObsOptions opts = obs::obsOptionsFromEnv("run");
+    ::unsetenv("MASK_SWEEP_OBS_DIR");
     ::unsetenv("MASK_TIMESERIES_INTERVAL");
-    ::unsetenv("MASK_TRACE");
     ::unsetenv("MASK_TRACE_CATS");
 
-    EXPECT_TRUE(opts.timeseriesOn());
+    EXPECT_TRUE(opts.on());
+    EXPECT_EQ(opts.prefix, dir + "/run");
+    EXPECT_EQ(opts.timeseriesPath(), dir + "/run.timeseries.jsonl");
+    EXPECT_EQ(opts.tracePath(), dir + "/run.trace.json");
+    EXPECT_EQ(opts.stagesPath(), dir + "/run.stages.jsonl");
     EXPECT_EQ(opts.timeseriesInterval, 1234u);
-    EXPECT_TRUE(opts.traceOn());
-    // "tlb" and "dram" recognized, "nonsense" ignored.
     EXPECT_EQ(opts.traceCats,
               static_cast<std::uint32_t>(obs::TraceCat::kTlb) |
                   static_cast<std::uint32_t>(obs::TraceCat::kDram));
 
     // Unset knobs -> everything off, all-categories default.
-    const obs::ObsOptions off = obs::obsOptionsFromEnv();
-    EXPECT_FALSE(off.timeseriesOn());
-    EXPECT_FALSE(off.traceOn());
+    const obs::ObsOptions off = obs::obsOptionsFromEnv("run");
+    EXPECT_FALSE(off.on());
     EXPECT_EQ(off.traceCats, 0xffffffffu);
-}
-
-TEST(ObsRegistry, ScopedOverrideWinsOverEnv)
-{
-    ::setenv("MASK_TIMESERIES", "/tmp/env.jsonl", 1);
-    {
-        obs::ObsOptions inner; // everything off
-        const obs::ScopedObsOverride ov{inner};
-        EXPECT_FALSE(obs::resolveObsOptions().timeseriesOn());
-    }
-    EXPECT_TRUE(obs::resolveObsOptions().timeseriesOn());
-    ::unsetenv("MASK_TIMESERIES");
+    ::rmdir(dir.c_str());
 }
 
 TEST(ObsRegistry, ConfigFingerprintIgnoresObsKnobs)
 {
     const GpuConfig cfg = configFor(DesignPoint::Mask, false);
     const std::uint64_t before = configFingerprint(cfg);
-    ::setenv("MASK_TIMESERIES", "/tmp/fp.jsonl", 1);
-    ::setenv("MASK_TRACE", "/tmp/fp.json", 1);
+    ::setenv("MASK_SWEEP_OBS_DIR", "/tmp/fp", 1);
+    ::setenv("MASK_TIMESERIES_INTERVAL", "77", 1);
+    ::setenv("MASK_TRACE_CATS", "dram", 1);
     const std::uint64_t after = configFingerprint(cfg);
-    ::unsetenv("MASK_TIMESERIES");
-    ::unsetenv("MASK_TRACE");
+    ::unsetenv("MASK_SWEEP_OBS_DIR");
+    ::unsetenv("MASK_TIMESERIES_INTERVAL");
+    ::unsetenv("MASK_TRACE_CATS");
     EXPECT_EQ(before, after)
         << "obs knobs must never invalidate checkpoints or journals";
 }
@@ -343,13 +339,14 @@ TEST(ObsStageNames, MatchTickOneOrderDocumentedInDesign)
 
 TEST(ObsStageProfile, EnvExportWritesOneRowOfSecondsAndCalls)
 {
-    const std::string path = tmpPath("obs_stage_profile.jsonl");
+    const obs::ObsOptions opts = optsFor("stage_profile");
+    const std::string path = opts.stagesPath();
     std::remove(path.c_str());
     ::setenv("MASK_PROFILE_STAGES", "1", 1);
-    ::setenv("MASK_PROFILE_STAGES_OUT", path.c_str(), 1);
-    makeGpu(configFor(DesignPoint::Mask, false))->run(2000);
+    makeGpu(configFor(DesignPoint::Mask, false), opts)->run(2000);
     ::unsetenv("MASK_PROFILE_STAGES");
-    ::unsetenv("MASK_PROFILE_STAGES_OUT");
+    std::remove(opts.timeseriesPath().c_str());
+    std::remove(opts.tracePath().c_str());
 
     std::ifstream in(path);
     ASSERT_TRUE(static_cast<bool>(in)) << path;
@@ -398,8 +395,7 @@ TEST_P(ObsIdentity, TracingOnDoesNotChangeStats)
                             designPointName(point) +
                             (faults ? "_f1" : "_f0");
 
-    // Reference: obs fully off (explicit empty override, so a stray
-    // MASK_TIMESERIES in the test environment cannot interfere).
+    // Reference: obs fully off.
     const std::string want = runWithObs(cfg, obs::ObsOptions{});
 
     const obs::ObsOptions opts = optsFor(tag);
@@ -407,15 +403,15 @@ TEST_P(ObsIdentity, TracingOnDoesNotChangeStats)
         << "telemetry perturbed simulated state";
 
     // And the files actually materialized with content.
-    const std::string ts = readFile(opts.timeseriesPath);
+    const std::string ts = readFile(opts.timeseriesPath());
     EXPECT_NE(ts.find("\"schema\":\"mask-timeseries\""),
               std::string::npos);
     EXPECT_NE(ts.find("\"cycle\":"), std::string::npos)
-        << "no sample rows in " << opts.timeseriesPath;
-    EXPECT_FALSE(traceEventLines(opts.tracePath).empty());
+        << "no sample rows in " << opts.timeseriesPath();
+    EXPECT_FALSE(traceEventLines(opts.tracePath()).empty());
 
-    std::remove(opts.timeseriesPath.c_str());
-    std::remove(opts.tracePath.c_str());
+    std::remove(opts.timeseriesPath().c_str());
+    std::remove(opts.tracePath().c_str());
 }
 
 TEST_P(ObsIdentity, SameSeedRunsProduceByteIdenticalFiles)
@@ -431,11 +427,11 @@ TEST_P(ObsIdentity, SameSeedRunsProduceByteIdenticalFiles)
     const std::string b1 = runWithObs(cfg, o1);
     const std::string b2 = runWithObs(cfg, o2);
     EXPECT_EQ(b1, b2);
-    EXPECT_EQ(readFile(o1.timeseriesPath), readFile(o2.timeseriesPath));
-    EXPECT_EQ(readFile(o1.tracePath), readFile(o2.tracePath));
+    EXPECT_EQ(readFile(o1.timeseriesPath()), readFile(o2.timeseriesPath()));
+    EXPECT_EQ(readFile(o1.tracePath()), readFile(o2.tracePath()));
 
-    for (const auto &p : {o1.timeseriesPath, o1.tracePath,
-                          o2.timeseriesPath, o2.tracePath})
+    for (const auto &p : {o1.timeseriesPath(), o1.tracePath(),
+                          o2.timeseriesPath(), o2.tracePath()})
         std::remove(p.c_str());
 }
 
@@ -470,8 +466,7 @@ TEST(ObsSnapshot, SaveResumeTraceConcatenatesToReference)
     std::string image;
     const obs::ObsOptions oSave = optsFor("snap_save");
     {
-        const obs::ScopedObsOverride ov{oSave};
-        auto g1 = makeGpu(cfg);
+        auto g1 = makeGpu(cfg, oSave);
         g1->run(kWarmup);
         g1->resetStats();
         g1->run(kMeasure / 2);
@@ -481,8 +476,7 @@ TEST(ObsSnapshot, SaveResumeTraceConcatenatesToReference)
     const obs::ObsOptions oResume = optsFor("snap_resume");
     std::string got;
     {
-        const obs::ScopedObsOverride ov{oResume};
-        auto g2 = makeGpu(cfg);
+        auto g2 = makeGpu(cfg, oResume);
         std::uint64_t cycle = 0;
         const std::string_view payload =
             validateSnapshotImage(image, fp, &cycle);
@@ -493,9 +487,9 @@ TEST(ObsSnapshot, SaveResumeTraceConcatenatesToReference)
     }
     EXPECT_EQ(got, want);
 
-    auto ref_events = traceEventLines(oRef.tracePath);
-    auto save_events = traceEventLines(oSave.tracePath);
-    auto resume_events = traceEventLines(oResume.tracePath);
+    auto ref_events = traceEventLines(oRef.tracePath());
+    auto save_events = traceEventLines(oSave.tracePath());
+    auto resume_events = traceEventLines(oResume.tracePath());
     ASSERT_FALSE(ref_events.empty());
     EXPECT_FALSE(save_events.empty());
     EXPECT_FALSE(resume_events.empty());
@@ -523,9 +517,9 @@ TEST(ObsSnapshot, SaveResumeTraceConcatenatesToReference)
             lines.push_back(line);
         return lines;
     };
-    const auto ref_ts = tsLines(oRef.timeseriesPath);
-    const auto save_ts = tsLines(oSave.timeseriesPath);
-    const auto resume_ts = tsLines(oResume.timeseriesPath);
+    const auto ref_ts = tsLines(oRef.timeseriesPath());
+    const auto save_ts = tsLines(oSave.timeseriesPath());
+    const auto resume_ts = tsLines(oResume.timeseriesPath());
     ASSERT_GT(save_ts.size(), 1u);
     ASSERT_GT(resume_ts.size(), 1u);
     EXPECT_EQ(save_ts[0], ref_ts[0]) << "schema header";
@@ -549,8 +543,8 @@ TEST(ObsSnapshot, SaveResumeTraceConcatenatesToReference)
     if (::testing::Test::HasFailure())
         return; // keep the files for inspection
     for (const auto &p :
-         {oRef.timeseriesPath, oRef.tracePath, oSave.timeseriesPath,
-          oSave.tracePath, oResume.timeseriesPath, oResume.tracePath})
+         {oRef.timeseriesPath(), oRef.tracePath(), oSave.timeseriesPath(),
+          oSave.tracePath(), oResume.timeseriesPath(), oResume.tracePath()})
         std::remove(p.c_str());
 }
 
@@ -561,16 +555,136 @@ TEST(ObsSnapshot, SaveResumeTraceConcatenatesToReference)
 TEST(ObsTrace, CategoryMaskFiltersEvents)
 {
     const GpuConfig cfg = configFor(DesignPoint::Mask, false);
-    obs::ObsOptions opts;
-    opts.tracePath = tmpPath("obs_cats.trace.json");
+    obs::ObsOptions opts = optsFor("cats");
     opts.traceCats = static_cast<std::uint32_t>(obs::TraceCat::kDram);
     runWithObs(cfg, opts);
 
-    const auto events = traceEventLines(opts.tracePath);
+    const auto events = traceEventLines(opts.tracePath());
     ASSERT_FALSE(events.empty());
     for (const auto &e : events)
         EXPECT_NE(e.find("\"cat\":\"dram\""), std::string::npos) << e;
-    std::remove(opts.tracePath.c_str());
+    std::remove(opts.timeseriesPath().c_str());
+    std::remove(opts.tracePath().c_str());
+}
+
+// ---------------------------------------------------------------------
+// Sweep integration: one whole file pair per distinct run
+// ---------------------------------------------------------------------
+
+/** Fail unless @p path is a whole timeseries: a schema header naming
+ *  n columns, then at least one row of exactly n values. */
+void
+expectWholeTimeseries(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_GT(lines.size(), 1u) << path;
+    std::size_t ncols = 0;
+    for (std::size_t at = lines[0].find("{\"name\":");
+         at != std::string::npos;
+         at = lines[0].find("{\"name\":", at + 1))
+        ++ncols;
+    ASSERT_GT(ncols, 0u) << path;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        const std::string &row = lines[i];
+        EXPECT_EQ(row.rfind("{\"cycle\":", 0), 0u) << path << ": " << row;
+        EXPECT_EQ(row.substr(row.size() - 2), "]}") << path;
+        // {"cycle":N,"v":[...]}: one comma after the cycle, then n
+        // values joined by n - 1 commas.
+        EXPECT_EQ(static_cast<std::size_t>(
+                      std::count(row.begin(), row.end(), ',')),
+                  ncols)
+            << path << " row " << i;
+    }
+}
+
+/** Fail unless @p path is a whole trace: preamble, events, and the
+ *  closing bracket. */
+void
+expectWholeTrace(const std::string &path)
+{
+    const std::string data = readFile(path);
+    EXPECT_EQ(data.rfind("{\"otherData\":", 0), 0u) << path;
+    ASSERT_GE(data.size(), 4u) << path;
+    EXPECT_EQ(data.substr(data.size() - 4), "\n]}\n") << path;
+    EXPECT_FALSE(traceEventLines(path).empty()) << path;
+}
+
+/** Run @p jobs on a 2-worker SweepRunner with MASK_SWEEP_OBS_DIR set
+ *  to a fresh @p dir; returns the file names it left there, sorted. */
+std::vector<std::string>
+sweepObsFiles(const std::string &dir, const std::vector<SweepJob> &jobs)
+{
+    std::filesystem::remove_all(dir);
+    ::setenv("MASK_SWEEP_OBS_DIR", dir.c_str(), 1);
+    ::setenv("MASK_TIMESERIES_INTERVAL", "1000", 1);
+    SweepRunner sweep(RunOptions{kWarmup, kMeasure}, 2);
+    for (const SweepJob &job : jobs)
+        sweep.submit(job);
+    sweep.run();
+    ::unsetenv("MASK_SWEEP_OBS_DIR");
+    ::unsetenv("MASK_TIMESERIES_INTERVAL");
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(sweep.outcome(i).status, SweepStatus::Ok)
+            << sweep.outcome(i).error;
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+SweepJob
+sweepJob(std::uint32_t l2_tlb_entries)
+{
+    SweepJob job;
+    job.arch = smallConfig();
+    job.arch.l2Tlb.entries = l2_tlb_entries;
+    job.point = DesignPoint::Mask;
+    job.benches = {"3DS", "HISTO"};
+    job.mode = SweepMode::SharedOnly;
+    return job;
+}
+
+TEST(ObsSweep, DistinctRunsWriteDistinctWholePairs)
+{
+    const std::string dir = tmpPath("obs_sweep_distinct");
+    const std::vector<std::string> names =
+        sweepObsFiles(dir, {sweepJob(128), sweepJob(256)});
+    ASSERT_EQ(names.size(), 4u);
+    // Sorted: the two runs' stems differ, and each has both files.
+    const auto stem = [](const std::string &n) {
+        return n.substr(0, n.find('.'));
+    };
+    EXPECT_EQ(stem(names[0]), stem(names[1]));
+    EXPECT_EQ(stem(names[2]), stem(names[3]));
+    EXPECT_NE(stem(names[0]), stem(names[2]));
+    EXPECT_EQ(names[0].rfind("MASK_", 0), 0u) << names[0];
+    for (const std::string &n : names) {
+        const std::string path = dir + "/" + n;
+        if (n.size() > 11 && n.substr(n.size() - 11) == ".trace.json")
+            expectWholeTrace(path);
+        else
+            expectWholeTimeseries(path);
+    }
+    if (!::testing::Test::HasFailure())
+        std::filesystem::remove_all(dir);
+}
+
+TEST(ObsSweep, IdenticalRunsPublishOneWholePair)
+{
+    const std::string dir = tmpPath("obs_sweep_identical");
+    const std::vector<std::string> names =
+        sweepObsFiles(dir, {sweepJob(128), sweepJob(128)});
+    ASSERT_EQ(names.size(), 2u) << "one pair, no tmp files left";
+    for (const std::string &n : names)
+        EXPECT_EQ(n.find(".tmp"), std::string::npos) << n;
+    expectWholeTimeseries(dir + "/" + names[0]);
+    expectWholeTrace(dir + "/" + names[1]);
+    if (!::testing::Test::HasFailure())
+        std::filesystem::remove_all(dir);
 }
 
 } // namespace

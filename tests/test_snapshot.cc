@@ -933,7 +933,7 @@ TEST(CheckpointPolicy, PathIsDeterministicAndSanitized)
 }
 
 // ---------------------------------------------------------------------
-// File layer (sim/file_io.hh)
+// File layer (common/file_io.hh)
 // ---------------------------------------------------------------------
 
 TEST(SnapshotFile, ConcurrentSaversOfOnePathNeverClobber)

@@ -22,7 +22,7 @@
 #include "common/config.hh"
 #include "common/memreq.hh"
 #include "common/state_codec.hh"
-#include "sim/file_io.hh"
+#include "common/file_io.hh"
 #include "sim/gpu.hh"
 #include "sim/runner.hh"
 #include "sim/snapshot.hh"

@@ -671,6 +671,40 @@ TEST(SweepJournalHardening, RecordsReproAndWorkerFields)
     ::unlink(path.c_str());
 }
 
+TEST(SweepJournalHardening, ControlBytesInErrorTextReloadBitExactly)
+{
+    const std::string path = tempPath("ctrl");
+    const std::string error = std::string("tripped\x01 at \x1b[31mred") +
+                              "\t\"quoted\" \\ end";
+    {
+        SweepJournal journal(path);
+        journal.record("kc", "Failed", error, nullptr);
+        journal.record("kp", "Failed", "plain \"text\"\n", nullptr);
+    }
+    const std::string data = readFile(path);
+    // Every control byte is escaped, so each record is one valid JSON
+    // line; ordinary records keep their bytes.
+    EXPECT_NE(data.find("tripped\\u0001 at \\u001b[31mred"),
+              std::string::npos)
+        << data;
+    for (const char c : data)
+        EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+            << "raw control byte " << static_cast<int>(c);
+    EXPECT_NE(data.find("{\"key\":\"kp\",\"status\":\"Failed\","
+                        "\"attempts\":\"1\",\"error\":"
+                        "\"plain \\\"text\\\"\\n\",\"result\":\"\"}\n"),
+              std::string::npos)
+        << data;
+
+    SweepJournal reopened(path);
+    const JournalEntry *entry = reopened.find("kc");
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->error, error);
+    ASSERT_NE(reopened.find("kp"), nullptr);
+    EXPECT_EQ(reopened.find("kp")->error, "plain \"text\"\n");
+    ::unlink(path.c_str());
+}
+
 TEST(SweepJournalHardening, ConcurrentThreadAppendsAllSurvive)
 {
     const std::string path = tempPath("threads");

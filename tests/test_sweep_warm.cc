@@ -381,8 +381,8 @@ TEST(SweepWarm, WarmFilesServeAcrossRunnerInstances)
  * comparison below breaks this build until the mirror — and therefore
  * this checklist — is updated, and the fingerprint sensitivity checks
  * force the new field to be classified warmup-affecting (mixed into
- * warmupFingerprint) or measure-only/behaviour-neutral (documented on
- * the declaration). This is the exhaustiveness contract of
+ * configFingerprint, which warmupFingerprint re-hashes) or
+ * measure-only/behaviour-neutral (documented on the declaration). This is the exhaustiveness contract of
  * warmupFingerprint(): no field may be silently unclassified.
  */
 namespace mirror {
@@ -481,7 +481,8 @@ TEST(SweepWarm, EveryConfigFieldIsClassified)
     // A new field in any config struct changes its size and fails the
     // matching assertion; add the field to the mirror above WITH a
     // warmup-affecting / measure-only classification comment, and mix
-    // it into warmupFingerprint() (or document its exclusion there).
+    // it into configFingerprint(), which warmupFingerprint() re-hashes
+    // (or document its exclusion on warmupFingerprint).
     static_assert(sizeof(CacheConfig) == sizeof(mirror::CacheConfig),
                   "CacheConfig changed: classify the new field for "
                   "warmupFingerprint");
