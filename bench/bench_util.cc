@@ -124,8 +124,7 @@ reportWarmCache(const SweepRunner &sweep)
     const WarmStateCache::Stats warm = sweep.warmStats();
     std::fprintf(stderr,
                  "[warm] %llu hit%s, %llu miss%s, %llu warmup cycles "
-                 "saved (%llu bypassed, %llu fallback%s, %llu "
-                 "evicted)\n",
+                 "saved (%llu bypassed, %llu fallback%s)\n",
                  static_cast<unsigned long long>(warm.hits),
                  warm.hits == 1 ? "" : "s",
                  static_cast<unsigned long long>(warm.misses),
@@ -134,8 +133,7 @@ reportWarmCache(const SweepRunner &sweep)
                      warm.warmupCyclesSaved),
                  static_cast<unsigned long long>(warm.bypasses),
                  static_cast<unsigned long long>(warm.fallbacks),
-                 warm.fallbacks == 1 ? "" : "s",
-                 static_cast<unsigned long long>(warm.evictions));
+                 warm.fallbacks == 1 ? "" : "s");
 }
 
 void

@@ -81,8 +81,9 @@ std::size_t reportFailures(const SweepRunner &sweep);
 /**
  * Warm-cache summary footer to stderr (hits/misses/warmup cycles
  * saved); silent when the warm cache is disabled. Stderr, not stdout:
- * bench stdout is byte-compared warm-on vs warm-off by determinism
- * leg 12, and cache hit counts legitimately differ between the legs.
+ * bench stdout of a dist worker (warm on) is byte-compared with a
+ * serial run (warm off) by determinism leg 13, and cache hit counts
+ * legitimately differ between the two.
  */
 void reportWarmCache(const SweepRunner &sweep);
 

@@ -10,10 +10,6 @@
 # named <design>_<config fingerprint>_<benches>_<windows>, so runs that
 # repeat across benches share one pair; the summary footer says where
 # it landed.
-# MASK_SWEEP_WARM=1 (or MASK_SWEEP_WARM_DIR=<dir>) forks warmed
-# snapshots across sweep jobs that share a warmup prefix instead of
-# re-simulating it (DESIGN.md S14); each sweep prints a "[warm]"
-# hit/miss footer on stderr and stdout stays byte-identical.
 #
 # Every bench runs even if an earlier one fails; the script prints a
 # per-bench PASS/FAIL summary and exits non-zero if any bench failed.
@@ -21,12 +17,6 @@ MASK_BENCH_JOBS="${MASK_BENCH_JOBS:-0}"
 export MASK_BENCH_JOBS
 if [ -n "${MASK_SWEEP_OBS_DIR:-}" ]; then
     export MASK_SWEEP_OBS_DIR
-fi
-if [ -n "${MASK_SWEEP_WARM:-}" ]; then
-    export MASK_SWEEP_WARM
-fi
-if [ -n "${MASK_SWEEP_WARM_DIR:-}" ]; then
-    export MASK_SWEEP_WARM_DIR
 fi
 
 failed=""
@@ -56,13 +46,6 @@ echo "$passed/$total benches passed"
 if [ -n "${MASK_SWEEP_OBS_DIR:-}" ]; then
     obs_files=$(ls "$MASK_SWEEP_OBS_DIR" 2>/dev/null | wc -l)
     echo "telemetry: $obs_files files in $MASK_SWEEP_OBS_DIR (summarize with scripts/obs_report.py)"
-fi
-if [ -n "${MASK_SWEEP_WARM:-}" ] || [ -n "${MASK_SWEEP_WARM_DIR:-}" ]; then
-    echo "warm-start cache was enabled; per-sweep [warm] hit/miss footers are on stderr"
-    if [ -n "${MASK_SWEEP_WARM_DIR:-}" ]; then
-        warm_files=$(ls "$MASK_SWEEP_WARM_DIR" 2>/dev/null | wc -l)
-        echo "warm snapshots: $warm_files files in $MASK_SWEEP_WARM_DIR"
-    fi
 fi
 if [ -n "$failed" ]; then
     echo "FAILED:$failed"

@@ -18,21 +18,18 @@ out_a="$(mktemp)"
 out_b="$(mktemp)"
 trap 'rm -f "$out_a" "$out_b"' EXIT
 
-# kill_mid_sweep <journal> <snap dir or ""> <env assignments...>: start
-# the bench in the background with the given environment, wait until
-# the journal holds at least one complete line (and, when a directory
-# is given, a warm .snap has landed in it), then SIGSEGV it: a crash
-# from outside, the fatal-signal handler runs and the process dies.
-# Fails unless the signal killed it (exit >= 128) with a non-empty
-# journal.
+# kill_mid_sweep <journal> <env assignments...>: start the bench in
+# the background with the given environment, wait until the journal
+# holds at least one complete line, then SIGSEGV it: a crash from
+# outside, the fatal-signal handler runs and the process dies. Fails
+# unless the signal killed it (exit >= 128) with a non-empty journal.
 kill_mid_sweep() {
-    local journal="$1" snaps="$2"
-    shift 2
+    local journal="$1"
+    shift
     env "$@" "$BIN" >/dev/null 2>&1 &
     local pid=$! status=0
     for _ in $(seq 1 1200); do
-        if [ "$(cat "$journal" 2>/dev/null | wc -l)" -ge 1 ] &&
-            { [ -z "$snaps" ] || ls "$snaps"/*.snap >/dev/null 2>&1; }; then
+        if [ "$(cat "$journal" 2>/dev/null | wc -l)" -ge 1 ]; then
             break
         fi
         kill -0 "$pid" 2>/dev/null || break
@@ -87,7 +84,7 @@ repro_dir="$(mktemp -d)"
 trap 'rm -f "$out_a" "$out_b" "$journal"; rm -rf "$repro_dir"' EXIT
 rm -f "$journal"
 
-kill_mid_sweep "$journal" "" MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 \
+kill_mid_sweep "$journal" MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 \
     MASK_BENCH_JOBS=1 MASK_SWEEP_JOURNAL="$journal" \
     MASK_REPRO_DIR="$repro_dir"
 
@@ -150,7 +147,7 @@ echo "== run 8 (killed mid-sweep, checkpoints + journal resume) =="
 MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
     "$BIN" >"$out_a" 2>/dev/null
 rm -f "$journal"
-kill_mid_sweep "$journal" "" MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 \
+kill_mid_sweep "$journal" MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 \
     MASK_BENCH_JOBS=1 MASK_SWEEP_JOURNAL="$journal" \
     MASK_CKPT_INTERVAL_CYCLES=7000 MASK_CKPT_DIR="$ckpt_dir" \
     MASK_REPRO_DIR="$repro_dir"
@@ -220,56 +217,11 @@ if ! diff -ru "$obs_a" "$obs_c"; then
 fi
 echo "deterministic: telemetry on leaves stdout unchanged; obs files byte-identical across runs and worker counts"
 
-# Warm-start sweep execution (DESIGN.md §14) must be a pure
-# optimization: forking warmed snapshots instead of re-running warmup
-# may not change a single simulated byte. Three variants against the
-# same baseline: in-memory warm cache, file-backed warm cache with two
-# worker threads, and a crash-resume where both the journal AND the
-# warm files persist across the two processes.
-echo "== run 12a (warm cache, in-memory) =="
-MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
-    MASK_SWEEP_WARM=1 "$BIN" >"$out_b" 2>/dev/null
-
-if ! diff -u "$out_a" "$out_b"; then
-    echo "DETERMINISM FAILURE: warm-start run diverged from cold run" >&2
-    exit 1
-fi
-echo "deterministic: MASK_SWEEP_WARM=1 byte-identical to cold sweep"
-
-echo "== run 12b (warm cache, file-backed, 2 jobs) =="
-warm_dir="$ckpt_dir/warm"
-MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=2 \
-    MASK_SWEEP_WARM_DIR="$warm_dir" \
-    "$BIN" >"$out_b" 2>/dev/null
-
-if ! diff -u "$out_a" "$out_b"; then
-    echo "DETERMINISM FAILURE: file-backed warm run diverged from cold run" >&2
-    exit 1
-fi
-echo "deterministic: warm files (jobs=2) byte-identical to cold sweep"
-
-echo "== run 12c (killed mid-sweep, journal + warm files resume) =="
-rm -f "$journal"
-rm -rf "$warm_dir"
-kill_mid_sweep "$journal" "$warm_dir" MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 \
-    MASK_BENCH_JOBS=1 MASK_SWEEP_JOURNAL="$journal" \
-    MASK_SWEEP_WARM_DIR="$warm_dir" MASK_REPRO_DIR="$repro_dir"
-if ! ls "$warm_dir"/*.snap >/dev/null 2>&1; then
-    echo "DETERMINISM FAILURE: no warm snapshots written before the crash" >&2
-    exit 1
-fi
-MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
-    MASK_SWEEP_JOURNAL="$journal" MASK_SWEEP_WARM_DIR="$warm_dir" \
-    "$BIN" >"$out_b" 2>/dev/null
-
-if ! diff -u "$out_a" "$out_b"; then
-    echo "DETERMINISM FAILURE: warm+journal resume diverged from uninterrupted run" >&2
-    exit 1
-fi
-echo "deterministic: journal + warm-file resume byte-identical to uninterrupted run"
-
 # Distributed sweep execution (DESIGN.md §15): two workers share a
-# sweep directory; worker 1 is SIGKILLed while it holds a lease
+# sweep directory, and every run goes through the file-backed warm
+# cache in <dir>/warm (DESIGN.md §14), so this leg also shows warm
+# starts leave stdout byte-identical across a SIGKILL and two
+# processes; worker 1 is SIGKILLed while it holds a lease
 # mid-job, worker 2 steals the stale lease, finishes the sweep, and
 # its merged stdout must be byte-identical to the serial baseline. A
 # third plain worker started on the finished directory must execute

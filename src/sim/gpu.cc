@@ -1571,8 +1571,8 @@ Gpu::obsInit(const obs::ObsOptions &opts)
     obsTrace_ = std::make_unique<obs::TraceWriter>(
         opts.tracePath(), opts.traceCats, obs::kTraceRingEvents);
 
-    // Column registry. obsSampleAt() fills obsVals_ in EXACTLY this
-    // order — keep the two in sync.
+    // Column registry. obsSampleAt() appends one value per series in
+    // this order and checks the row width against it.
     obs::SeriesRegistry reg;
     for (AppId a = 0; a < apps_.size(); ++a) {
         const int app = static_cast<int>(a);
@@ -1616,7 +1616,7 @@ Gpu::obsInit(const obs::ObsOptions &opts)
                  "requests issued from the Normal queue (interval)"});
     }
 
-    obsVals_.assign(reg.size(), 0.0);
+    obsVals_.reserve(reg.size());
     obsTs_ = std::make_unique<obs::TimeseriesWriter>(
         opts.timeseriesPath(), std::move(reg), opts.timeseriesInterval,
         obs::kTimeseriesRingRows);
@@ -1695,33 +1695,33 @@ Gpu::obsSampleAt(Cycle cycle)
     ObsCounters n = obsGather();
     const ObsCounters &p = obsPrev_;
     const Cycle dt = cycle - obsLastSample_;
-    std::size_t i = 0;
+    obsVals_.clear();
 
     for (AppId a = 0; a < apps_.size(); ++a) {
         const double dl1h = obsDelta(n.l1Hits[a], p.l1Hits[a]);
         const double dl1m = obsDelta(n.l1Misses[a], p.l1Misses[a]);
-        obsVals_[i++] = safeDiv(dl1h, dl1h + dl1m);
+        obsVals_.push_back(safeDiv(dl1h, dl1h + dl1m));
         const double dl2h = obsDelta(n.l2Hits[a], p.l2Hits[a]);
         const double dl2m = obsDelta(n.l2Misses[a], p.l2Misses[a]);
-        obsVals_[i++] = safeDiv(dl2h, dl2h + dl2m);
+        obsVals_.push_back(safeDiv(dl2h, dl2h + dl2m));
 
-        obsVals_[i++] = static_cast<double>(tokens_.tokens(a));
-        obsVals_[i++] =
-            static_cast<double>(walker_.activeWalksFor(a));
-        obsVals_[i++] = static_cast<double>(quota_.silverQuota(a));
-        obsVals_[i++] = quota_.pressure(a);
+        obsVals_.push_back(static_cast<double>(tokens_.tokens(a)));
+        obsVals_.push_back(
+            static_cast<double>(walker_.activeWalksFor(a)));
+        obsVals_.push_back(static_cast<double>(quota_.silverQuota(a)));
+        obsVals_.push_back(quota_.pressure(a));
 
-        obsVals_[i++] = safeDiv(obsDelta(n.instr[a], p.instr[a]),
-                                static_cast<double>(dt));
+        obsVals_.push_back(safeDiv(obsDelta(n.instr[a], p.instr[a]),
+                                   static_cast<double>(dt)));
     }
 
-    obsVals_[i++] = static_cast<double>(walkStartQueue_.size());
+    obsVals_.push_back(static_cast<double>(walkStartQueue_.size()));
 
     // Bypassed lookups never probe the L2, so the stats denominators
     // exclude them; the fraction is bypasses / (lookups + bypasses).
     const double dbyp = obsDelta(n.bypasses, p.bypasses);
     const double dwalk = obsDelta(n.walkAcc, p.walkAcc);
-    obsVals_[i++] = safeDiv(dbyp, dwalk + dbyp);
+    obsVals_.push_back(safeDiv(dbyp, dwalk + dbyp));
 
     // The live bypass decision is hitRate(level) < hitRate(0),
     // computed WITHOUT shouldBypass(): that call advances the
@@ -1729,22 +1729,28 @@ Gpu::obsSampleAt(Cycle cycle)
     const double data_rate = l2Policy_.hitRate(0);
     for (std::uint32_t lvl = 1; lvl <= L2BypassPolicy::kMaxLevel;
          ++lvl) {
-        obsVals_[i++] =
-            l2Policy_.hitRate(static_cast<std::uint8_t>(lvl)) <
-                    data_rate
+        obsVals_.push_back(
+            l2Policy_.hitRate(static_cast<std::uint8_t>(lvl)) < data_rate
                 ? 1.0
-                : 0.0;
+                : 0.0);
     }
 
     for (std::uint32_t c = 0; c < dram_.numChannels(); ++c) {
-        obsVals_[i++] =
-            static_cast<double>(dram_.channel(c).queuedRequests());
-        obsVals_[i++] = safeDiv(obsDelta(n.rowHits[c], p.rowHits[c]),
-                                obsDelta(n.rowAcc[c], p.rowAcc[c]));
+        obsVals_.push_back(
+            static_cast<double>(dram_.channel(c).queuedRequests()));
+        obsVals_.push_back(safeDiv(obsDelta(n.rowHits[c], p.rowHits[c]),
+                                   obsDelta(n.rowAcc[c], p.rowAcc[c])));
         for (std::size_t q = 0; q < 3; ++q)
-            obsVals_[i++] = obsDelta(n.issued[q][c], p.issued[q][c]);
+            obsVals_.push_back(obsDelta(n.issued[q][c], p.issued[q][c]));
     }
 
+    SIM_CHECK(obsVals_.size() == obsTs_->registry().size(), "sim.gpu",
+              cycle,
+              "obs row has " + std::to_string(obsVals_.size()) +
+                  " values for " +
+                  std::to_string(obsTs_->registry().size()) +
+                  " registered series (obsSampleAt and obsInit "
+                  "disagree)");
     obsPrev_ = std::move(n);
     obsLastSample_ = cycle;
     obsTs_->record(cycle, obsVals_);

@@ -116,8 +116,8 @@ std::string
 warmStateKey(std::uint64_t warmup_fingerprint,
              const std::vector<std::string> &bench_names, Cycle warmup)
 {
-    // The key doubles as the basename of file-backed warm snapshots
-    // under MASK_SWEEP_WARM_DIR.
+    // The key doubles as the basename of the warm snapshot file under
+    // WarmPolicy::dir.
     return stateFileName("warm", warmup_fingerprint, bench_names,
                          {warmup});
 }

@@ -93,9 +93,10 @@ std::string runWarmup(const GpuConfig &cfg,
  * Restore @p image into a fresh Gpu built from @p cfg and run only the
  * measurement window. Byte-identical to
  * run(warmup); resetStats(); run(measure) on the same configuration
- * (determinism leg 12 enforces this). Throws SnapshotError when the
- * image fails validation against warmupFingerprint(cfg) or its header
- * cycle differs from @p warmup — callers fall back to a fresh run.
+ * (the SweepWarm tests and determinism leg 13 enforce this). Throws
+ * SnapshotError when the image fails validation against
+ * warmupFingerprint(cfg) or its header cycle differs from @p warmup —
+ * callers fall back to a fresh run.
  */
 GpuStats runMeasureFrom(std::string_view image, const GpuConfig &cfg,
                         const std::vector<std::string> &bench_names,

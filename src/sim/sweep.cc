@@ -57,130 +57,71 @@ sweepPolicyFromEnv()
 // Warm-state cache (DESIGN.md §14)
 // ---------------------------------------------------------------------
 
-WarmPolicy
-warmPolicyFromEnv()
-{
-    WarmPolicy policy;
-    policy.dir = envString("MASK_SWEEP_WARM_DIR");
-    policy.enabled = envFlag("MASK_SWEEP_WARM") || !policy.dir.empty();
-    return policy;
-}
-
 WarmStateCache::WarmStateCache(WarmPolicy policy)
-    : policy_(std::move(policy))
+    : dir_(std::move(policy.dir))
 {
-    if (!policy_.dir.empty())
-        ::mkdir(policy_.dir.c_str(), 0777); // best-effort; open reports
+    if (dir_.empty())
+        throw ConfigError("warm cache needs a snapshot dir "
+                          "(WarmPolicy::dir)");
+    ::mkdir(dir_.c_str(), 0777); // best-effort; open reports
 }
 
 std::string
 WarmStateCache::filePath(const std::string &key) const
 {
-    return policy_.dir + "/" + key + ".snap";
+    return dir_ + "/" + key + ".snap";
 }
 
 std::string
 WarmStateCache::getOrWarm(const std::string &key, Cycle warmup_cycles,
                           const std::function<std::string()> &produce)
 {
+    // Single flight: one thread at a time holds a key; the others wait
+    // for it and then read the file it published.
     std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        auto it = slots_.find(key);
-        if (it == slots_.end())
-            break; // this thread produces (or reads the file)
-        if (it->second.ready) {
-            lru_.splice(lru_.begin(), lru_, it->second.lru);
-            ++stats_.hits;
-            stats_.warmupCyclesSaved += warmup_cycles;
-            return it->second.image;
-        }
-        // Another thread is warming this key; if it fails the slot is
-        // erased and the loop falls through to retry.
-        ready_.wait(lock);
-    }
-    slots_.emplace(key, Slot{});
+    ready_.wait(lock, [&] { return busy_.count(key) == 0; });
+    busy_.insert(key);
     lock.unlock();
 
+    // A file is a hit, whichever process wrote it; the consumer
+    // validates header + checksum either way.
     std::string image;
-    bool from_file = false;
+    bool hit = false;
     try {
-        // A file left by another process (a distributed peer, a
-        // previous journal-interrupted sweep) is as good as a memory
-        // hit — the consumer validates header + checksum either way.
-        if (!policy_.dir.empty())
-            from_file = readFile(filePath(key), image);
-        if (!from_file)
+        hit = readFile(filePath(key), image);
+        if (!hit)
             image = produce();
     } catch (...) {
         lock.lock();
-        slots_.erase(key);
+        busy_.erase(key);
         ready_.notify_all();
         throw;
     }
-    if (!from_file && !policy_.dir.empty()) {
+    if (!hit) {
         try {
             writeFileAtomic(filePath(key), image);
         } catch (const std::exception &err) {
-            // Disk trouble costs cross-process reuse, nothing else.
+            // Disk trouble costs reuse, nothing else.
             std::fprintf(stderr, "[sweep] %s\n", err.what());
         }
     }
 
     lock.lock();
-    if (from_file) {
+    busy_.erase(key);
+    ready_.notify_all();
+    if (hit) {
         ++stats_.hits;
         stats_.warmupCyclesSaved += warmup_cycles;
     } else {
         ++stats_.misses;
     }
-    publishLocked(key, image);
-    ready_.notify_all();
     return image;
-}
-
-void
-WarmStateCache::publishLocked(const std::string &key,
-                              const std::string &image)
-{
-    auto it = slots_.find(key);
-    if (it == slots_.end())
-        return; // invalidated while producing
-    if (policy_.memCapBytes != 0 &&
-        image.size() > policy_.memCapBytes) {
-        // Never memory-resident; the file (if any) still serves it.
-        slots_.erase(it);
-        return;
-    }
-    it->second.image = image;
-    it->second.ready = true;
-    lru_.push_front(key);
-    it->second.lru = lru_.begin();
-    memBytes_ += image.size();
-    while (policy_.memCapBytes != 0 && memBytes_ > policy_.memCapBytes &&
-           lru_.size() > 1) {
-        const std::string victim = lru_.back();
-        lru_.pop_back();
-        auto vit = slots_.find(victim);
-        if (vit != slots_.end()) {
-            memBytes_ -= vit->second.image.size();
-            slots_.erase(vit);
-        }
-        ++stats_.evictions;
-    }
 }
 
 void
 WarmStateCache::invalidate(const std::string &key)
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = slots_.find(key);
-    if (it != slots_.end() && it->second.ready) {
-        memBytes_ -= it->second.image.size();
-        lru_.erase(it->second.lru);
-        slots_.erase(it);
-    }
-    if (!policy_.dir.empty())
-        ::unlink(filePath(key).c_str());
+    ::unlink(filePath(key).c_str());
 }
 
 void
@@ -213,8 +154,6 @@ SweepRunner::SweepRunner(RunOptions options, unsigned jobs)
       policy_(sweepPolicyFromEnv()), dist_(distPolicyFromEnv()),
       cache_(std::make_shared<AloneIpcCache>())
 {
-    if (const WarmPolicy warm = warmPolicyFromEnv(); warm.enabled)
-        warm_ = std::make_shared<WarmStateCache>(warm);
     applyDistWarmDefault();
 }
 
@@ -246,23 +185,16 @@ SweepRunner::setDistPolicy(DistPolicy policy)
 void
 SweepRunner::applyDistWarmDefault()
 {
-    if (!dist_.enabled())
-        return;
     // Distributed workers share warm snapshots through the sweep
-    // directory by default: a memory-only (or disabled) warm cache
-    // becomes file-backed at <dist dir>/warm. An explicit
-    // MASK_SWEEP_WARM_DIR (or setWarmPolicy with a dir) wins.
-    WarmPolicy warm =
-        warm_ != nullptr ? warm_->policy() : warmPolicyFromEnv();
-    if (warm.enabled && !warm.dir.empty())
+    // directory by default; a policy set with setWarmPolicy wins.
+    if (!dist_.enabled() || warm_ != nullptr)
         return;
-    warm.enabled = true;
-    warm.dir = dist_.dir + "/warm";
     // The sweep dir may not exist yet (the coordinator creates it at
     // run()); the warm cache mkdirs only its own leaf, so make the
     // parent here.
     ::mkdir(dist_.dir.c_str(), 0755);
-    warm_ = std::make_shared<WarmStateCache>(std::move(warm));
+    warm_ = std::make_shared<WarmStateCache>(
+        WarmPolicy{true, dist_.dir + "/warm"});
 }
 
 WarmStateCache::Stats
@@ -399,11 +331,10 @@ SweepRunner::runOne(Evaluator &eval, std::size_t pend_idx,
 {
     // Exceptions are contained here, one job at a time; a fatal signal
     // ends the process, and the journal resumes what finished.
-    const SweepJob &job = pending_[pend_idx];
     PairResult result;
     SweepOutcome outcome;
     try {
-        result = execute(eval, job);
+        result = execute(eval, pending_[pend_idx]);
     } catch (const SimInvariantError &err) {
         outcome.status = SweepStatus::Failed;
         outcome.error = err.what();
@@ -419,7 +350,7 @@ SweepRunner::runOne(Evaluator &eval, std::size_t pend_idx,
         outcome.error = "unknown exception";
         outcome.exception = std::current_exception();
     }
-    finishJob(base + pend_idx, jobKey(job), std::move(result),
+    finishJob(base + pend_idx, pendingKeys_[pend_idx], std::move(result),
               std::move(outcome));
 }
 
@@ -433,31 +364,53 @@ SweepRunner::run()
     results_.resize(base + batch);
     outcomes_.resize(base + batch);
 
+    // Identical jobs run once: only the first job of the runner's life
+    // with a given key is run (or loaded); every later one copies its
+    // result and outcome below. Results are deterministic, so the copy
+    // is what a second run would have produced.
+    std::vector<std::size_t> todo;
+    std::vector<std::size_t> source(batch);
+    pendingKeys_.clear();
+    for (std::size_t i = 0; i < batch; ++i) {
+        pendingKeys_.push_back(jobKey(pending_[i]));
+        const auto [it, first] =
+            firstJob_.emplace(pendingKeys_[i], base + i);
+        source[i] = it->second;
+        if (first)
+            todo.push_back(i);
+    }
+
     if (dist_.enabled()) {
-        runDistributed(base);
-        pending_.clear();
-        return;
+        runDistributed(std::move(todo), base);
+    } else {
+        if (!policy_.journalPath.empty() && journal_ == nullptr)
+            journal_ = std::make_unique<SweepJournal>(policy_.journalPath);
+
+        // Resume: jobs a previous run completed are loaded, not
+        // re-simulated. The decoded results are bit-exact, so bench
+        // output after a resume is byte-identical to an uninterrupted
+        // run.
+        const std::size_t distinct = todo.size();
+        todo = loadFromJournal(base, todo, /*ok_only=*/true);
+        if (journal_ != nullptr) {
+            std::fprintf(stderr,
+                         "[sweep] journal %s: loaded %zu/%zu jobs, "
+                         "simulating %zu\n",
+                         journal_->path().c_str(), distinct - todo.size(),
+                         distinct, todo.size());
+        }
+        if (!todo.empty())
+            runBatch(todo, base);
     }
 
-    if (!policy_.journalPath.empty() && journal_ == nullptr)
-        journal_ = std::make_unique<SweepJournal>(policy_.journalPath);
-
-    // Resume: jobs a previous run completed are loaded, not
-    // re-simulated. The decoded results are bit-exact, so bench
-    // output after a resume is byte-identical to an uninterrupted run.
-    const std::vector<std::size_t> todo =
-        loadFromJournal(base, /*ok_only=*/true, {});
-    if (journal_ != nullptr) {
-        std::fprintf(stderr,
-                     "[sweep] journal %s: loaded %zu/%zu jobs, "
-                     "simulating %zu\n",
-                     journal_->path().c_str(), batch - todo.size(),
-                     batch, todo.size());
+    for (std::size_t i = 0; i < batch; ++i) {
+        if (source[i] != base + i) {
+            results_[base + i] = results_[source[i]];
+            outcomes_[base + i] = outcomes_[source[i]];
+        }
     }
-
-    if (!todo.empty())
-        runBatch(todo, base);
     pending_.clear();
+    pendingKeys_.clear();
 }
 
 void
@@ -504,18 +457,16 @@ SweepRunner::runBatch(const std::vector<std::size_t> &todo,
 }
 
 std::vector<std::size_t>
-SweepRunner::loadFromJournal(std::size_t base, bool ok_only,
-                             const std::vector<char> &ran_here)
+SweepRunner::loadFromJournal(std::size_t base,
+                             const std::vector<std::size_t> &todo,
+                             bool ok_only)
 {
-    if (journal_ != nullptr)
-        journal_->refresh();
+    if (journal_ == nullptr)
+        return todo;
+    journal_->refresh();
     std::vector<std::size_t> rest;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-        if (!ran_here.empty() && ran_here[i] != 0)
-            continue;
-        const JournalEntry *entry =
-            journal_ != nullptr ? journal_->find(jobKey(pending_[i]))
-                                : nullptr;
+    for (const std::size_t i : todo) {
+        const JournalEntry *entry = journal_->find(pendingKeys_[i]);
         if (entry == nullptr || (ok_only && entry->status != "Ok")) {
             rest.push_back(i);
             continue;
@@ -536,9 +487,10 @@ SweepRunner::loadFromJournal(std::size_t base, bool ok_only,
 // ---------------------------------------------------------------------
 
 void
-SweepRunner::runDistributed(std::size_t base)
+SweepRunner::runDistributed(std::vector<std::size_t> todo,
+                            std::size_t base)
 {
-    const std::size_t batch = pending_.size();
+    const std::size_t distinct = todo.size();
     DistCoordinator dist(dist_);
 
     // In dist mode the per-worker shard IS the journal: finishJob()
@@ -554,53 +506,54 @@ SweepRunner::runDistributed(std::size_t base)
     journal_ = std::make_unique<SweepJournal>(dist.shardPath(),
                                               dist_.worker);
 
+    // One Evaluator: a worker runs its jobs one at a time, so more
+    // parallelism in dist mode means more worker processes.
     Evaluator eval(options_, cache_);
     eval.setWarmCache(warm_);
 
-    // Claim loop: repeated submission-order passes over the batch.
-    // Every pass first loads what the journal's winners say is done —
-    // any status: unlike a serial resume, a Failed record is not
-    // re-simulated here, since one worker's permafail must not
+    // Claim loop: repeated submission-order passes over the jobs not
+    // yet done. Every pass first loads what the journal's winners say
+    // is done — any status: unlike a serial resume, a Failed record is
+    // not re-simulated here, since one worker's permafail must not
     // cascade into every worker re-running it. Unclaimed jobs are
     // taken with a lease and executed; jobs whose lease is held
-    // elsewhere are skipped and re-checked next pass. The loop ends
-    // on a load, so every job this worker did not run holds the
-    // winner of the final shard bytes: winner selection depends only
-    // on those bytes, so this worker's results_ — and any other
-    // worker's — match a single-process serial run byte for byte.
-    std::vector<char> ran_here(batch, 0);
+    // elsewhere are kept and re-checked next pass. The loop ends on a
+    // load, so every job this worker did not run holds the winner of
+    // the final shard bytes: winner selection depends only on those
+    // bytes, so this worker's results_ — and any other worker's —
+    // match a single-process serial run byte for byte.
     std::uint64_t executed = 0;
     for (;;) {
-        const std::vector<std::size_t> todo =
-            loadFromJournal(base, /*ok_only=*/false, ran_here);
+        todo = loadFromJournal(base, todo, /*ok_only=*/false);
         if (todo.empty())
             break;
-        bool claimed = false;
+        std::vector<std::size_t> held;
         for (const std::size_t i : todo) {
-            const std::string key = jobKey(pending_[i]);
-            if (!dist.tryClaim(key))
+            const std::string &key = pendingKeys_[i];
+            if (!dist.tryClaim(key)) {
+                held.push_back(i);
                 continue;
+            }
             runOne(eval, i, base);
             // Release only after finishJob made the shard record
             // durable: a lease must never vanish while the job's
             // completion is still invisible to peers.
             dist.release(key);
             ++executed;
-            ran_here[i] = 1;
-            claimed = true;
         }
-        if (!claimed) {
+        if (held.size() == todo.size()) {
             dist.noteWaiting(todo.size());
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(dist_.pollMs));
         }
+        todo = std::move(held);
     }
 
     const DistSweepStats &leases = dist.stats();
     distStats_.worker = leases.worker;
-    distStats_.jobs += batch;
+    distStats_.jobs += distinct;
     distStats_.executed += executed;
-    distStats_.loadedRemote += batch - executed;
+    distStats_.loadedRemote += distinct - executed;
     distStats_.leasesClaimed += leases.leasesClaimed;
     distStats_.leasesStolen += leases.leasesStolen;
     distStats_.staleSeen += leases.staleSeen;

@@ -35,17 +35,23 @@
  * 0 = one per hardware thread). MASK_SWEEP_JOURNAL=<path> names the
  * JSONL results journal for resume.
  *
- * Warm-start execution (DESIGN.md §14): with MASK_SWEEP_WARM=1 (or
- * MASK_SWEEP_WARM_DIR=<dir>), jobs sharing a warmup fingerprint fork
- * one warmed snapshot instead of each re-simulating the warmup window
- * — results stay byte-identical to a fresh serial sweep.
+ * Identical jobs run once: a job whose key (config fingerprint,
+ * design point, benches, mode, windows) matches an earlier job of the
+ * runner's life copies that job's result and outcome instead of being
+ * simulated or journaled again.
+ *
+ * Warm-start execution (DESIGN.md §14): with a WarmPolicy set (from
+ * code, or by default in dist mode), jobs sharing a warmup fingerprint
+ * fork one warmed snapshot file instead of each re-simulating the
+ * warmup window — results stay byte-identical to a fresh serial sweep.
  *
  * Distributed execution (DESIGN.md §15): with MASK_SWEEP_DIST_DIR set,
  * run() becomes one worker of a multi-process sweep coordinated
  * entirely through that shared directory — lease files claim jobs,
  * per-worker journal shards publish results, stale leases of crashed
  * workers are stolen, and every worker's merged output is
- * byte-identical to a single-process serial run (sweep_dist.hh).
+ * byte-identical to a single-process serial run (sweep_dist.hh). A
+ * worker runs its jobs one at a time, whatever MASK_BENCH_JOBS says.
  */
 
 #ifndef MASK_SIM_SWEEP_HH
@@ -55,11 +61,11 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -134,38 +140,23 @@ SweepPolicy sweepPolicyFromEnv();
 
 // --- Warm-state cache (DESIGN.md §14) --------------------------------
 
-/** Warm-start policy (env-driven by default; settable for tests). */
+/** Warm-start policy (off by default; set from code or by dist mode). */
 struct WarmPolicy
 {
     bool enabled = false; //!< fork warmed snapshots across jobs
-    std::string dir;      //!< "" = in-memory only; else snapshot files
-    /** In-memory budget; 0 = unlimited. Images over the cap are never
-     *  memory-resident (file-backed mode still serves them). */
-    std::size_t memCapBytes = std::size_t{256} << 20;
+    std::string dir;      //!< snapshot files; required when enabled
 };
 
 /**
- * Policy from the MASK_SWEEP_WARM* environment knobs:
- *
- *   MASK_SWEEP_WARM=1            enable the in-memory warm cache
- *   MASK_SWEEP_WARM_DIR=<dir>    also persist warm snapshots as files
- *                                (implies enabled; lets distributed
- *                                workers and journal resumes share
- *                                them)
- *
- * The in-memory budget keeps its 256 MB default.
- */
-WarmPolicy warmPolicyFromEnv();
-
-/**
- * Thread-safe, single-flight cache of warmed snapshot images keyed by
+ * Thread-safe, single-flight cache of warmed snapshot files keyed by
  * warmStateKey(). The first requester of a key runs warmup once (via
- * its produce callback) and publishes the image; concurrent requesters
- * of the same key block until it lands, so no warmup is ever simulated
- * twice in-process. Ready images live in an LRU ring capped by
- * WarmPolicy::memCapBytes and, when WarmPolicy::dir is set, as
- * snapshot files `<dir>/<key>.snap` that other processes (distributed
- * workers, journal resumes) restore instead of re-warming.
+ * its produce callback) and publishes the image as `<dir>/<key>.snap`;
+ * requesters of the same key wait while another thread holds it, then
+ * read the file, so no warmup is ever simulated twice in-process.
+ * Other processes (distributed workers, journal resumes) restore the
+ * same files instead of re-warming. Nothing is held in memory: a hit
+ * whose file cannot be read produces the image itself and counts a
+ * miss, so disk trouble costs time, never a job.
  *
  * The cache stores opaque bytes; consumers validate via
  * runMeasureFrom(), and on any header/checksum mismatch call
@@ -175,14 +166,14 @@ WarmPolicy warmPolicyFromEnv();
 class WarmStateCache
 {
   public:
+    /** Throws ConfigError for an enabled @p policy without a dir. */
     explicit WarmStateCache(WarmPolicy policy);
 
     /** Counters surfaced in bench footers and perfbench's warm.* metrics. */
     struct Stats
     {
         std::uint64_t hits = 0;       //!< restored a warmed snapshot
-        std::uint64_t misses = 0;     //!< ran warmup and published
-        std::uint64_t evictions = 0;  //!< dropped by the memory cap
+        std::uint64_t misses = 0;     //!< ran warmup
         std::uint64_t bypasses = 0;   //!< run not warm-eligible
         std::uint64_t fallbacks = 0;  //!< bad image; re-ran fresh
         std::uint64_t warmupCyclesSaved = 0; //!< cycles not simulated
@@ -198,7 +189,7 @@ class WarmStateCache
     std::string getOrWarm(const std::string &key, Cycle warmup_cycles,
                           const std::function<std::string()> &produce);
 
-    /** Drop @p key from memory and disk (consumer-detected corruption). */
+    /** Delete @p key's file (consumer-detected corruption). */
     void invalidate(const std::string &key);
 
     /** Count a warm-ineligible run (checkpointing or obs active). */
@@ -208,26 +199,14 @@ class WarmStateCache
     void noteFallback();
 
     Stats stats() const;
-    const WarmPolicy &policy() const { return policy_; }
 
   private:
-    struct Slot
-    {
-        std::string image;
-        bool ready = false;
-        std::list<std::string>::iterator lru;
-    };
-
     std::string filePath(const std::string &key) const;
-    /** Publish @p image under @p key and evict past the cap. */
-    void publishLocked(const std::string &key, const std::string &image);
 
-    WarmPolicy policy_;
+    std::string dir_;
     mutable std::mutex mutex_;
     std::condition_variable ready_;
-    std::map<std::string, Slot> slots_;
-    std::list<std::string> lru_; //!< most-recently-used first
-    std::size_t memBytes_ = 0;
+    std::set<std::string> busy_; //!< keys a thread is reading or warming
     Stats stats_;
 };
 
@@ -245,7 +224,9 @@ class SweepRunner
 
     /**
      * Run all jobs submitted since the last run() and block until
-     * they finish. Each job runs once, in process. A job that throws
+     * they finish. Each job runs once, in process; a job identical to
+     * an earlier one of the runner's life (same jobKey) copies its
+     * result and outcome instead of running. A job that throws
      * never aborts the batch: its exception is recorded in outcome()
      * while every other job keeps running. Only infrastructure errors
      * (journal I/O) throw. The runner is reusable: submit/run again
@@ -282,7 +263,7 @@ class SweepRunner
     /** Override the env policy (tests); resets the journal binding. */
     void setPolicy(SweepPolicy policy);
 
-    /** Override the env warm policy (tests / bench A-B legs). */
+    /** Set the warm policy (off by default; tests, perfbench). */
     void setWarmPolicy(WarmPolicy policy);
 
     /** Override the env dist policy (tests / multi-worker drivers). */
@@ -317,16 +298,16 @@ class SweepRunner
   private:
     void runBatch(const std::vector<std::size_t> &todo,
                   std::size_t base);
-    void runDistributed(std::size_t base);
+    void runDistributed(std::vector<std::size_t> todo, std::size_t base);
     /**
-     * Refresh the journal and load every job of the batch (except
-     * those @p ran_here) that has a winning record: Ok ones only for
-     * a serial resume (@p ok_only), any status in dist mode
-     * (DESIGN.md §15). Returns the jobs not loaded, in order.
+     * Refresh the journal and load every job of @p todo (pending
+     * indices) that has a winning record: Ok ones only for a serial
+     * resume (@p ok_only), any status in dist mode (DESIGN.md §15).
+     * Returns the jobs not loaded, in order.
      */
     std::vector<std::size_t> loadFromJournal(
-        std::size_t base, bool ok_only,
-        const std::vector<char> &ran_here);
+        std::size_t base, const std::vector<std::size_t> &todo,
+        bool ok_only);
     void applyDistWarmDefault();
     void runOne(Evaluator &eval, std::size_t pend_idx,
                 std::size_t base);
@@ -343,6 +324,9 @@ class SweepRunner
     std::shared_ptr<AloneIpcCache> cache_;
     std::shared_ptr<WarmStateCache> warm_;
     std::vector<SweepJob> pending_;
+    std::vector<std::string> pendingKeys_; //!< jobKey of each pending_
+    /** jobKey -> index of the first job with that key, all batches. */
+    std::map<std::string, std::size_t> firstJob_;
     std::vector<PairResult> results_;
     std::vector<SweepOutcome> outcomes_;
     std::unique_ptr<SweepJournal> journal_;

@@ -84,7 +84,7 @@ std::string distLeaseName(const std::string &job_key);
 struct DistSweepStats
 {
     std::string worker;
-    std::uint64_t jobs = 0;          //!< jobs in the local list
+    std::uint64_t jobs = 0;          //!< distinct jobs in the local list
     std::uint64_t executed = 0;      //!< simulated by this worker
     std::uint64_t loadedRemote = 0;  //!< merged from shard entries
     std::uint64_t leasesClaimed = 0; //!< fresh O_EXCL claims

@@ -161,10 +161,6 @@ TEST(EnvKnobs, MalformedValuesThrowFromThePolicies)
         EXPECT_THROW(bench::benchOptions(), ConfigError);
     }
     {
-        const ScopedEnv warm("MASK_SWEEP_WARM", "on");
-        EXPECT_THROW(warmPolicyFromEnv(), ConfigError);
-    }
-    {
         const ScopedEnv interval("MASK_TIMESERIES_INTERVAL", "1k");
         EXPECT_THROW(obs::obsOptionsFromEnv("run"), ConfigError);
     }
@@ -190,11 +186,6 @@ TEST(EnvKnobs, MalformedValuesThrowFromThePolicies)
 
 TEST(EnvKnobs, ZeroKeepsEachKnobsMeaning)
 {
-    {
-        const ScopedEnv warm("MASK_SWEEP_WARM", "0");
-        const ScopedEnv warm_dir("MASK_SWEEP_WARM_DIR", nullptr);
-        EXPECT_FALSE(warmPolicyFromEnv().enabled) << "0 = off";
-    }
     {
         const ScopedEnv interval("MASK_CKPT_INTERVAL_CYCLES", "0");
         EXPECT_FALSE(checkpointPolicyFromEnv().enabled()) << "0 = off";

@@ -3,13 +3,14 @@
  * be identical to serial ones, the shared alone-IPC memo must dedup
  * across workers, the memo key must distinguish configurations that
  * share a name (the fingerprint regression), and a failing job must be
- * contained in its outcome, and a journal resume must load finished
- * jobs, without perturbing the surviving jobs' results by a single
- * bit.
+ * contained in its outcome, an identical job must run once, and a
+ * journal resume must load finished jobs, without perturbing the
+ * surviving jobs' results by a single bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -287,13 +288,60 @@ TEST(Sweep, AloneMemoSurvivesFailedBatch)
     EXPECT_EQ(sweep.outcome(good).status, SweepStatus::Ok);
     EXPECT_EQ(sweep.aloneCacheSize(), 2u);
 
+    // A different job needing the same two alone runs: Static's
+    // partitioning is cleared for alone runs, so they share
+    // SharedTLB's memo slots (an identical job would run nothing).
     const std::size_t again =
-        sweep.submit({arch, DesignPoint::SharedTlb, {"HISTO", "LPS"}});
+        sweep.submit({arch, DesignPoint::Static, {"HISTO", "LPS"}});
     sweep.run();
     EXPECT_EQ(sweep.outcome(again).status, SweepStatus::Ok);
     EXPECT_EQ(sweep.aloneCacheSize(), 2u); // memo hit, no new runs
-    EXPECT_EQ(encodePairResult(sweep.result(good)),
-              encodePairResult(sweep.result(again)));
+    EXPECT_EQ(sweep.result(good).aloneIpc, sweep.result(again).aloneIpc);
+}
+
+TEST(Sweep, IdenticalJobsRunOnce)
+{
+    // A job whose key matches an earlier job of the runner's life, in
+    // the same batch or an earlier one, copies that job's result and
+    // outcome: the executor runs once per distinct job.
+    SweepRunner sweep(shortOptions(), 2);
+    std::atomic<int> executed{0};
+    sweep.setExecutorForTest(
+        [&executed](Evaluator &, const SweepJob &job) -> PairResult {
+            ++executed;
+            if (job.benches[0] == "LPS")
+                throw std::runtime_error("injected failure");
+            return syntheticResult(2.0);
+        });
+    const GpuConfig arch = archByName("maxwell");
+    const SweepJob ok{arch, DesignPoint::Mask, {"HISTO"},
+                      SweepMode::SharedOnly};
+    const SweepJob bad{arch, DesignPoint::Mask, {"LPS"},
+                       SweepMode::SharedOnly};
+    const std::size_t ok0 = sweep.submit(ok);
+    const std::size_t bad0 = sweep.submit(bad);
+    const std::size_t ok1 = sweep.submit(ok);
+    const std::size_t bad1 = sweep.submit(bad);
+    sweep.run();
+    EXPECT_EQ(executed.load(), 2);
+
+    const std::size_t ok2 = sweep.submit(ok);
+    const std::size_t bad2 = sweep.submit(bad);
+    sweep.run();
+    EXPECT_EQ(executed.load(), 2) << "a later batch re-ran an identical job";
+
+    for (const std::size_t i : {ok0, ok1, ok2}) {
+        ASSERT_EQ(sweep.outcome(i).status, SweepStatus::Ok) << i;
+        EXPECT_EQ(encodePairResult(sweep.result(i)),
+                  encodePairResult(sweep.result(ok0)));
+    }
+    for (const std::size_t i : {bad0, bad1, bad2}) {
+        EXPECT_EQ(sweep.outcome(i).status, SweepStatus::Failed) << i;
+        EXPECT_EQ(sweep.outcome(i).error, "injected failure");
+        EXPECT_THROW(sweep.result(i), std::runtime_error);
+    }
+    EXPECT_EQ(sweep.completedJobs(), 6u);
+    EXPECT_EQ(sweep.failedJobs(), 3u);
 }
 
 TEST(Sweep, JournalResumeSkipsCompletedJobs)

@@ -2,8 +2,8 @@
  * Tests for warm-start sweep execution (DESIGN.md §14): warm-forked
  * results must be byte-identical to fresh serial runs across design
  * points and fault injection, the WarmStateCache must be single-flight
- * under concurrency, a corrupted warm file must degrade to a fresh run
- * (never a wrong result), the memory cap must evict LRU-first, and the
+ * under concurrency, a corrupted warm file or an unwritable warm dir
+ * must degrade to a fresh run (never a wrong result), and the
  * warmupFingerprint field classification must stay exhaustive as
  * GpuConfig grows.
  */
@@ -85,14 +85,6 @@ gridJob(const GpuConfig &arch, DesignPoint point, Cycle measure,
     return job;
 }
 
-WarmPolicy
-memPolicy()
-{
-    WarmPolicy policy;
-    policy.enabled = true;
-    return policy;
-}
-
 /** Unique-ish temp dir under the build dir (no clock/random: gtest
  *  runs each test in its own ctest process, so the PID suffices). */
 std::string
@@ -117,6 +109,22 @@ removeDir(const std::string &dir)
     }
     ::rmdir(dir.c_str());
 }
+
+/** A warm policy over a fresh temp dir, removed with this object. */
+class WarmDir
+{
+  public:
+    explicit WarmDir(const std::string &tag) : dir_(tempDir(tag)) {}
+    ~WarmDir() { removeDir(dir_); }
+    WarmDir(const WarmDir &) = delete;
+    WarmDir &operator=(const WarmDir &) = delete;
+
+    const std::string &path() const { return dir_; }
+    WarmPolicy policy() const { return WarmPolicy{true, dir_}; }
+
+  private:
+    std::string dir_;
+};
 
 std::vector<std::string>
 snapFilesIn(const std::string &dir)
@@ -175,9 +183,10 @@ TEST(SweepWarm, WarmForkedResultsByteIdenticalAcrossDesignsAndFaults)
             };
             const std::vector<std::string> fresh =
                 runAndEncode(jobs, WarmPolicy{}, 1);
+            const WarmDir dir("designs");
             WarmStateCache::Stats stats;
             const std::vector<std::string> warm =
-                runAndEncode(jobs, memPolicy(), 1, &stats);
+                runAndEncode(jobs, dir.policy(), 1, &stats);
             EXPECT_EQ(fresh, warm)
                 << "design=" << designPointName(point)
                 << " faults=" << faults;
@@ -200,9 +209,10 @@ TEST(SweepWarm, MetricsModeWarmMatchesFresh)
     };
     const std::vector<std::string> fresh =
         runAndEncode(jobs, WarmPolicy{}, 1);
+    const WarmDir dir("metrics");
     WarmStateCache::Stats stats;
     const std::vector<std::string> warm =
-        runAndEncode(jobs, memPolicy(), 1, &stats);
+        runAndEncode(jobs, dir.policy(), 1, &stats);
     EXPECT_EQ(fresh, warm);
     // Job 1 warms three states (the shared run plus one alone run per
     // application); job 2's measure window differs so its alone-IPC
@@ -225,9 +235,10 @@ TEST(SweepWarm, SingleFlightUnderFourWorkers)
     };
     const std::vector<std::string> fresh =
         runAndEncode(jobs, WarmPolicy{}, 1);
+    const WarmDir dir("flight");
     WarmStateCache::Stats stats;
     const std::vector<std::string> warm =
-        runAndEncode(jobs, memPolicy(), 4, &stats);
+        runAndEncode(jobs, dir.policy(), 4, &stats);
     EXPECT_EQ(fresh, warm);
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, 3u);
@@ -236,7 +247,8 @@ TEST(SweepWarm, SingleFlightUnderFourWorkers)
 
 TEST(SweepWarm, CacheSingleFlightBlocksConcurrentProducers)
 {
-    WarmStateCache cache(memPolicy());
+    const WarmDir dir("producers");
+    WarmStateCache cache(dir.policy());
     std::atomic<int> produced{0};
     const auto produce = [&produced]() {
         ++produced;
@@ -261,61 +273,21 @@ TEST(SweepWarm, CacheSingleFlightBlocksConcurrentProducers)
     EXPECT_EQ(stats.warmupCyclesSaved, 7000u);
 }
 
-// --- Memory cap / eviction -------------------------------------------
-
-TEST(SweepWarm, MemoryCapEvictsLeastRecentlyUsed)
-{
-    WarmPolicy policy;
-    policy.enabled = true;
-    policy.memCapBytes = 8;
-    WarmStateCache cache(policy);
-    int produced = 0;
-    const auto image = [&produced](const char *bytes) {
-        return [&produced, bytes]() {
-            ++produced;
-            return std::string(bytes);
-        };
-    };
-    cache.getOrWarm("a", 10, image("aaaaaa")); // 6 bytes resident
-    cache.getOrWarm("b", 10, image("bbbbbb")); // 12 > 8: "a" evicted
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.getOrWarm("b", 10, image("XXXXXX")), "bbbbbb");
-    EXPECT_EQ(cache.stats().hits, 1u);
-    cache.getOrWarm("a", 10, image("aaaaaa")); // re-produced
-    EXPECT_EQ(produced, 3);
-
-    // An image over the cap is never memory-resident: every request
-    // re-produces (in file-backed mode the file would serve it).
-    cache.getOrWarm("big", 10, image("0123456789abcdef"));
-    cache.getOrWarm("big", 10, image("0123456789abcdef"));
-    EXPECT_EQ(produced, 5);
-
-    // Cap 0 = unlimited.
-    WarmPolicy unlimited;
-    unlimited.enabled = true;
-    unlimited.memCapBytes = 0;
-    WarmStateCache big(unlimited);
-    const std::string megabyte(1 << 20, 'x');
-    big.getOrWarm("k", 10, [&megabyte]() { return megabyte; });
-    EXPECT_EQ(big.stats().evictions, 0u);
-}
-
 // --- Corrupted warm file ---------------------------------------------
 
 TEST(SweepWarm, CorruptedWarmFileFallsBackToFreshRun)
 {
-    const std::string dir = tempDir("corrupt");
+    const WarmDir dir("corrupt");
     const GpuConfig arch = smallConfig(false);
     const std::vector<SweepJob> jobs = {
         gridJob(arch, DesignPoint::Mask, 2000)};
     const std::vector<std::string> fresh =
         runAndEncode(jobs, WarmPolicy{}, 1);
 
-    WarmPolicy file_policy = memPolicy();
-    file_policy.dir = dir;
+    const WarmPolicy file_policy = dir.policy();
     runAndEncode(jobs, file_policy, 1); // publishes <dir>/<key>.snap
 
-    std::vector<std::string> files = snapFilesIn(dir);
+    std::vector<std::string> files = snapFilesIn(dir.path());
     ASSERT_EQ(files.size(), 1u);
     {
         // Flip one payload byte: the header parses, the checksum does
@@ -333,36 +305,34 @@ TEST(SweepWarm, CorruptedWarmFileFallsBackToFreshRun)
         f.write(&byte, 1);
     }
 
-    // A new runner (fresh in-memory state) reads the corrupt file,
-    // rejects it during restore, and re-runs fresh — identical bytes.
+    // A new runner reads the corrupt file, rejects it during
+    // restore, and re-runs fresh — identical bytes.
     WarmStateCache::Stats stats;
     const std::vector<std::string> recovered =
         runAndEncode(jobs, file_policy, 1, &stats);
     EXPECT_EQ(fresh, recovered);
     EXPECT_EQ(stats.fallbacks, 1u);
     // invalidate() dropped the poisoned file.
-    EXPECT_TRUE(snapFilesIn(dir).empty());
-    removeDir(dir);
+    EXPECT_TRUE(snapFilesIn(dir.path()).empty());
 }
 
 // --- File-backed reuse across runners --------------------------------
 
 TEST(SweepWarm, WarmFilesServeAcrossRunnerInstances)
 {
-    const std::string dir = tempDir("reuse");
+    const WarmDir dir("reuse");
     const GpuConfig arch = smallConfig(false);
     const std::vector<SweepJob> jobs = {
         gridJob(arch, DesignPoint::SharedTlb, 2000)};
     const std::vector<std::string> fresh =
         runAndEncode(jobs, WarmPolicy{}, 1);
 
-    WarmPolicy file_policy = memPolicy();
-    file_policy.dir = dir;
+    const WarmPolicy file_policy = dir.policy();
     WarmStateCache::Stats first;
     runAndEncode(jobs, file_policy, 1, &first);
     EXPECT_EQ(first.misses, 1u);
 
-    // Second runner: no in-memory state, but the file is a hit — the
+    // Second runner: the file it did not write is a hit — the
     // journal-resume and distributed-worker sharing path.
     WarmStateCache::Stats second;
     const std::vector<std::string> reused =
@@ -370,7 +340,48 @@ TEST(SweepWarm, WarmFilesServeAcrossRunnerInstances)
     EXPECT_EQ(fresh, reused);
     EXPECT_EQ(second.misses, 0u);
     EXPECT_EQ(second.hits, 1u);
-    removeDir(dir);
+}
+
+// --- Disk trouble ----------------------------------------------------
+
+TEST(SweepWarm, UnwritableWarmDirCostsTimeNotResults)
+{
+    // The warm dir sits under a regular file, so no snapshot can be
+    // written or read: every run warms itself and counts a miss, and
+    // the grid's results still match a cold run byte for byte.
+    const WarmDir parent("unwritable");
+    const std::string blocker = parent.path() + "/file";
+    std::ofstream(blocker) << "not a directory\n";
+    const WarmPolicy blocked{true, blocker + "/warm"};
+
+    const GpuConfig arch = smallConfig(false);
+    const std::vector<SweepJob> jobs = {
+        gridJob(arch, DesignPoint::Mask, 1000),
+        gridJob(arch, DesignPoint::Mask, 2000),
+        gridJob(arch, DesignPoint::Mask, 3000),
+    };
+    const std::vector<std::string> fresh =
+        runAndEncode(jobs, WarmPolicy{}, 1);
+    for (const unsigned workers : {1u, 2u}) {
+        WarmStateCache::Stats stats;
+        ::testing::internal::CaptureStderr();
+        const std::vector<std::string> warm =
+            runAndEncode(jobs, blocked, workers, &stats);
+        const std::string log = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(fresh, warm) << "workers=" << workers;
+        EXPECT_EQ(stats.hits, 0u);
+        EXPECT_EQ(stats.misses, jobs.size());
+        EXPECT_EQ(stats.fallbacks, 0u);
+        EXPECT_NE(log.find("[sweep]"), std::string::npos) << log;
+    }
+}
+
+TEST(SweepWarm, EnabledPolicyWithoutDirIsConfigError)
+{
+    SweepRunner sweep(warmOptions(), 1);
+    EXPECT_THROW(sweep.setWarmPolicy(WarmPolicy{true, ""}), ConfigError);
+    EXPECT_NO_THROW(sweep.setWarmPolicy(WarmPolicy{}));
+    EXPECT_EQ(sweep.warmCache(), nullptr);
 }
 
 // --- Config-field classification exhaustiveness ----------------------
