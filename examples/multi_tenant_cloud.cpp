@@ -10,13 +10,14 @@
  */
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "metrics/metrics.hh"
 #include "sim/presets.hh"
-#include "sim/runner.hh"
+#include "sim/sweep.hh"
 
 namespace {
 
@@ -30,17 +31,22 @@ run()
     // batch job (streaming).
     const std::vector<std::string> tenants = {"LPS", "MUM", "HISTO"};
     const GpuConfig arch = archByName("maxwell");
-    Evaluator eval(bench::benchOptions());
+    const DesignPoint points[] = {DesignPoint::Static,
+                                  DesignPoint::SharedTlb,
+                                  DesignPoint::Mask, DesignPoint::Ideal};
+    SweepRunner sweep(bench::benchOptions());
+    for (const DesignPoint point : points)
+        sweep.submit({arch, point, tenants});
+    sweep.run();
 
     std::printf("Tenants: LPS (inference-like), MUM (analytics-like),"
                 " HISTO (batch streaming)\n\n");
     std::printf("%-10s %8s %10s | per-tenant slowdown (alone/shared)\n",
                 "design", "WS", "unfairness");
 
-    for (const DesignPoint point :
-         {DesignPoint::Static, DesignPoint::SharedTlb,
-          DesignPoint::Mask, DesignPoint::Ideal}) {
-        const PairResult r = eval.evaluate(arch, point, tenants);
+    for (std::size_t p = 0; p < std::size(points); ++p) {
+        const DesignPoint point = points[p];
+        const PairResult &r = sweep.result(p); // rethrows a failure
         std::printf("%-10s %8.3f %10.3f |", designPointName(point),
                     r.weightedSpeedup, r.unfairness);
         for (std::size_t i = 0; i < tenants.size(); ++i) {

@@ -11,11 +11,12 @@
  */
 
 #include <cstdio>
+#include <iterator>
 
 #include "bench_util.hh"
 #include "common/stats.hh"
 #include "sim/presets.hh"
-#include "sim/runner.hh"
+#include "sim/sweep.hh"
 
 namespace {
 
@@ -25,18 +26,22 @@ run()
     using namespace mask;
 
     const GpuConfig arch = archByName("maxwell");
-    Evaluator eval(bench::benchOptions());
     const std::vector<std::string> pair = {"3DS", "HISTO"};
+    const DesignPoint points[] = {DesignPoint::SharedTlb, DesignPoint::Mask,
+                                  DesignPoint::Ideal};
+    SweepRunner sweep(bench::benchOptions());
+    for (const DesignPoint point : points)
+        sweep.submit({arch, point, pair});
+    sweep.run();
 
     std::printf("Workload: 3DS_HISTO on %s (%u cores)\n",
                 arch.name.c_str(), arch.numCores);
     std::printf("%-10s %8s %8s %8s %10s %10s %10s\n", "design", "WS",
                 "IPC", "unfair", "L1TLBmiss", "L2TLBmiss", "walks");
 
-    for (const DesignPoint point :
-         {DesignPoint::SharedTlb, DesignPoint::Mask,
-          DesignPoint::Ideal}) {
-        const PairResult r = eval.evaluate(arch, point, pair);
+    for (std::size_t i = 0; i < std::size(points); ++i) {
+        const DesignPoint point = points[i];
+        const PairResult &r = sweep.result(i); // rethrows a failure
         std::printf("%-10s %8.3f %8.3f %8.3f %10s %10s %10llu\n",
                     designPointName(point), r.weightedSpeedup,
                     r.ipcThroughput, r.unfairness,

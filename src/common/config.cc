@@ -223,6 +223,16 @@ applyDesignPoint(GpuConfig base, DesignPoint point)
 }
 
 GpuConfig
+aloneConfig(const GpuConfig &arch, DesignPoint point, std::uint32_t cores)
+{
+    GpuConfig cfg = applyDesignPoint(arch, point);
+    cfg.numCores = cores;
+    cfg.coreShares.clear();
+    cfg.partition = PartitionConfig{};
+    return cfg;
+}
+
+GpuConfig
 maxwellConfig()
 {
     // Defaults in GpuConfig are the Maxwell-like Table 1 parameters.
@@ -316,8 +326,8 @@ std::uint64_t
 configFingerprint(const GpuConfig &cfg)
 {
     // Deliberately excludes cfg.name: benches reuse one name across
-    // distinct parameter sets, and the alone-IPC memo must never treat
-    // those as interchangeable.
+    // distinct parameter sets, and the sweep's run keys must never
+    // treat those as interchangeable.
     std::uint64_t h = 0x6d61736b2d666e76ull; // "mask-fnv"
 
     mix(h, cfg.numCores);

@@ -281,6 +281,17 @@ inline constexpr DesignPoint kAllDesignPoints[] = {
 GpuConfig applyDesignPoint(GpuConfig base, DesignPoint point);
 
 /**
+ * Final config of one application running alone on @p cores cores of
+ * @p arch at @p point (Section 6's alone runs). The shrunken GPU is the
+ * app's alone, so per-app core shares are cleared, and so is
+ * partitioning: it splits resources between apps and is inert with
+ * one (the L2 and the address mapper read it only when apps > 1), so
+ * Static's alone runs are SharedTLB's.
+ */
+GpuConfig aloneConfig(const GpuConfig &arch, DesignPoint point,
+                      std::uint32_t cores);
+
+/**
  * Reject malformed configurations before they become downstream UB:
  * zero-sized structures, non-power-of-two set counts, epoch = 0,
  * out-of-range probabilities. Throws ConfigError with a message naming
@@ -295,8 +306,9 @@ DesignPoint designPointByName(const std::string &name);
  * Structural fingerprint of a configuration: a hash over every field
  * that affects simulation behaviour (and NOT over the free-form name,
  * which benches reuse across distinct parameter sets). Two configs
- * with equal fingerprints run identically; the alone-IPC memo keys on
- * this. Update alongside any new GpuConfig field.
+ * with equal fingerprints run identically; the sweep's shared- and
+ * alone-run keys build on this. Update alongside any new GpuConfig
+ * field.
  */
 std::uint64_t configFingerprint(const GpuConfig &cfg);
 

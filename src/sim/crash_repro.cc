@@ -3,6 +3,7 @@
 #include <atomic>
 #include <charconv>
 #include <cinttypes>
+#include <cstdint>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -59,6 +60,8 @@ formatRepro(const CrashRepro &repro)
     out << "seed " << repro.seed << "\n";
     out << "warmup " << repro.warmup << "\n";
     out << "measure " << repro.measure << "\n";
+    if (repro.cores != 0)
+        out << "cores " << repro.cores << "\n";
 
     const WatchdogConfig &wd = repro.harden.watchdog;
     out << "watchdog.enabled " << (wd.enabled ? 1 : 0) << "\n";
@@ -151,6 +154,12 @@ loadRepro(const std::string &path)
             repro.warmup = u64();
         else if (key == "measure")
             repro.measure = u64();
+        else if (key == "cores") {
+            const std::uint64_t n = u64();
+            if (n > UINT32_MAX)
+                badValue(path, key, rest, "a core count below 2^32");
+            repro.cores = static_cast<std::uint32_t>(n);
+        }
         else if (key == "watchdog.enabled")
             wd.enabled = flag();
         else if (key == "watchdog.sweepInterval")
@@ -202,7 +211,7 @@ loadRepro(const std::string &path)
 CrashRepro
 makeRepro(const GpuConfig &arch, DesignPoint point,
           const std::vector<std::string> &benches, Cycle warmup,
-          Cycle measure)
+          Cycle measure, std::uint32_t cores)
 {
     CrashRepro repro;
     repro.arch = arch.name;
@@ -211,22 +220,13 @@ makeRepro(const GpuConfig &arch, DesignPoint point,
     repro.seed = arch.seed;
     repro.warmup = warmup;
     repro.measure = measure;
+    repro.cores = cores;
     repro.harden = arch.harden;
-    repro.fingerprint = configFingerprint(applyDesignPoint(arch, point));
+    repro.fingerprint = configFingerprint(
+        cores != 0 ? aloneConfig(arch, point, cores)
+                   : applyDesignPoint(arch, point));
     repro.module = "fatal-signal";
     repro.detail = "armed (no failure recorded)";
-    return repro;
-}
-
-CrashRepro
-makeRepro(const GpuConfig &arch, DesignPoint point,
-          const std::vector<std::string> &benches, Cycle warmup,
-          Cycle measure, const SimInvariantError &err)
-{
-    CrashRepro repro = makeRepro(arch, point, benches, warmup, measure);
-    repro.failCycle = err.cycle();
-    repro.module = err.module();
-    repro.detail = err.detail();
     return repro;
 }
 

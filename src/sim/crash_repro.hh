@@ -2,15 +2,17 @@
  * @file
  * Deterministic crash-replay records.
  *
- * When a SimInvariantError trips inside an Evaluator run, the runner
- * serializes everything needed to re-execute to the failure — the
- * architecture preset, design point, workload names, RNG seeds, run
- * windows, and the hardening (watchdog + fault injection) knobs — to a
- * small key/value repro file, with the fingerprint of the exact config
- * that ran. Each run has its own file, named by the run (reproPath),
- * so the failures of one sweep never overwrite each other. `replayRepro` (and the `crash_replay`
- * binary's `--replay <file>` flag) re-runs that configuration and
- * reports whether the failure reproduces at the recorded cycle.
+ * When a SimInvariantError trips inside a shared or alone run
+ * (sim/runner.hh), the runner serializes everything needed to
+ * re-execute to the failure — the architecture preset, design point,
+ * workload names, an alone run's core count, RNG seeds, run windows,
+ * and the hardening (watchdog + fault injection) knobs — to a small
+ * key/value repro file, with the fingerprint of the exact config that
+ * ran. Each run has its own file, named by the run (reproPath), so the
+ * failures of one sweep never overwrite each other. `replayRepro` (and
+ * the `crash_replay` binary's `--replay <file>` flag) re-runs that
+ * configuration and reports whether the failure reproduces at the
+ * recorded cycle.
  *
  * Hard crashes are covered too: fatal-signal handlers
  * (SIGSEGV/SIGABRT/SIGBUS/SIGFPE) flush a pre-rendered repro for the
@@ -40,6 +42,9 @@ struct CrashRepro
     std::uint64_t seed = 1;
     Cycle warmup = 0;
     Cycle measure = 0;
+    /** An alone run's core count (aloneConfig); 0 = a shared run on
+     *  the preset's own cores (and every file from older writers). */
+    std::uint32_t cores = 0;
     HardenConfig harden;
     /** configFingerprint of the run's config; 0 = not recorded (files
      *  from older writers). replayRepro refuses a mismatch. */
@@ -65,17 +70,14 @@ void writeRepro(const std::string &path, const CrashRepro &repro);
 /** Parse a repro file (throws std::runtime_error on a malformed file). */
 CrashRepro loadRepro(const std::string &path);
 
-/** Build the repro record for a failed run. */
+/** Repro record for a run that has not failed (yet): the signal
+ *  handler, or the runner on a tripped invariant, fills the failure
+ *  fields. A nonzero @p cores records an alone run of benches[0] on
+ *  aloneConfig(arch, point, cores). */
 CrashRepro makeRepro(const GpuConfig &arch, DesignPoint point,
                      const std::vector<std::string> &benches,
                      Cycle warmup, Cycle measure,
-                     const SimInvariantError &err);
-
-/** Repro record for a run that has not failed (yet): the signal
- *  handler fills module/detail when a fatal signal lands. */
-CrashRepro makeRepro(const GpuConfig &arch, DesignPoint point,
-                     const std::vector<std::string> &benches,
-                     Cycle warmup, Cycle measure);
+                     std::uint32_t cores = 0);
 
 /**
  * Install process-wide SIGSEGV/SIGABRT/SIGBUS/SIGFPE handlers that

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <thread>
 
 #include <sys/stat.h>
@@ -11,11 +12,72 @@
 
 #include "common/check.hh"
 #include "common/env.hh"
-#include "sim/crash_repro.hh"
 #include "common/file_io.hh"
+#include "metrics/metrics.hh"
+#include "sim/crash_repro.hh"
 #include "sim/sweep_io.hh"
 
 namespace mask {
+
+namespace {
+
+/** Run @p body and return how it ended: Ok, or Failed with the
+ *  exception it threw. */
+template <typename Body>
+SweepOutcome
+contain(Body body)
+{
+    SweepOutcome outcome;
+    try {
+        body();
+    } catch (const SimInvariantError &err) {
+        outcome.status = SweepStatus::Failed;
+        outcome.error = err.what();
+        outcome.exception = std::current_exception();
+        // The failing run's own repro, if the runner wrote one.
+        outcome.reproPath = err.reproPath();
+    } catch (const std::exception &err) {
+        outcome.status = SweepStatus::Failed;
+        outcome.error = err.what();
+        outcome.exception = std::current_exception();
+    } catch (...) {
+        outcome.status = SweepStatus::Failed;
+        outcome.error = "unknown exception";
+        outcome.exception = std::current_exception();
+    }
+    return outcome;
+}
+
+/**
+ * Call @p task(0) .. @p task(n - 1) on up to @p jobs threads, each
+ * index once. Inline when a single worker would do all the work: a
+ * one-thread pool pays spawn/join and work-queue overhead for nothing.
+ */
+template <typename Task>
+void
+runPool(std::size_t n, unsigned jobs, Task task)
+{
+    const std::size_t workers = std::min<std::size_t>(jobs, n);
+    if (workers <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            task(i);
+        return;
+    }
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+        pool.emplace_back([&]() {
+            for (std::size_t i; (i = next.fetch_add(
+                                     1, std::memory_order_relaxed)) < n;)
+                task(i);
+        });
+    }
+    for (std::thread &t : pool)
+        t.join();
+}
+
+} // namespace
 
 unsigned
 sweepJobs()
@@ -152,7 +214,7 @@ SweepRunner::SweepRunner(RunOptions options)
 SweepRunner::SweepRunner(RunOptions options, unsigned jobs)
     : options_(options), jobs_(jobs != 0 ? jobs : 1),
       policy_(sweepPolicyFromEnv()), dist_(distPolicyFromEnv()),
-      cache_(std::make_shared<AloneIpcCache>())
+      ckpt_(checkpointPolicyFromEnv())
 {
     applyDistWarmDefault();
 }
@@ -281,27 +343,51 @@ SweepRunner::jobKey(const SweepJob &job) const
     return key;
 }
 
-PairResult
-SweepRunner::execute(Evaluator &eval, const SweepJob &job)
+std::size_t
+SweepRunner::aloneCacheSize() const
 {
-    if (executor_)
-        return executor_(eval, job);
-    // A per-job window override gets an ephemeral Evaluator sharing
-    // the worker's caches: the alone-IPC memo keys on the windows, and
-    // the warm cache is exactly what lets a measure-length grid share
-    // one warmed snapshot.
-    Evaluator local(job.options ? *job.options : eval.options(),
-                    cache_);
-    local.setWarmCache(eval.warmCache());
-    Evaluator &use = job.options ? local : eval;
-    PairResult result;
-    if (job.mode == SweepMode::SharedOnly) {
-        result.stats = use.runShared(job.arch, job.point, job.benches);
-        result.sharedIpc = result.stats.ipc;
-    } else {
-        result = use.evaluate(job.arch, job.point, job.benches);
+    std::size_t n = 0;
+    for (const auto &[key, sim] : sims_)
+        n += sim.aloneIpc.has_value();
+    return n;
+}
+
+std::vector<SweepRunner::Sim>
+SweepRunner::simsOf(const SweepJob &job) const
+{
+    const RunOptions &opts = job.options ? *job.options : options_;
+    std::vector<Sim> sims;
+    sims.push_back({sharedRunName(job.arch, job.point, job.benches, opts)});
+    if (job.mode == SweepMode::Metrics) {
+        // Alone IPCs use the job's design point and each app's share
+        // of the cores.
+        const auto apps = static_cast<std::uint32_t>(job.benches.size());
+        for (std::uint32_t a = 0; a < apps; ++a) {
+            const std::uint32_t cores = coreShareOf(job.arch, apps, a);
+            sims.push_back({aloneRunName(job.arch, job.point,
+                                         job.benches[a], cores, opts),
+                            true, a, cores});
+        }
     }
-    return result;
+    return sims;
+}
+
+void
+SweepRunner::simulate(const SweepJob &job, const Sim &sim,
+                      SimResult &out) const
+{
+    const RunOptions &opts = job.options ? *job.options : options_;
+    out.outcome = contain([&]() {
+        if (sim.alone) {
+            out.aloneIpc = runAlone(job.arch, job.point,
+                                    job.benches[sim.app], sim.cores, opts,
+                                    ckpt_, warm_.get());
+        } else {
+            out.stats = std::make_unique<const GpuStats>(
+                runShared(job.arch, job.point, job.benches, opts, ckpt_,
+                          warm_.get()));
+        }
+    });
 }
 
 void
@@ -326,29 +412,32 @@ SweepRunner::finishJob(std::size_t index, const std::string &key,
 }
 
 void
-SweepRunner::runOne(Evaluator &eval, std::size_t pend_idx,
-                    std::size_t base)
+SweepRunner::assemble(std::size_t pend_idx, std::size_t base)
 {
-    // Exceptions are contained here, one job at a time; a fatal signal
-    // ends the process, and the journal resumes what finished.
+    const SweepJob &job = pending_[pend_idx];
     PairResult result;
     SweepOutcome outcome;
-    try {
-        result = execute(eval, pending_[pend_idx]);
-    } catch (const SimInvariantError &err) {
-        outcome.status = SweepStatus::Failed;
-        outcome.error = err.what();
-        outcome.exception = std::current_exception();
-        // The failing run's own repro, if captureCrash wrote one.
-        outcome.reproPath = err.reproPath();
-    } catch (const std::exception &err) {
-        outcome.status = SweepStatus::Failed;
-        outcome.error = err.what();
-        outcome.exception = std::current_exception();
-    } catch (...) {
-        outcome.status = SweepStatus::Failed;
-        outcome.error = "unknown exception";
-        outcome.exception = std::current_exception();
+    // The job takes the first failure among its runs, in the order a
+    // serial evaluation meets them: shared run, app 0, app 1...
+    for (const Sim &sim : simsOf(job)) {
+        const SimResult &run = sims_.find(sim.key)->second;
+        if (run.outcome.status != SweepStatus::Ok) {
+            if (outcome.status == SweepStatus::Ok)
+                outcome = run.outcome;
+        } else if (sim.alone) {
+            result.aloneIpc.push_back(*run.aloneIpc);
+        } else {
+            result.stats = *run.stats;
+            result.sharedIpc = result.stats.ipc;
+        }
+    }
+    if (outcome.status != SweepStatus::Ok) {
+        result = PairResult{};
+    } else if (job.mode == SweepMode::Metrics) {
+        result.weightedSpeedup =
+            weightedSpeedup(result.sharedIpc, result.aloneIpc);
+        result.ipcThroughput = ipcThroughput(result.sharedIpc);
+        result.unfairness = maxSlowdown(result.sharedIpc, result.aloneIpc);
     }
     finishJob(base + pend_idx, pendingKeys_[pend_idx], std::move(result),
               std::move(outcome));
@@ -400,7 +489,7 @@ SweepRunner::run()
                          distinct, todo.size());
         }
         if (!todo.empty())
-            runBatch(todo, base);
+            runBatch(todo, base, jobs_);
     }
 
     for (std::size_t i = 0; i < batch; ++i) {
@@ -415,45 +504,66 @@ SweepRunner::run()
 
 void
 SweepRunner::runBatch(const std::vector<std::size_t> &todo,
-                      std::size_t base)
+                      std::size_t base, unsigned workers)
 {
-    // Inline on the calling thread whenever a single worker would do
-    // all the work anyway: a one-thread pool pays spawn/join and
-    // atomic work-queue overhead for zero parallelism (visible as a
-    // <1.0 "speedup" on single-CPU hosts).
-    const std::size_t workers =
-        std::min<std::size_t>(jobs_, todo.size());
-    if (workers <= 1) {
-        Evaluator eval(options_, cache_);
-        eval.setWarmCache(warm_);
-        for (const std::size_t pend_idx : todo)
-            runOne(eval, pend_idx, base);
+    if (executor_) {
+        runPool(todo.size(), workers, [&](std::size_t n) {
+            const std::size_t i = todo[n];
+            PairResult result;
+            SweepOutcome outcome =
+                contain([&]() { result = executor_(pending_[i]); });
+            finishJob(base + i, pendingKeys_[i], std::move(result),
+                      std::move(outcome));
+        });
         return;
     }
-
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        // Workers share the alone-IPC memo and the warm-state cache
-        // but nothing else; each simulation is wholly thread-private,
-        // and every failure is absorbed into the job's outcome rather
-        // than thrown.
-        Evaluator eval(options_, cache_);
-        eval.setWarmCache(warm_);
-        for (;;) {
-            const std::size_t n =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (n >= todo.size())
-                return;
-            runOne(eval, todo[n], base);
-        }
+    // Each run the batch needs and the runner has not run yet is one
+    // pool task, in job order. Its sims_ slot is made here, before the
+    // pool starts, and only its task writes it. A job is finished, and
+    // journaled, by the task that completes its last run, so workers
+    // never wait on one another and a kill loses only unfinished jobs.
+    struct Task
+    {
+        const SweepJob *job;
+        Sim sim;
+        SimResult *out;
+        std::vector<std::size_t> jobs; //!< todo positions needing it
     };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w)
-        pool.emplace_back(worker);
-    for (std::thread &t : pool)
-        t.join();
+    std::vector<Task> tasks;
+    std::map<const SimResult *, std::size_t> task_of;
+    std::mutex runs_left_mutex; // guards runs_left once the pool runs
+    std::vector<std::size_t> runs_left(todo.size());
+    for (std::size_t n = 0; n < todo.size(); ++n) {
+        const SweepJob &job = pending_[todo[n]];
+        for (Sim &sim : simsOf(job)) {
+            const auto [it, fresh] = sims_.try_emplace(sim.key);
+            SimResult *out = &it->second;
+            if (fresh) {
+                task_of[out] = tasks.size();
+                tasks.push_back({&job, std::move(sim), out, {}});
+            }
+            if (const auto t = task_of.find(out); t != task_of.end()) {
+                tasks[t->second].jobs.push_back(n);
+                ++runs_left[n];
+            }
+        }
+    }
+    for (std::size_t n = 0; n < todo.size(); ++n) {
+        if (runs_left[n] == 0) // every run finished in an earlier batch
+            assemble(todo[n], base);
+    }
+    runPool(tasks.size(), workers, [&](std::size_t k) {
+        simulate(*tasks[k].job, tasks[k].sim, *tasks[k].out);
+        for (const std::size_t n : tasks[k].jobs) {
+            bool last = false;
+            {
+                const std::lock_guard<std::mutex> lock(runs_left_mutex);
+                last = --runs_left[n] == 0;
+            }
+            if (last)
+                assemble(todo[n], base);
+        }
+    });
 }
 
 std::vector<std::size_t>
@@ -506,11 +616,6 @@ SweepRunner::runDistributed(std::vector<std::size_t> todo,
     journal_ = std::make_unique<SweepJournal>(dist.shardPath(),
                                               dist_.worker);
 
-    // One Evaluator: a worker runs its jobs one at a time, so more
-    // parallelism in dist mode means more worker processes.
-    Evaluator eval(options_, cache_);
-    eval.setWarmCache(warm_);
-
     // Claim loop: repeated submission-order passes over the jobs not
     // yet done. Every pass first loads what the journal's winners say
     // is done — any status: unlike a serial resume, a Failed record is
@@ -534,7 +639,10 @@ SweepRunner::runDistributed(std::vector<std::size_t> todo,
                 held.push_back(i);
                 continue;
             }
-            runOne(eval, i, base);
+            // A worker runs its jobs, and their runs, one at a time,
+            // so more parallelism in dist mode means more worker
+            // processes.
+            runBatch({i}, base, 1);
             // Release only after finishJob made the shard record
             // durable: a lease must never vanish while the job's
             // completion is still invisible to peers.

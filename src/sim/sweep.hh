@@ -3,20 +3,24 @@
  * Parallel workload-sweep engine with fault-tolerant execution.
  *
  * Every figure/table bench walks the same shape of loop: for each
- * (workload pair, design point), build a GPU and simulate it. The runs
- * are independent, so SweepRunner fans them across a pool of worker
- * threads — each worker owns a private Evaluator, all workers share
- * one thread-safe alone-IPC memo — and hands results back in
- * submission order, so bench output is byte-identical to a serial run
- * regardless of worker count or completion order.
+ * (workload pair, design point), build a GPU and simulate it. A job
+ * needs its shared run and, in Metrics mode, one alone run per app
+ * (sim/runner.hh). SweepRunner runs each distinct one once in the
+ * runner's life, as one task of a pool of worker threads that never
+ * wait on one another, then builds every job's result from those runs
+ * and hands results back in submission order, so bench output is
+ * byte-identical to a serial run regardless of worker count or
+ * completion order.
  *
  * A sweep survives a failing job (DESIGN.md §10): an exception
- * (ConfigError, SimInvariantError, ...) ends that job with a Failed
- * SweepOutcome, its crash-repro path attached, while every other job
- * keeps running. A fatal signal ends the process; a JSONL journal
- * lets the re-run load the completed jobs instead of re-simulating
- * them. Surviving jobs' results stay byte-identical to a fault-free
- * serial run.
+ * (ConfigError, SimInvariantError, ...) ends that run, and every job
+ * that needs it gets a Failed SweepOutcome (the first failure of its
+ * shared run, app 0's alone run, app 1's, ...), its crash-repro path
+ * attached, while every other job keeps running. A job is journaled
+ * as soon as its last run finishes. A fatal signal ends the process;
+ * a JSONL journal lets the re-run load the completed jobs instead of
+ * re-simulating them. Surviving jobs' results stay byte-identical to
+ * a fault-free serial run.
  *
  * Usage is two-phase:
  *
@@ -33,7 +37,8 @@
  *
  * The job count comes from MASK_BENCH_JOBS (default 1 = serial;
  * 0 = one per hardware thread). MASK_SWEEP_JOURNAL=<path> names the
- * JSONL results journal for resume.
+ * JSONL results journal for resume. The runner reads these and the
+ * MASK_CKPT_* checkpoint policy once, when it is constructed.
  *
  * Identical jobs run once: a job whose key (config fingerprint,
  * design point, benches, mode, windows) matches an earlier job of the
@@ -71,6 +76,7 @@
 
 #include "common/config.hh"
 #include "sim/runner.hh"
+#include "sim/snapshot.hh"
 #include "sim/sweep_dist.hh"
 
 namespace mask {
@@ -158,8 +164,8 @@ struct WarmPolicy
  * whose file cannot be read produces the image itself and counts a
  * miss, so disk trouble costs time, never a job.
  *
- * The cache stores opaque bytes; consumers validate via
- * runMeasureFrom(), and on any header/checksum mismatch call
+ * The cache stores opaque bytes; consumers (runShared, runAlone)
+ * validate them, and on any header/checksum mismatch call
  * invalidate() + noteFallback() and re-run fresh — corruption can cost
  * time, never correctness.
  */
@@ -224,13 +230,14 @@ class SweepRunner
 
     /**
      * Run all jobs submitted since the last run() and block until
-     * they finish. Each job runs once, in process; a job identical to
-     * an earlier one of the runner's life (same jobKey) copies its
-     * result and outcome instead of running. A job that throws
-     * never aborts the batch: its exception is recorded in outcome()
-     * while every other job keeps running. Only infrastructure errors
-     * (journal I/O) throw. The runner is reusable: submit/run again
-     * after it returns, with the alone-IPC memo carried across
+     * they finish. A job identical to an earlier one of the runner's
+     * life (same jobKey) copies its result and outcome instead of
+     * running, and a shared or alone run that an earlier job ran is
+     * not run again. A run that throws never aborts the batch: its
+     * exception is recorded in the outcome() of every job that needs
+     * it while every other job keeps running. Only infrastructure
+     * errors (journal I/O) throw. The runner is reusable: submit/run
+     * again after it returns, with the finished runs carried across
      * batches.
      */
     void run();
@@ -257,8 +264,6 @@ class SweepRunner
     std::size_t journalHits() const;
 
     unsigned jobs() const { return jobs_; }
-    const RunOptions &options() const { return options_; }
-    const SweepPolicy &policy() const { return policy_; }
 
     /** Override the env policy (tests); resets the journal binding. */
     void setPolicy(SweepPolicy policy);
@@ -271,8 +276,6 @@ class SweepRunner
 
     /** Distributed execution enabled (MASK_SWEEP_DIST_DIR set)? */
     bool distActive() const { return dist_.enabled(); }
-
-    const DistPolicy &distPolicy() const { return dist_; }
 
     /** Distributed counters, accumulated over all run() batches
      *  (zeroes when distribution is off). */
@@ -287,17 +290,37 @@ class SweepRunner
         return warm_;
     }
 
-    /** Replace the job executor (tests: inject failures). */
-    using Executor =
-        std::function<PairResult(Evaluator &, const SweepJob &)>;
+    /** Replace the job executor (tests: inject failures); it computes
+     *  each job whole, in place of its shared and alone runs. */
+    using Executor = std::function<PairResult(const SweepJob &)>;
     void setExecutorForTest(Executor executor);
 
-    /** Distinct alone runs memoized so far (shared across workers). */
-    std::size_t aloneCacheSize() const { return cache_->size(); }
+    /** Distinct alone runs completed so far, over all batches. */
+    std::size_t aloneCacheSize() const;
 
   private:
+    /** One shared or alone run a job needs. */
+    struct Sim
+    {
+        std::string key;          //!< sharedRunName / aloneRunName
+        bool alone = false;
+        std::uint32_t app = 0;    //!< alone: index into job.benches
+        std::uint32_t cores = 0;  //!< alone: core count
+    };
+
+    /** A finished run: a shared run's stats or an alone run's IPC,
+     *  or the failure that ended it. */
+    struct SimResult
+    {
+        std::unique_ptr<const GpuStats> stats; //!< a shared run's, if Ok
+        std::optional<double> aloneIpc;        //!< an alone run's, if Ok
+        SweepOutcome outcome;
+    };
+
+    /** Run the jobs @p todo on up to @p workers threads, as one pool
+     *  task per run not yet run (or per job, with a test executor). */
     void runBatch(const std::vector<std::size_t> &todo,
-                  std::size_t base);
+                  std::size_t base, unsigned workers);
     void runDistributed(std::vector<std::size_t> todo, std::size_t base);
     /**
      * Refresh the journal and load every job of @p todo (pending
@@ -309,9 +332,14 @@ class SweepRunner
         std::size_t base, const std::vector<std::size_t> &todo,
         bool ok_only);
     void applyDistWarmDefault();
-    void runOne(Evaluator &eval, std::size_t pend_idx,
-                std::size_t base);
-    PairResult execute(Evaluator &eval, const SweepJob &job);
+    /** The runs @p job needs: its shared run, then (Metrics) each
+     *  app's alone run in app order. */
+    std::vector<Sim> simsOf(const SweepJob &job) const;
+    void simulate(const SweepJob &job, const Sim &sim,
+                  SimResult &out) const;
+    /** Build job @p pend_idx's result from its finished runs and
+     *  finish it. */
+    void assemble(std::size_t pend_idx, std::size_t base);
     void finishJob(std::size_t index, const std::string &key,
                    PairResult result, SweepOutcome outcome);
     std::string jobKey(const SweepJob &job) const;
@@ -321,8 +349,10 @@ class SweepRunner
     SweepPolicy policy_;
     DistPolicy dist_;
     DistSweepStats distStats_;
-    std::shared_ptr<AloneIpcCache> cache_;
+    CheckpointPolicy ckpt_;
     std::shared_ptr<WarmStateCache> warm_;
+    /** Every shared and alone run of the runner's life, by Sim::key. */
+    std::map<std::string, SimResult> sims_;
     std::vector<SweepJob> pending_;
     std::vector<std::string> pendingKeys_; //!< jobKey of each pending_
     /** jobKey -> index of the first job with that key, all batches. */

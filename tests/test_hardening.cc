@@ -399,6 +399,7 @@ TEST(CrashRepro, WriteLoadRoundTrip)
     repro.seed = 99;
     repro.warmup = 1234;
     repro.measure = 5678;
+    repro.cores = 15;
     repro.harden.watchdog.sweepInterval = 777;
     repro.harden.watchdog.maxAge = 4242;
     repro.harden.fault.enabled = true;
@@ -420,6 +421,7 @@ TEST(CrashRepro, WriteLoadRoundTrip)
     EXPECT_EQ(loaded.seed, repro.seed);
     EXPECT_EQ(loaded.warmup, repro.warmup);
     EXPECT_EQ(loaded.measure, repro.measure);
+    EXPECT_EQ(loaded.cores, repro.cores);
     EXPECT_EQ(loaded.harden.watchdog.sweepInterval, 777u);
     EXPECT_EQ(loaded.harden.watchdog.maxAge, 4242u);
     EXPECT_TRUE(loaded.harden.fault.enabled);
@@ -447,7 +449,8 @@ TEST(CrashRepro, LoadRejectsMalformedValuesNamingTheKey)
     const std::string path = "bad_value.repro";
     for (const char *line :
          {"seed -1", "warmup 100abc", "measure 18446744073709551616",
-          "watchdog.enabled yes", "fault.dramDelayProb 0.5x"}) {
+          "cores 4294967296", "cores 2x", "watchdog.enabled yes",
+          "fault.dramDelayProb 0.5x"}) {
         std::FILE *f = std::fopen(path.c_str(), "w");
         ASSERT_NE(f, nullptr);
         std::fprintf(f, "bench 3DS\n%s\n", line);
@@ -547,12 +550,11 @@ TEST(CrashRepro, TrippedRunWritesReproAndReplaysToSameCycle)
 {
     const ScopedReproDir repro_dir("watchdog_trip_repros");
 
-    Evaluator eval(RunOptions{6000, 6000});
     Cycle fail_cycle = 0;
     std::string path;
     try {
-        eval.runShared(trippingArch(), DesignPoint::SharedTlb,
-                       {"3DS", "HISTO"});
+        runShared(trippingArch(), DesignPoint::SharedTlb, {"3DS", "HISTO"},
+                  RunOptions{6000, 6000});
         FAIL() << "expected the watchdog to trip";
     } catch (const SimInvariantError &err) {
         fail_cycle = err.cycle();
@@ -595,26 +597,74 @@ TEST(CrashRepro, EachFailedSweepJobRecordsItsOwnRepro)
 
 TEST(CrashRepro, ReplayRefusesAConfigItCannotRebuild)
 {
-    // An alone run's config, built as Evaluator::aloneIpc builds it:
-    // a preset name on a shrunken GPU with no shares or partition.
-    GpuConfig alone = archByName("maxwell");
-    alone.numCores = coreShareOf(alone, 2, 0);
-    alone.coreShares.clear();
-    alone.partition = PartitionConfig{};
+    // An alone run's record replays on the config the run used: the
+    // preset shrunk to the recorded core count, with no shares or
+    // partition (aloneConfig). Static exercises the partition reset.
+    const GpuConfig arch = archByName("maxwell");
+    const std::uint32_t cores = coreShareOf(arch, 2, 0);
     const std::string path = "alone_run.repro";
-    writeRepro(path, makeRepro(alone, DesignPoint::SharedTlb, {"3DS"},
-                               100, 100));
+    writeRepro(path, makeRepro(arch, DesignPoint::Static, {"3DS"}, 100,
+                               100, cores));
     const CrashRepro repro = loadRepro(path);
     std::remove(path.c_str());
+    EXPECT_EQ(repro.cores, cores);
     EXPECT_EQ(repro.fingerprint,
               configFingerprint(
-                  applyDesignPoint(alone, DesignPoint::SharedTlb)));
-    EXPECT_THROW(replayRepro(repro), std::runtime_error);
+                  aloneConfig(arch, DesignPoint::Static, cores)));
+    EXPECT_FALSE(replayRepro(repro).reproduced);
+
+    // Without its core count the record names the full preset, whose
+    // fingerprint differs.
+    CrashRepro no_cores = repro;
+    no_cores.cores = 0;
+    EXPECT_THROW(replayRepro(no_cores), std::runtime_error);
 
     // A bench-renamed variant is not a preset at all.
     CrashRepro renamed = repro;
     renamed.arch = "maxwell-tlb8192";
     EXPECT_THROW(replayRepro(renamed), std::runtime_error);
+}
+
+TEST(Sweep, FailedJobReportsItsFirstFailingRun)
+{
+    // Every run of this job trips the watchdog: the shared run and
+    // both alone runs. The job reports the first failure in the order
+    // a serial evaluation meets them (shared run, app 0, app 1), with
+    // that run's error and repro; each alone run wrote its own repro,
+    // which replays to its cycle.
+    const ScopedReproDir repro_dir("first_failure_repros");
+    const GpuConfig arch = trippingArch();
+    const RunOptions options{6000, 6000};
+    const std::vector<std::string> benches = {"3DS", "HISTO"};
+
+    SweepRunner sweep(options, 2);
+    sweep.submit({arch, DesignPoint::SharedTlb, benches});
+    sweep.run();
+    const SweepOutcome &outcome = sweep.outcome(0);
+    ASSERT_EQ(outcome.status, SweepStatus::Failed);
+    EXPECT_EQ(outcome.reproPath,
+              reproPath(sharedRunName(arch, DesignPoint::SharedTlb,
+                                      benches, options)));
+    EXPECT_EQ(sweep.aloneCacheSize(), 0u);
+
+    // The same error a shared run alone raises.
+    try {
+        runShared(arch, DesignPoint::SharedTlb, benches, options);
+        ADD_FAILURE() << "expected the watchdog to trip";
+    } catch (const SimInvariantError &err) {
+        EXPECT_EQ(outcome.error, err.what());
+    }
+
+    const auto apps = static_cast<std::uint32_t>(benches.size());
+    for (std::uint32_t a = 0; a < apps; ++a) {
+        const std::string path = reproPath(
+            aloneRunName(arch, DesignPoint::SharedTlb, benches[a],
+                         coreShareOf(arch, apps, a), options));
+        ASSERT_TRUE(std::filesystem::exists(path)) << path;
+        const CrashRepro repro = loadRepro(path);
+        EXPECT_EQ(repro.cores, coreShareOf(arch, apps, a));
+        expectReplaysToCycle(path, {benches[a]}, repro.failCycle);
+    }
 }
 
 } // namespace

@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the evaluation runner (shared runs, alone-IPC caching,
- * metric assembly, time multiplexing).
+ * Tests for the evaluation runner (shared and alone runs, metric
+ * assembly, time multiplexing). Reuse of alone runs is tested with
+ * the sweep (test_sweep.cc).
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -13,6 +12,7 @@
 #include "sim/gpu.hh"
 #include "sim/presets.hh"
 #include "sim/runner.hh"
+#include "sim/sweep.hh"
 #include "sim/time_mux.hh"
 #include "workload/suite.hh"
 
@@ -44,10 +44,10 @@ fastOptions()
 
 TEST(Runner, EvaluateProducesConsistentMetrics)
 {
-    Evaluator eval(fastOptions());
-    const PairResult r = eval.evaluate(smallArch(),
-                                       DesignPoint::SharedTlb,
-                                       {"LUD", "GUP"});
+    SweepRunner sweep(fastOptions(), 1);
+    sweep.submit({smallArch(), DesignPoint::SharedTlb, {"LUD", "GUP"}});
+    sweep.run();
+    const PairResult &r = sweep.result(0);
     ASSERT_EQ(r.sharedIpc.size(), 2u);
     ASSERT_EQ(r.aloneIpc.size(), 2u);
     EXPECT_GT(r.weightedSpeedup, 0.0);
@@ -55,64 +55,21 @@ TEST(Runner, EvaluateProducesConsistentMetrics)
     EXPECT_GE(r.unfairness, 0.9);
     EXPECT_NEAR(r.ipcThroughput, r.sharedIpc[0] + r.sharedIpc[1],
                 1e-12);
-}
 
-TEST(Runner, AloneIpcIsCached)
-{
-    Evaluator eval(fastOptions());
-    const double first =
-        eval.aloneIpc(smallArch(), DesignPoint::SharedTlb, "LUD", 2);
-    const double second =
-        eval.aloneIpc(smallArch(), DesignPoint::SharedTlb, "LUD", 2);
-    EXPECT_DOUBLE_EQ(first, second);
-}
-
-TEST(Runner, StaticAloneRunSharesSharedTlbMemoSlot)
-{
-    // Static differs from SharedTLB only in its partition flags, which
-    // the L2 fill and the address mapper read only with more than one
-    // app. A one-app Gpu with the flags set therefore retires exactly
-    // what one without them does...
-    const BenchmarkParams &bench = findBenchmark("LUD");
-    std::vector<std::uint64_t> instructions;
-    for (const DesignPoint point :
-         {DesignPoint::Static, DesignPoint::SharedTlb}) {
-        GpuConfig cfg = applyDesignPoint(smallArch(), point);
-        cfg.numCores = 2;
-        Gpu gpu(cfg, {AppDesc{&bench}});
-        gpu.run(fastOptions().warmup);
-        gpu.resetStats();
-        gpu.run(fastOptions().measure);
-        instructions.push_back(gpu.collect().instructions[0]);
-    }
-    EXPECT_EQ(instructions[0], instructions[1]);
-
-    // ...so the alone-IPC memo keys both on one slot, and the two
-    // alone IPCs are bit-equal.
-    Evaluator eval(fastOptions());
-    const double static_ipc =
-        eval.aloneIpc(smallArch(), DesignPoint::Static, "LUD", 2);
-    const double shared_ipc =
-        eval.aloneIpc(smallArch(), DesignPoint::SharedTlb, "LUD", 2);
-    EXPECT_EQ(std::memcmp(&static_ipc, &shared_ipc, sizeof(double)), 0);
-    EXPECT_EQ(eval.aloneCacheSize(), 1u);
-}
-
-TEST(Runner, AloneIpcDependsOnCoreCount)
-{
-    Evaluator eval(fastOptions());
-    const double two =
-        eval.aloneIpc(smallArch(), DesignPoint::Ideal, "LUD", 2);
-    const double four =
-        eval.aloneIpc(smallArch(), DesignPoint::Ideal, "LUD", 4);
-    EXPECT_GT(four, two * 1.2);
+    // The metrics divide the shared run's IPCs by the alone runs'.
+    EXPECT_EQ(r.sharedIpc,
+              runShared(smallArch(), DesignPoint::SharedTlb,
+                        {"LUD", "GUP"}, fastOptions())
+                  .ipc);
+    EXPECT_EQ(r.aloneIpc[1],
+              runAlone(smallArch(), DesignPoint::SharedTlb, "GUP", 2,
+                       fastOptions()));
 }
 
 TEST(Runner, RunSharedReportsBothApps)
 {
-    Evaluator eval(fastOptions());
-    const GpuStats stats = eval.runShared(
-        smallArch(), DesignPoint::SharedTlb, {"LUD", "NN"});
+    const GpuStats stats = runShared(smallArch(), DesignPoint::SharedTlb,
+                                     {"LUD", "NN"}, fastOptions());
     ASSERT_EQ(stats.ipc.size(), 2u);
     EXPECT_GT(stats.ipc[0], 0.0);
     EXPECT_GT(stats.ipc[1], 0.0);

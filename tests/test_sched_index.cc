@@ -333,7 +333,6 @@ runWorkCases()
     RunOptions options;
     options.warmup = 6000;
     options.measure = 20000;
-    Evaluator eval(options);
     const GpuConfig arch = archByName("maxwell");
     const WorkloadPair pair = workloadPairs().front();
     const std::vector<std::string> names = {pair.first, pair.second};
@@ -341,7 +340,7 @@ runWorkCases()
     std::vector<WorkCounters> out;
     const auto shared = [&](const char *name, DesignPoint point,
                             const std::vector<std::string> &benches) {
-        const GpuStats stats = eval.runShared(arch, point, benches);
+        const GpuStats stats = runShared(arch, point, benches, options);
         out.push_back(WorkCounters{name}.add(stats));
         return stats;
     };
@@ -359,10 +358,17 @@ runWorkCases()
     std::filesystem::remove_all(ckpt_dir);
     std::filesystem::create_directories(ckpt_dir);
     ::setenv("MASK_CKPT_DIR", ckpt_dir.c_str(), 1);
-    EXPECT_GT(shared("pair-mask-ckpt", DesignPoint::Mask, names).ckptWrites,
-              0u);
-    ::unsetenv("MASK_CKPT_INTERVAL_CYCLES");
-    ::unsetenv("MASK_CKPT_DIR");
+    {
+        // The runner reads MASK_CKPT_* when it is built.
+        SweepRunner ckpt(options, 1);
+        ckpt.submit({arch, DesignPoint::Mask, names, SweepMode::SharedOnly});
+        ::unsetenv("MASK_CKPT_INTERVAL_CYCLES");
+        ::unsetenv("MASK_CKPT_DIR");
+        ckpt.run();
+        const GpuStats &stats = ckpt.result(0).stats;
+        EXPECT_GT(stats.ckptWrites, 0u);
+        out.push_back(WorkCounters{"pair-mask-ckpt"}.add(stats));
+    }
     std::filesystem::remove_all(ckpt_dir);
 
     RunOptions grid;

@@ -471,10 +471,10 @@ TEST_F(StateCodecFuzz, WireFormatIsPinned)
     EXPECT_EQ(fnv1a64(payload_), 0x2dfe5c0e86f207c6ull);
 
     const WorkloadPair &pair = workloadPairs().front();
-    Evaluator eval(RunOptions{2000, 3000});
     PairResult result;
-    result.stats =
-        eval.runShared(cfg_, DesignPoint::Mask, {pair.first, pair.second});
+    result.stats = runShared(cfg_, DesignPoint::Mask,
+                             {pair.first, pair.second},
+                             RunOptions{2000, 3000});
     result.sharedIpc = result.stats.ipc;
     const std::string blob = encodePairResult(result);
     EXPECT_EQ(blob.rfind("v4 ", 0), 0u);

@@ -1,17 +1,20 @@
 /**
  * Tests for the parallel workload-sweep engine: parallel results must
- * be identical to serial ones, the shared alone-IPC memo must dedup
- * across workers, the memo key must distinguish configurations that
- * share a name (the fingerprint regression), and a failing job must be
- * contained in its outcome, an identical job must run once, and a
- * journal resume must load finished jobs, without perturbing the
- * surviving jobs' results by a single bit.
+ * be identical to serial ones, each distinct shared or alone run must
+ * be simulated once across workers and batches, the alone-run key must
+ * distinguish configurations that share a name (the fingerprint
+ * regression), and a failing job must be contained in its outcome, an
+ * identical job must run once, and a journal resume must load finished
+ * jobs, without perturbing the surviving jobs' results by a single
+ * bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -27,6 +30,7 @@
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
 #include "sim/sweep_io.hh"
+#include "workload/suite.hh"
 
 using namespace mask;
 
@@ -39,6 +43,31 @@ shortOptions()
     options.warmup = 2000;
     options.measure = 6000;
     return options;
+}
+
+/** A 4-core GPU: two apps get 2 cores each, so their alone runs are
+ *  quick. */
+GpuConfig
+smallArch()
+{
+    GpuConfig cfg;
+    cfg.name = "small";
+    cfg.numCores = 4;
+    cfg.warpsPerCore = 16;
+    cfg.l2 = CacheConfig{256 * 1024, 128, 8, 10, 4, 2, 64};
+    cfg.l2Tlb = TlbConfig{128, 8, 10, 2, 64};
+    cfg.dram.channels = 2;
+    cfg.mask.epochCycles = 2000;
+    return cfg;
+}
+
+const RunOptions kSmallWindows{2000, 8000};
+
+/** Bit equality: EXPECT_EQ on doubles would pass for 0.0 vs -0.0. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 std::vector<SweepJob>
@@ -191,9 +220,9 @@ TEST(Sweep, ParallelResultsIdenticalToSerial)
 
 TEST(Sweep, AloneCacheSharedAcrossWorkers)
 {
-    // Two jobs over the same pair at the same design point need the
-    // same two alone runs: the shared memo must end up with exactly
-    // one entry per (config, bench), not one per worker.
+    // Jobs over the same pair at the same design point need the same
+    // two alone runs: the runner must run exactly one per (config,
+    // bench), not one per worker.
     SweepRunner sweep(shortOptions(), 4);
     const GpuConfig arch = archByName("maxwell");
     for (int i = 0; i < 4; ++i)
@@ -201,7 +230,7 @@ TEST(Sweep, AloneCacheSharedAcrossWorkers)
     sweep.run();
     EXPECT_EQ(sweep.aloneCacheSize(), 2u);
 
-    // A second batch over the same workload reuses the memo.
+    // A second batch over the same workload reuses them.
     sweep.submit({arch, DesignPoint::SharedTlb, {"HISTO", "LPS"}});
     sweep.run();
     EXPECT_EQ(sweep.aloneCacheSize(), 2u);
@@ -235,9 +264,8 @@ TEST(Sweep, ResultIndicesFollowSubmissionOrder)
 
     // Distinguishable results: the two benches run different
     // instruction mixes, so their IPCs differ.
-    Evaluator eval(shortOptions());
-    const GpuStats histo =
-        eval.runShared(arch, DesignPoint::SharedTlb, {"HISTO"});
+    const GpuStats histo = runShared(arch, DesignPoint::SharedTlb,
+                                     {"HISTO"}, shortOptions());
     EXPECT_EQ(sweep.result(a).stats.ipc[0], histo.ipc[0]);
 }
 
@@ -274,9 +302,10 @@ TEST(Sweep, WorkerFailureIsIsolatedToItsJob)
 
 TEST(Sweep, AloneMemoSurvivesFailedBatch)
 {
-    // A failure in one job of a batch must leave the shared alone-IPC
-    // memo usable: the good job's alone runs land in the memo and a
-    // follow-up batch reuses them.
+    // A failure in one job of a batch must leave the finished alone
+    // runs usable: the good job's alone runs are kept and a follow-up
+    // batch reuses them. The broken job's runs all fail, so none of
+    // them counts.
     SweepRunner sweep(shortOptions(), 2);
     const GpuConfig arch = archByName("maxwell");
     GpuConfig broken = arch;
@@ -289,13 +318,13 @@ TEST(Sweep, AloneMemoSurvivesFailedBatch)
     EXPECT_EQ(sweep.aloneCacheSize(), 2u);
 
     // A different job needing the same two alone runs: Static's
-    // partitioning is cleared for alone runs, so they share
-    // SharedTLB's memo slots (an identical job would run nothing).
+    // partitioning is cleared for alone runs (aloneConfig), so they
+    // are SharedTLB's (an identical job would run nothing).
     const std::size_t again =
         sweep.submit({arch, DesignPoint::Static, {"HISTO", "LPS"}});
     sweep.run();
     EXPECT_EQ(sweep.outcome(again).status, SweepStatus::Ok);
-    EXPECT_EQ(sweep.aloneCacheSize(), 2u); // memo hit, no new runs
+    EXPECT_EQ(sweep.aloneCacheSize(), 2u); // reused, no new runs
     EXPECT_EQ(sweep.result(good).aloneIpc, sweep.result(again).aloneIpc);
 }
 
@@ -307,7 +336,7 @@ TEST(Sweep, IdenticalJobsRunOnce)
     SweepRunner sweep(shortOptions(), 2);
     std::atomic<int> executed{0};
     sweep.setExecutorForTest(
-        [&executed](Evaluator &, const SweepJob &job) -> PairResult {
+        [&executed](const SweepJob &job) -> PairResult {
             ++executed;
             if (job.benches[0] == "LPS")
                 throw std::runtime_error("injected failure");
@@ -368,7 +397,7 @@ TEST(Sweep, JournalResumeSkipsCompletedJobs)
     SweepRunner resumed(shortOptions(), 1);
     resumed.setPolicy(policy);
     resumed.setExecutorForTest(
-        [](Evaluator &, const SweepJob &) -> PairResult {
+        [](const SweepJob &) -> PairResult {
             throw std::runtime_error("resume should not re-simulate");
         });
     resumed.submit({arch, DesignPoint::SharedTlb, {"HISTO"},
@@ -398,7 +427,7 @@ TEST(Sweep, JournalResumeResimulatesOnlyFailedJobs)
     SweepRunner first(shortOptions(), 1);
     first.setPolicy(policy);
     first.setExecutorForTest(
-        [](Evaluator &, const SweepJob &job) -> PairResult {
+        [](const SweepJob &job) -> PairResult {
             if (job.benches[0] == "LPS")
                 throw std::runtime_error("injected failure");
             return syntheticResult(2.0);
@@ -415,7 +444,7 @@ TEST(Sweep, JournalResumeResimulatesOnlyFailedJobs)
     SweepRunner resumed(shortOptions(), 1);
     resumed.setPolicy(policy);
     resumed.setExecutorForTest(
-        [&](Evaluator &, const SweepJob &) {
+        [&](const SweepJob &) {
             ++simulated;
             return syntheticResult(3.0);
         });
@@ -560,38 +589,169 @@ TEST(Sweep, JobsEnvVariableParsing)
     EXPECT_EQ(sweepJobs(), 1u);
 }
 
-TEST(AloneIpcCache, SameNameDifferentConfigGetsDistinctEntries)
+TEST(Sweep, SameNameDifferentConfigGetsDistinctAloneRuns)
 {
-    // Regression for the old name-keyed memo: two architectures that
-    // share cfg.name but differ in a behavioural parameter (the
+    // Regression for the old name-keyed alone runs: two architectures
+    // that share cfg.name but differ in a behavioural parameter (the
     // sec73 sweep pattern) must not share alone IPCs.
     GpuConfig small = archByName("maxwell");
     GpuConfig large = archByName("maxwell");
     small.l2Tlb.entries = 64;
     large.l2Tlb.entries = 8192;
     ASSERT_EQ(small.name, large.name);
+    // One app on 15 cores: its alone run is 3DS's in a pair on the
+    // 30-core preset.
+    small.numCores = 15;
+    large.numCores = 15;
 
     // 3DS is TLB-sensitive, so the two TLB sizes must also produce
     // measurably different alone IPCs (windows long enough to miss).
     RunOptions options;
     options.warmup = 10000;
     options.measure = 40000;
-    Evaluator eval(options);
-    const double ipc_small =
-        eval.aloneIpc(small, DesignPoint::SharedTlb, "3DS", 15);
-    EXPECT_EQ(eval.aloneCacheSize(), 1u);
-    const double ipc_large =
-        eval.aloneIpc(large, DesignPoint::SharedTlb, "3DS", 15);
-    EXPECT_EQ(eval.aloneCacheSize(), 2u);
+    SweepRunner sweep(options, 1);
+    const std::size_t on_small =
+        sweep.submit({small, DesignPoint::SharedTlb, {"3DS"}});
+    sweep.run();
+    EXPECT_EQ(sweep.aloneCacheSize(), 1u);
+    const std::size_t on_large =
+        sweep.submit({large, DesignPoint::SharedTlb, {"3DS"}});
+    sweep.run();
+    EXPECT_EQ(sweep.aloneCacheSize(), 2u);
 
-    // And a repeated query hits the memo instead of adding entries.
-    EXPECT_EQ(
-        eval.aloneIpc(small, DesignPoint::SharedTlb, "3DS", 15),
-        ipc_small);
-    EXPECT_EQ(eval.aloneCacheSize(), 2u);
+    // And another job needing small's alone run reuses it instead of
+    // adding a run.
+    const std::size_t again =
+        sweep.submit({small, DesignPoint::Static, {"3DS"}});
+    sweep.run();
+    EXPECT_EQ(sweep.aloneCacheSize(), 2u);
+    EXPECT_TRUE(sameBits(sweep.result(again).aloneIpc[0],
+                         sweep.result(on_small).aloneIpc[0]));
 
     // The tiny TLB must actually simulate differently.
-    EXPECT_NE(ipc_small, ipc_large);
+    EXPECT_NE(sweep.result(on_small).aloneIpc[0],
+              sweep.result(on_large).aloneIpc[0]);
+}
+
+TEST(Sweep, AloneRunIsReused)
+{
+    // LUD is app 0 on 2 cores in both pairs: the second batch reuses
+    // its alone run, bit for bit.
+    SweepRunner sweep(kSmallWindows, 1);
+    const std::size_t first =
+        sweep.submit({smallArch(), DesignPoint::SharedTlb, {"LUD", "GUP"}});
+    sweep.run();
+    EXPECT_EQ(sweep.aloneCacheSize(), 2u);
+    const std::size_t second =
+        sweep.submit({smallArch(), DesignPoint::SharedTlb, {"LUD", "NN"}});
+    sweep.run();
+    EXPECT_EQ(sweep.aloneCacheSize(), 3u);
+    EXPECT_TRUE(sameBits(sweep.result(first).aloneIpc[0],
+                         sweep.result(second).aloneIpc[0]));
+}
+
+TEST(Sweep, StaticAloneRunIsSharedTlbs)
+{
+    // Static differs from SharedTLB only in its partition flags, which
+    // the L2 fill and the address mapper read only with more than one
+    // app. A one-app Gpu with the flags set therefore retires exactly
+    // what one without them does...
+    const BenchmarkParams &bench = findBenchmark("LUD");
+    std::vector<std::uint64_t> instructions;
+    for (const DesignPoint point :
+         {DesignPoint::Static, DesignPoint::SharedTlb}) {
+        GpuConfig cfg = applyDesignPoint(smallArch(), point);
+        cfg.numCores = 2;
+        Gpu gpu(cfg, {AppDesc{&bench}});
+        gpu.run(kSmallWindows.warmup);
+        gpu.resetStats();
+        gpu.run(kSmallWindows.measure);
+        instructions.push_back(gpu.collect().instructions[0]);
+    }
+    EXPECT_EQ(instructions[0], instructions[1]);
+
+    // ...so the two designs share both alone runs, and their alone
+    // IPCs are bit-equal.
+    SweepRunner sweep(kSmallWindows, 1);
+    const std::size_t stat =
+        sweep.submit({smallArch(), DesignPoint::Static, {"LUD", "GUP"}});
+    const std::size_t shared = sweep.submit(
+        {smallArch(), DesignPoint::SharedTlb, {"LUD", "GUP"}});
+    sweep.run();
+    EXPECT_EQ(sweep.aloneCacheSize(), 2u);
+    for (std::size_t app = 0; app < 2; ++app) {
+        EXPECT_TRUE(sameBits(sweep.result(stat).aloneIpc[app],
+                             sweep.result(shared).aloneIpc[app]))
+            << app;
+    }
+}
+
+TEST(Sweep, AloneIpcDependsOnCoreCount)
+{
+    // LUD alone on 2 cores (half the GPU, in a pair) and on all 4 (a
+    // one-app job) are two runs.
+    SweepRunner sweep(kSmallWindows, 1);
+    const std::size_t two =
+        sweep.submit({smallArch(), DesignPoint::Ideal, {"LUD", "GUP"}});
+    const std::size_t four =
+        sweep.submit({smallArch(), DesignPoint::Ideal, {"LUD"}});
+    sweep.run();
+    EXPECT_EQ(sweep.aloneCacheSize(), 3u);
+    EXPECT_GT(sweep.result(four).aloneIpc[0],
+              sweep.result(two).aloneIpc[0] * 1.2);
+}
+
+TEST(Sweep, EachDistinctRunSimulatesOnce)
+{
+    // Every simulation looks the warm cache up once (a hit, a miss or
+    // a bypass), so those counters count the runs the runner
+    // simulated.
+    const std::string warm_dir = ::testing::TempDir() +
+                                 "distinct_runs_" +
+                                 std::to_string(::getpid());
+    std::filesystem::remove_all(warm_dir);
+    SweepRunner sweep(shortOptions(), 2);
+    sweep.setWarmPolicy(WarmPolicy{true, warm_dir});
+    const auto simulated = [&sweep]() {
+        const WarmStateCache::Stats warm = sweep.warmStats();
+        return warm.hits + warm.misses + warm.bypasses;
+    };
+
+    const GpuConfig arch = archByName("maxwell");
+    const DesignPoint point = DesignPoint::SharedTlb;
+    const std::vector<SweepJob> jobs = {
+        // A Metrics and a SharedOnly job of one shared run.
+        {arch, point, {"HISTO", "LPS"}},
+        {arch, point, {"HISTO", "LPS"}, SweepMode::SharedOnly},
+        // A second pair that shares app 0, HISTO, with the first.
+        {arch, point, {"HISTO", "RED"}},
+        // A later batch's pair that reuses LPS's alone run.
+        {arch, point, {"3DS", "LPS"}},
+    };
+    std::vector<std::size_t> ids;
+    for (std::size_t i = 0; i < 3; ++i)
+        ids.push_back(sweep.submit(jobs[i]));
+    sweep.run();
+    // Shared runs HISTO_LPS and HISTO_RED; alone runs HISTO, LPS, RED.
+    EXPECT_EQ(simulated(), 5u);
+    EXPECT_EQ(sweep.aloneCacheSize(), 3u);
+
+    ids.push_back(sweep.submit(jobs[3]));
+    sweep.run();
+    // Shared run 3DS_LPS and alone run 3DS.
+    EXPECT_EQ(simulated(), 7u);
+    EXPECT_EQ(sweep.aloneCacheSize(), 4u);
+
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SweepRunner fresh(shortOptions(), 1);
+        fresh.submit(jobs[i]);
+        fresh.run();
+        ASSERT_EQ(sweep.outcome(ids[i]).status, SweepStatus::Ok) << i;
+        EXPECT_EQ(encodePairResult(sweep.result(ids[i])),
+                  encodePairResult(fresh.result(0)))
+            << i;
+    }
+    std::filesystem::remove_all(warm_dir);
 }
 
 TEST(ConfigFingerprint, IgnoresNameCoversEveryBehaviouralField)

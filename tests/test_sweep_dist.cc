@@ -357,7 +357,7 @@ TEST(SweepDist, SecondWorkerLoadsFromDeadWorkersShardToleratingTornTail)
     {
         SweepRunner w1(shortOptions(), 1);
         w1.setDistPolicy(testPolicy(dir, "w1"));
-        w1.setExecutorForTest([](Evaluator &, const SweepJob &) {
+        w1.setExecutorForTest([](const SweepJob &) {
             return syntheticResult(1.25);
         });
         for (const SweepJob &job : jobs)
@@ -370,7 +370,7 @@ TEST(SweepDist, SecondWorkerLoadsFromDeadWorkersShardToleratingTornTail)
 
     SweepRunner w2(shortOptions(), 1);
     w2.setDistPolicy(testPolicy(dir, "w2"));
-    w2.setExecutorForTest([](Evaluator &, const SweepJob &) -> PairResult {
+    w2.setExecutorForTest([](const SweepJob &) -> PairResult {
         throw std::runtime_error("w2 must load, not execute");
     });
     for (const SweepJob &job : jobs)
@@ -405,7 +405,7 @@ TEST(SweepDist, DuplicateEntriesResolveDeterministically)
     {
         SweepRunner first(shortOptions(), 1);
         first.setDistPolicy(testPolicy(dir, "aa"));
-        first.setExecutorForTest([](Evaluator &, const SweepJob &) {
+        first.setExecutorForTest([](const SweepJob &) {
             return syntheticResult(1.0);
         });
         first.submit(jobs[0]);
@@ -425,7 +425,7 @@ TEST(SweepDist, DuplicateEntriesResolveDeterministically)
 
     SweepRunner merge(shortOptions(), 1);
     merge.setDistPolicy(testPolicy(dir, "mm"));
-    merge.setExecutorForTest([](Evaluator &, const SweepJob &) -> PairResult {
+    merge.setExecutorForTest([](const SweepJob &) -> PairResult {
         throw std::runtime_error("the job must be loaded, not run");
     });
     merge.submit(jobs[0]);
@@ -451,7 +451,7 @@ TEST(SweepDist, UndecodableShardEntryIsReRun)
     {
         SweepRunner w1(shortOptions(), 1);
         w1.setDistPolicy(testPolicy(dir, "w1"));
-        w1.setExecutorForTest([](Evaluator &, const SweepJob &) {
+        w1.setExecutorForTest([](const SweepJob &) {
             return syntheticResult(1.0);
         });
         w1.submit(jobs[0]);
@@ -469,7 +469,7 @@ TEST(SweepDist, UndecodableShardEntryIsReRun)
     // is claimed and simulated again rather than failed.
     SweepRunner w2(shortOptions(), 1);
     w2.setDistPolicy(testPolicy(dir, "w2"));
-    w2.setExecutorForTest([](Evaluator &, const SweepJob &) {
+    w2.setExecutorForTest([](const SweepJob &) {
         return syntheticResult(2.0);
     });
     w2.submit(jobs[0]);
@@ -497,7 +497,7 @@ TEST(SweepDist, SerialResumeAndMergePickTheSameWinner)
     {
         SweepRunner first(shortOptions(), 1);
         first.setPolicy(policy);
-        first.setExecutorForTest([](Evaluator &, const SweepJob &) {
+        first.setExecutorForTest([](const SweepJob &) {
             return syntheticResult(1.0);
         });
         first.submit(job);
@@ -513,7 +513,7 @@ TEST(SweepDist, SerialResumeAndMergePickTheSameWinner)
         "\"}\n";
     writeFile(journal, text);
 
-    const auto poisoned = [](Evaluator &, const SweepJob &) -> PairResult {
+    const auto poisoned = [](const SweepJob &) -> PairResult {
         throw std::runtime_error("the job must be loaded, not run");
     };
     SweepRunner resumed(shortOptions(), 1);
@@ -555,7 +555,7 @@ TEST(SweepDist, ParentFormatStaleLeaseIsStolenAndRunToOk)
     {
         SweepRunner probe(shortOptions(), 1);
         probe.setDistPolicy(testPolicy(scratch, "probe"));
-        probe.setExecutorForTest([](Evaluator &, const SweepJob &) {
+        probe.setExecutorForTest([](const SweepJob &) {
             return syntheticResult(1.0);
         });
         probe.submit(jobs[0]);
@@ -580,7 +580,7 @@ TEST(SweepDist, ParentFormatStaleLeaseIsStolenAndRunToOk)
 
     SweepRunner w1(shortOptions(), 1);
     w1.setDistPolicy(testPolicy(dir, "w1"));
-    w1.setExecutorForTest([](Evaluator &, const SweepJob &) {
+    w1.setExecutorForTest([](const SweepJob &) {
         return syntheticResult(3.0);
     });
     w1.submit(jobs[0]);

@@ -215,9 +215,9 @@ TEST(SweepWarm, MetricsModeWarmMatchesFresh)
         runAndEncode(jobs, dir.policy(), 1, &stats);
     EXPECT_EQ(fresh, warm);
     // Job 1 warms three states (the shared run plus one alone run per
-    // application); job 2's measure window differs so its alone-IPC
-    // memo keys differ, but all three of its runs share job 1's warmup
-    // fingerprints and hit.
+    // application); job 2's measure window differs so its runs differ
+    // from job 1's, but all three share job 1's warmup fingerprints
+    // and hit.
     EXPECT_EQ(stats.misses, 3u);
     EXPECT_EQ(stats.hits, 3u);
 }
